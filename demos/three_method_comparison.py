@@ -40,8 +40,6 @@ def main():
 
     d = report.diagnostics
     print("\ncross checks:")
-    print(f"  adjoint residual: {d['adjoint_residual']['flag']} "
-          f"(worst {d['adjoint_residual']['max_relative_residual']:.1e})")
     print(f"  grid convergence: {d['convergence']['flag']} "
           f"(top-mode drift {d['convergence']['top_mode_relative_drift']:.2%} "
           f"vs half resolution)")

@@ -20,7 +20,6 @@ VALID_FORMATS = ("csv", "json")
 _DEFAULTS: dict[str, Any] = {
     "methods": list(VALID_METHODS),
     "gamma": {"mode": "relative", "value": 0.5},
-    "landau_options": {"lag_extent_m": None, "lag_grid": None, "scales": [1.0, 2.0, 3.0]},
     "output": {"directory": "edof_out", "formats": ["csv", "json"]},
     "seed": 0,
 }
@@ -141,7 +140,6 @@ class ExperimentConfig:
     gamma_value: float
     lag_extent: tuple[float, float] | None
     lag_grid: tuple[int, int] | None
-    scales: tuple[float, ...]
     output_directory: str
     output_formats: tuple[str, ...]
     seed: int
@@ -185,25 +183,18 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
             methods.append(m)
 
     gamma_raw = _require_mapping(data.get("gamma", _DEFAULTS["gamma"]), "gamma", ("mode", "value"))
-    gamma_mode = gamma_raw.get("mode", "relative")
+    gamma_mode = gamma_raw.get("mode", _DEFAULTS["gamma"]["mode"])
     if gamma_mode not in VALID_GAMMA_MODES:
         raise _fail("gamma.mode", f"expected one of {VALID_GAMMA_MODES}")
-    gamma_value = _number(gamma_raw.get("value", 0.5), "gamma.value")
+    gamma_value = _number(gamma_raw.get("value", _DEFAULTS["gamma"]["value"]), "gamma.value")
     if gamma_value < 0:
         raise _fail("gamma.value", "must be >= 0")
 
     landau_raw = _require_mapping(
-        data.get("landau_options", {}), "landau_options", ("lag_extent_m", "lag_grid", "scales")
+        data.get("landau_options", {}), "landau_options", ("lag_extent_m", "lag_grid")
     )
     lag_extent = _parse_pair(landau_raw.get("lag_extent_m"), "landau_options.lag_extent_m", "float")
     lag_grid = _parse_pair(landau_raw.get("lag_grid"), "landau_options.lag_grid", "int")
-    scales_raw = landau_raw.get("scales", _DEFAULTS["landau_options"]["scales"])
-    if not isinstance(scales_raw, (list, tuple)) or not scales_raw:
-        raise _fail("landau_options.scales", "expected a nonempty list")
-    scales = tuple(_number(s, f"landau_options.scales[{i}]") for i, s in enumerate(scales_raw))
-    for i, s in enumerate(scales):
-        if s < 1:
-            raise _fail(f"landau_options.scales[{i}]", "must be >= 1")
 
     output_raw = _require_mapping(
         data.get("output", _DEFAULTS["output"]), "output", ("directory", "formats")
@@ -232,7 +223,6 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
         "landau_options": {
             "lag_extent_m": list(lag_extent) if lag_extent is not None else None,
             "lag_grid": list(lag_grid) if lag_grid is not None else None,
-            "scales": list(scales),
         },
         "output": {"directory": directory, "formats": formats},
         "seed": seed,
@@ -248,7 +238,6 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
         gamma_value=gamma_value,
         lag_extent=lag_extent,
         lag_grid=lag_grid,
-        scales=scales,
         output_directory=directory,
         output_formats=tuple(formats),
         seed=seed,

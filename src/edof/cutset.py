@@ -28,12 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagnosticWarning, DimensionError, GeometryError, SingularKernelError
-from .geometry import PlanarSurface, QuadratureGrid, global_point
-from .kernel import WaveConfig
+from .geometry import PlanarSurface, QuadratureGrid, discretize, global_point
+from .kernel import WaveConfig, row_blocks
 from .spectrum import EdofReport
-
-# rx-point chunk for the (N_rx x N_tx) bandwidth sweep, keeps temporaries small
-_FIELD_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -160,12 +157,11 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     rx_surface = rx_grid.surface
     values = np.empty(len(rx_grid))
     if method == "jacobian-integral":
-        for start in range(0, len(rx_grid), _FIELD_CHUNK):
-            stop = min(start + _FIELD_CHUNK, len(rx_grid))
-            dets = _jacobian_dets(rx_grid.points[start:stop, None, :],
+        for rows in row_blocks(len(rx_grid), len(tx_grid)):
+            dets = _jacobian_dets(rx_grid.points[rows, None, :],
                                   tx_grid.points[None, :, :],
                                   tx_grid.surface, rx_surface, wave)
-            values[start:stop] = dets @ tx_grid.weights
+            values[rows] = dets @ tx_grid.weights
     elif method == "set-measure":
         if resolution is None:
             raise ValueError("set-measure bandwidth needs an explicit resolution")
@@ -227,21 +223,15 @@ def box_support(ku_lo, ku_hi, kv_lo, kv_hi):
 def _uniform_lattice(grid: QuadratureGrid):
     """Shape and spacings of a u-major uniform midpoint lattice.
 
-    Raises GeometryError when the grid is not such a lattice (making FFT
-    filtering ill-defined on it).
+    Raises GeometryError when the grid's nodes are not the midpoint lattice
+    of its shape (making FFT filtering ill-defined on it).
     """
-    u_vals = np.unique(grid.local_coords[:, 0])
-    v_vals = np.unique(grid.local_coords[:, 1])
-    n_u, n_v = u_vals.size, v_vals.size
-    if n_u * n_v != len(grid):
-        raise GeometryError("grid is not a tensor-product lattice")
+    n_u, n_v = grid.shape
     du = grid.surface.length_u / n_u
     dv = grid.surface.length_v / n_v
-    exp_u = (np.arange(n_u) + 0.5) * du - 0.5 * grid.surface.length_u
-    exp_v = (np.arange(n_v) + 0.5) * dv - 0.5 * grid.surface.length_v
-    expected = np.column_stack([np.repeat(exp_u, n_v), np.tile(exp_v, n_u)])
-    tol = 1e-9 * max(du, dv)
-    if not np.allclose(grid.local_coords, expected, rtol=0.0, atol=tol):
+    expected = discretize(grid.surface, n_u, n_v).local_coords
+    if not np.allclose(grid.local_coords, expected, rtol=0.0,
+                       atol=1e-9 * max(du, dv)):
         raise GeometryError("grid nodes are not a uniform u-major midpoint lattice")
     return n_u, n_v, du, dv
 

@@ -23,7 +23,7 @@ from .cutset import (
 )
 from .errors import ConfigError, ResourceError
 from .geometry import QuadratureGrid, discretize
-from .kernel import adjoint_identity_residual, assemble_operator, hilbert_schmidt_norm
+from .kernel import assemble_operator
 from .landau import (
     DEFAULT_MATRIX_BUDGET,
     DEFAULT_STUDY_GAMMAS,
@@ -36,12 +36,10 @@ from .landau import (
 )
 from .spectrum import CouplingSpectrum, EdofReport, count_edof, coupling_spectrum
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 SWEEP_AXES = ("distance", "tx_size", "rx_size", "wavelength", "scale_r")
 
 # run-diagnostic thresholds; each flag stays informational, never fatal
-ADJOINT_PAIRS = 16
-ADJOINT_RESIDUAL_TOL = 1e-12
 CONVERGENCE_DRIFT_TOL = 0.05
 INJECTIVITY_DIVERGENCE_TOL = 0.05
 SET_MEASURE_CELLS_PER_AXIS = 64
@@ -104,24 +102,6 @@ def _not_applicable() -> dict:
 def _collect_warnings(recorded, method: str, sink: list[str]) -> None:
     for item in recorded:
         sink.append(f"{method}: {item.message}")
-
-
-def _adjoint_diagnostic(operator, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    n_rx, n_tx = operator.shape
-    scale = np.sqrt(hilbert_schmidt_norm(operator))
-    worst = 0.0
-    for _ in range(ADJOINT_PAIRS):
-        f = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
-        g = rng.standard_normal(n_rx) + 1j * rng.standard_normal(n_rx)
-        res = adjoint_identity_residual(operator, f, g)
-        denom = scale * np.linalg.norm(f) * np.linalg.norm(g)
-        worst = max(worst, res / denom)
-    return {
-        "flag": "pass" if worst <= ADJOINT_RESIDUAL_TOL else "fail",
-        "max_relative_residual": worst,
-        "pairs": ADJOINT_PAIRS,
-    }
 
 
 def _convergence_diagnostic(config: ExperimentConfig, spectrum: CouplingSpectrum) -> dict:
@@ -190,7 +170,6 @@ def _run_methods(config: ExperimentConfig,
     reports: list[EdofReport] = []
     evidence: dict[str, Any] = {"spectrum": None, "bandwidth": None, "response": None}
     diagnostics: dict[str, Any] = {
-        "adjoint_residual": _not_applicable(),
         "convergence": _not_applicable(),
         "injectivity": _not_applicable(),
         "stationarity": _not_applicable(),
@@ -204,8 +183,8 @@ def _run_methods(config: ExperimentConfig,
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 if method == "svd":
-                    operator = assemble_operator(tx_grid, rx_grid, config.wave)
-                    spectrum = coupling_spectrum(operator)
+                    spectrum = coupling_spectrum(
+                        assemble_operator(tx_grid, rx_grid, config.wave))
                     evidence["spectrum"] = spectrum
                     n = count_edof(spectrum, config.gamma_value, config.gamma_mode)
                     reports.append(EdofReport(
@@ -213,8 +192,6 @@ def _run_methods(config: ExperimentConfig,
                         gamma_mode=config.gamma_mode, gamma_value=config.gamma_value,
                         diagnostics={"s0_squared": float(spectrum.values[0]),
                                      "n_values": len(spectrum.values)}))
-                    diagnostics["adjoint_residual"] = _adjoint_diagnostic(
-                        operator, config.seed)
                     diagnostics["convergence"] = _convergence_diagnostic(
                         config, spectrum)
                 elif method == "cutset":
@@ -395,6 +372,8 @@ def _sweep_scale_r(config: ExperimentConfig, values,
     if config.gamma_mode != "relative":
         raise ConfigError("scale_r sweeps report thresholds relative to the "
                           "top mode; set gamma.mode to 'relative'")
+    if not all(1.0 <= r < np.inf for r in values):
+        raise ConfigError(f"scale_r values must be finite and >= 1, got {values}")
     gammas = tuple(sorted(set(DEFAULT_STUDY_GAMMAS) | {config.gamma_value}))
     study = polarization_study(config.tx_surface, config.rx_surface, config.wave,
                                scales=values, gammas=gammas,

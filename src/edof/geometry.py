@@ -113,13 +113,15 @@ class QuadratureGrid:
 
     ``points`` are global 3-space positions, ``local_coords`` the matching
     (a, b) surface coordinates, and ``weights`` the positive quadrature
-    weights, which sum to the surface area.
+    weights, which sum to the surface area.  ``shape`` is the (n_u, n_v)
+    node lattice, with N = n_u * n_v.
     """
 
     surface: PlanarSurface
     points: np.ndarray       # (N, 3)
     local_coords: np.ndarray  # (N, 2)
     weights: np.ndarray      # (N,)
+    shape: tuple[int, int]
     rule: str = field(default="midpoint")
 
     def __post_init__(self):
@@ -130,6 +132,9 @@ class QuadratureGrid:
         if self.points.shape != (n, 3) or self.local_coords.shape != (n, 2) \
                 or self.weights.shape != (n,) or n == 0:
             raise GeometryError("inconsistent grid array shapes")
+        if len(self.shape) != 2 or min(self.shape) < 1 \
+                or self.shape[0] * self.shape[1] != n:
+            raise GeometryError(f"lattice shape {self.shape} does not hold {n} nodes")
         if not np.all(self.weights > 0.0):
             raise GeometryError("quadrature weights must be strictly positive")
         area = self.surface.area
@@ -174,7 +179,7 @@ def discretize(surface: PlanarSurface, n_u: int, n_v: int,
               + local[:, :1] * surface.tangent_u[None, :]
               + local[:, 1:] * surface.tangent_v[None, :])
     return QuadratureGrid(surface=surface, points=points, local_coords=local,
-                          weights=weights, rule=rule)
+                          weights=weights, shape=(n_u, n_v), rule=rule)
 
 
 def global_point(surface: PlanarSurface, local) -> np.ndarray:

@@ -31,8 +31,10 @@ VACUUM_IMPEDANCE_OHM = 376.730313668
 # wavelength produce a near-singular matrix the quadrature cannot resolve.
 MIN_SEPARATION_WAVELENGTHS = 0.1
 
-# Row-chunk size for assembling large matrices without huge temporaries.
-_ASSEMBLY_CHUNK = 512
+# Point-node pairs per block of a points-by-nodes sweep (assembly, bandwidth
+# field, lag correlation); bounds each block's temporaries to a few
+# multiples of 8 * BLOCK_PAIRS bytes.
+BLOCK_PAIRS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,38 @@ class DiscreteOperator:
         return self.matrix.shape
 
 
+def row_blocks(n_rows: int, n_cols: int):
+    """Consecutive row slices covering range(n_rows), each of at most
+    BLOCK_PAIRS row-column pairs (one row when a row alone exceeds that)."""
+    step = max(1, BLOCK_PAIRS // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def node_distances(points, nodes, wave: WaveConfig) -> np.ndarray:
+    """Distances |p_i - t_j| as an (N_points, N_nodes) array.
+
+    Raises SingularKernelError when any pair is nearer than
+    ``MIN_SEPARATION_WAVELENGTHS`` wavelengths, where the quadrature cannot
+    resolve the 1/d singularity of the kernel.
+    """
+    diff = points[:, None, :] - nodes[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    min_sep = MIN_SEPARATION_WAVELENGTHS * wave.wavelength
+    if d.min() < min_sep:
+        raise SingularKernelError(
+            f"evaluation points come within {d.min():.3e} m of the grid "
+            f"nodes, below {MIN_SEPARATION_WAVELENGTHS} wavelengths "
+            f"({min_sep:.3e} m)")
+    return d
+
+
+def _kernel_of_distance(d, wave: WaveConfig):
+    """k = j * eta * exp(-j * k0 * d) / (2 * lambda * d) at distances d."""
+    return (1j * wave.impedance / (2.0 * wave.wavelength)) \
+        * np.exp(-1j * wave.k0 * d) / d
+
+
 def green_kernel(r_rx, r_tx, wave: WaveConfig):
     """Evaluate the scalar coupling kernel; broadcasts over leading axes.
 
@@ -86,8 +120,7 @@ def green_kernel(r_rx, r_tx, wave: WaveConfig):
     d = np.linalg.norm(r - t, axis=-1)
     if np.any(d == 0.0):
         raise SingularKernelError("kernel evaluated at coincident points")
-    value = (1j * wave.impedance / (2.0 * wave.wavelength)) \
-        * np.exp(-1j * wave.k0 * d) / d
+    value = _kernel_of_distance(d, wave)
     if np.ndim(value) == 0:
         return complex(value)
     return value
@@ -102,26 +135,13 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     """
     if surfaces_intersect(tx_grid.surface, rx_grid.surface):
         raise GeometryError("transmit and receive surfaces intersect")
-    rx = rx_grid.points
-    tx = tx_grid.points
-    n_rx, n_tx = rx.shape[0], tx.shape[0]
-    scale = 1j * wave.impedance / (2.0 * wave.wavelength)
     sq_w_rx = np.sqrt(rx_grid.weights)
     sq_w_tx = np.sqrt(tx_grid.weights)
-    matrix = np.empty((n_rx, n_tx), dtype=complex)
-    min_sep = MIN_SEPARATION_WAVELENGTHS * wave.wavelength
-    for start in range(0, n_rx, _ASSEMBLY_CHUNK):
-        stop = min(start + _ASSEMBLY_CHUNK, n_rx)
-        diff = rx[start:stop, None, :] - tx[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        if d.min() < min_sep:
-            raise SingularKernelError(
-                f"closest grid nodes are {d.min():.3e} m apart, below "
-                f"{MIN_SEPARATION_WAVELENGTHS} wavelengths "
-                f"({min_sep:.3e} m)")
-        matrix[start:stop] = (sq_w_rx[start:stop, None]
-                              * (scale * np.exp(-1j * wave.k0 * d) / d)
-                              * sq_w_tx[None, :])
+    matrix = np.empty((len(rx_grid), len(tx_grid)), dtype=complex)
+    for rows in row_blocks(len(rx_grid), len(tx_grid)):
+        d = node_distances(rx_grid.points[rows], tx_grid.points, wave)
+        matrix[rows] = (sq_w_rx[rows, None] * _kernel_of_distance(d, wave)
+                        * sq_w_tx[None, :])
     return DiscreteOperator(matrix=matrix, tx_grid=tx_grid, rx_grid=rx_grid,
                             wave=wave)
 

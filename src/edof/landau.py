@@ -26,14 +26,14 @@ kernel, keeping H >= 0 up to round-off without biasing the zero-lag sum.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from .errors import DiagnosticWarning, ResourceError, SingularKernelError
+from .errors import DiagnosticWarning, ResourceError
 from .geometry import PlanarSurface, QuadratureGrid, discretize
-from .kernel import (MIN_SEPARATION_WAVELENGTHS, WaveConfig, assemble_operator)
+from .kernel import WaveConfig, assemble_operator, node_distances, row_blocks
 from .spectrum import CouplingSpectrum, EdofReport, coupling_spectrum, count_edof
 
 # Default lag-window extent in units of the coherence scale lambda*d/L_tx.
@@ -45,8 +45,6 @@ BOUNDARY_DECAY_FRACTION = 1e-3
 # Transform noise floor: H may dip this far below zero (relative to max)
 # before clamping without signalling an invalid autocorrelation.
 NEGATIVITY_TOL = 1e-9
-
-_LAG_CHUNK = 1024
 
 DEFAULT_STUDY_GAMMAS = (0.01, 0.5, 0.99)
 DEFAULT_POINTS_PER_WAVELENGTH = 2.5
@@ -87,19 +85,13 @@ def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     """g(delta) for many lags at once; symmetric centering around reference."""
     p_plus, p_minus = _lag_points(lags, reference, rx_surface)
     scale = (wave.impedance / (2.0 * wave.wavelength)) ** 2
-    min_sep = MIN_SEPARATION_WAVELENGTHS * wave.wavelength
     out = np.empty(lags.shape[0], dtype=complex)
-    tp = tx_grid.points
-    for start in range(0, lags.shape[0], _LAG_CHUNK):
-        stop = min(start + _LAG_CHUNK, lags.shape[0])
-        d_plus = np.linalg.norm(p_plus[start:stop, None, :] - tp[None, :, :], axis=-1)
-        d_minus = np.linalg.norm(p_minus[start:stop, None, :] - tp[None, :, :], axis=-1)
-        if min(d_plus.min(), d_minus.min()) < min_sep:
-            raise SingularKernelError(
-                "a lag evaluation point comes closer to the transmit grid "
-                f"than {MIN_SEPARATION_WAVELENGTHS} wavelengths")
+    for rows in row_blocks(lags.shape[0], len(tx_grid)):
+        d_plus = node_distances(p_plus[rows], tx_grid.points, wave)
+        d_minus = node_distances(p_minus[rows], tx_grid.points, wave)
+        # one exp per pair: the kernel product collapses to exp(-jk(d+ - d-))
         phase = np.exp(-1j * wave.k0 * (d_plus - d_minus))
-        out[start:stop] = scale * ((phase / (d_plus * d_minus)) @ tx_grid.weights)
+        out[rows] = scale * ((phase / (d_plus * d_minus)) @ tx_grid.weights)
     return out
 
 
@@ -300,8 +292,8 @@ def polarization_study(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
     n[gamma_mid], the quantity that shrinks as the eigenvalues polarize.
     """
     scales = [float(r) for r in scales]
-    if not scales or min(scales) < 1.0:
-        raise ValueError("scales must be a nonempty list of values >= 1")
+    if not scales or not all(1.0 <= r < np.inf for r in scales):
+        raise ValueError("scales must be a nonempty list of finite values >= 1")
     gammas = tuple(sorted(float(x) for x in gammas))
     if len(gammas) < 2:
         raise ValueError("need at least two relative thresholds")
@@ -331,18 +323,10 @@ def polarization_study(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
                     f"matrix budget {max_matrix_entries} caps the grid at "
                     f"{available} points per axis, below the ~{2 * predicted:.0f} "
                     f"needed to resolve the spectrum at scale r={r}")
-        tx_scaled = PlanarSurface(center=tx_surface.center,
-                                  tangent_u=tx_surface.tangent_u,
-                                  tangent_v=tx_surface.tangent_v,
-                                  normal=tx_surface.normal,
-                                  length_u=tx_surface.length_u * r,
-                                  length_v=tx_surface.length_v * r)
-        rx_scaled = PlanarSurface(center=rx_surface.center,
-                                  tangent_u=rx_surface.tangent_u,
-                                  tangent_v=rx_surface.tangent_v,
-                                  normal=rx_surface.normal,
-                                  length_u=rx_surface.length_u * r,
-                                  length_v=rx_surface.length_v * r)
+        tx_scaled = replace(tx_surface, length_u=tx_surface.length_u * r,
+                            length_v=tx_surface.length_v * r)
+        rx_scaled = replace(rx_surface, length_u=rx_surface.length_u * r,
+                            length_v=rx_surface.length_v * r)
         tx_grid = discretize(tx_scaled, *counts["tx"], rule=rule)
         rx_grid = discretize(rx_scaled, *counts["rx"], rule=rule)
         spectrum = coupling_spectrum(assemble_operator(tx_grid, rx_grid, wave))

@@ -117,6 +117,13 @@ def test_sweep_rejects_bad_values(tmp_path, capsys):
     assert main(["sweep", path, "--axis", "distance", "--values", ","]) == 1
 
 
+@pytest.mark.parametrize("value", ["0.5", "nan", "inf"])
+def test_sweep_rejects_scale_r_below_one_or_not_finite(tmp_path, capsys, value):
+    path = _config_file(tmp_path)
+    assert main(["sweep", path, "--axis", "scale_r", "--values", value]) == 1
+    assert "error: scale_r values must be finite and >= 1" in capsys.readouterr().err
+
+
 def test_sweep_partial_failure_exits_2(tmp_path, capsys):
     path = _config_file(tmp_path)
     code = main(["sweep", path, "--axis", "distance", "--values", "0,10",

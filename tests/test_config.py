@@ -27,7 +27,6 @@ def test_minimal_mapping_fills_defaults():
     assert cfg.gamma_mode == "relative"
     assert cfg.gamma_value == 0.5
     assert cfg.lag_extent is None and cfg.lag_grid is None
-    assert cfg.scales == (1.0, 2.0, 3.0)
     assert cfg.output_directory == "edof_out"
     assert cfg.output_formats == ("csv", "json")
     assert cfg.seed == 0
@@ -56,10 +55,8 @@ def test_minimal_mapping_fills_defaults():
     (lambda d: d.update(methods=["svd", "qr"]), "methods[1]: unknown method"),
     (lambda d: d.update(gamma={"mode": "median"}), "gamma.mode"),
     (lambda d: d.update(gamma={"value": -0.5}), "gamma.value: must be >= 0"),
-    (lambda d: d.update(landau_options={"scales": []}),
-     "landau_options.scales: expected a nonempty list"),
-    (lambda d: d.update(landau_options={"scales": [1.0, 0.5]}),
-     "landau_options.scales[1]: must be >= 1"),
+    (lambda d: d.update(landau_options={"scales": [1.0, 2.0]}),
+     "landau_options.scales: unknown"),
     (lambda d: d.update(landau_options={"lag_grid": 2}),
      "landau_options.lag_grid: must be >= 3"),
     (lambda d: d.update(landau_options={"lag_extent_m": [1.0, 2.0, 3.0]}),
@@ -157,7 +154,7 @@ def test_round_trip_preserves_equality():
     cfg = config_from_mapping(_mapping(
         methods=["svd", "cutset"],
         gamma={"mode": "absolute", "value": 2.0},
-        landau_options={"lag_grid": [15, 21], "scales": [1.0, 1.5]},
+        landau_options={"lag_grid": [15, 21]},
         output={"directory": "out", "formats": ["json"]},
         seed=42,
     ))

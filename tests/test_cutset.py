@@ -1,5 +1,7 @@
 """Wavenumber map, local bandwidth, and the cut-set DoF estimate."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from edof.cutset import (
     wavenumber_component,
 )
 from edof.errors import DiagnosticWarning, DimensionError, GeometryError, SingularKernelError
-from edof.geometry import discretize, make_surface, rotation_about
+from edof.geometry import QuadratureGrid, discretize, make_surface, rotation_about
 from edof.kernel import WaveConfig, assemble_operator
 from edof.spectrum import count_edof, coupling_spectrum
 
@@ -282,6 +284,24 @@ def test_filter_field_requires_uniform_lattice(wave):
     gauss = discretize(rx, 8, 8, rule="gauss-legendre")
     with pytest.raises(GeometryError):
         filter_field(np.zeros(64), full_support(), gauss)
+
+
+def test_filter_field_rejects_perturbed_or_misdeclared_lattice(wave):
+    rx = make_surface((0.0, 0.0, DISTANCE), np.eye(3), APERTURE, APERTURE)
+    grid = discretize(rx, 8, 8)
+    local = grid.local_coords.copy()
+    local[9, 0] += 1e-3 * APERTURE / 8
+    points = (rx.center + local[:, :1] * rx.tangent_u[None, :]
+              + local[:, 1:] * rx.tangent_v[None, :])
+    perturbed = QuadratureGrid(surface=rx, points=points, local_coords=local,
+                               weights=grid.weights, shape=grid.shape,
+                               rule="midpoint")
+    with pytest.raises(GeometryError):
+        filter_field(np.zeros(64), full_support(), perturbed)
+    # right node count, wrong lattice
+    with pytest.raises(GeometryError):
+        filter_field(np.zeros(64), full_support(),
+                     dataclasses.replace(grid, shape=(4, 16)))
 
 
 def test_filter_field_checks_sample_count(wave):

@@ -175,11 +175,26 @@ def test_grid_invariants_enforced():
     g = discretize(s, 2, 2)
     with pytest.raises(GeometryError):
         QuadratureGrid(surface=s, points=g.points, local_coords=g.local_coords,
-                       weights=-g.weights, rule="midpoint")
+                       weights=-g.weights, shape=g.shape, rule="midpoint")
     with pytest.raises(GeometryError):
         QuadratureGrid(surface=s, points=g.points, local_coords=g.local_coords,
-                       weights=2.0 * g.weights, rule="midpoint")
+                       weights=2.0 * g.weights, shape=g.shape, rule="midpoint")
     off_plane = g.points + np.array([0.0, 0.0, 1e-6])
     with pytest.raises(GeometryError):
         QuadratureGrid(surface=s, points=off_plane, local_coords=g.local_coords,
-                       weights=g.weights, rule="midpoint")
+                       weights=g.weights, shape=g.shape, rule="midpoint")
+
+
+def test_discretize_records_lattice_shape():
+    s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 2.0)
+    assert discretize(s, 3, 5).shape == (3, 5)
+    assert discretize(s, 4, 2, rule="gauss-legendre").shape == (4, 2)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2), (1, 4, 1), (-2, -2)])
+def test_grid_rejects_shape_not_matching_point_count(shape):
+    s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
+    g = discretize(s, 2, 2)
+    with pytest.raises(GeometryError, match="lattice shape"):
+        QuadratureGrid(surface=s, points=g.points, local_coords=g.local_coords,
+                       weights=g.weights, shape=shape)

@@ -5,7 +5,10 @@ import pytest
 
 from edof.errors import DimensionError, GeometryError, SingularKernelError
 from edof.geometry import discretize, make_surface, rotation_about
+import edof.kernel
+from edof.cutset import bandwidth_field
 from edof.kernel import (
+    BLOCK_PAIRS,
     VACUUM_IMPEDANCE_OHM,
     WaveConfig,
     adjoint_identity_residual,
@@ -13,7 +16,10 @@ from edof.kernel import (
     assemble_operator,
     green_kernel,
     hilbert_schmidt_norm,
+    node_distances,
+    row_blocks,
 )
+from edof.landau import wavenumber_response
 
 from conftest import APERTURE, DISTANCE, WAVELENGTH
 
@@ -229,3 +235,60 @@ def test_rotated_scene_has_same_singular_values(wave):
     s2 = np.linalg.svd(assemble_operator(discretize(tx_r, 8, 8), discretize(rx_r, 8, 8),
                                          wave).matrix, compute_uv=False)
     assert np.allclose(s1, s2, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [
+    (0, 10), (1, 1), (1000, 3), (1000, 1600), (5, BLOCK_PAIRS + 1), (3, 4 * BLOCK_PAIRS),
+])
+def test_row_blocks_cover_every_row_once(n_rows, n_cols):
+    blocks = list(row_blocks(n_rows, n_cols))
+    assert [i for b in blocks for i in range(n_rows)[b]] == list(range(n_rows))
+    for b in blocks:
+        rows = b.stop - b.start
+        assert rows >= 1
+        assert rows * n_cols <= BLOCK_PAIRS or rows == 1
+
+
+def test_node_distances_match_norm_and_reject_close_pairs():
+    wave = WaveConfig(wavelength=0.01)
+    rng = np.random.default_rng(5)
+    points = rng.standard_normal((7, 3))
+    nodes = rng.standard_normal((5, 3)) + 10.0
+    d = node_distances(points, nodes, wave)
+    expected = np.linalg.norm(points[:, None, :] - nodes[None, :, :], axis=-1)
+    assert d.shape == (7, 5)
+    assert np.allclose(d, expected, rtol=1e-15, atol=0.0)
+    near = nodes[2] + np.array([0.0, 0.0, 0.05 * wave.wavelength])
+    with pytest.raises(SingularKernelError):
+        node_distances(np.vstack([points, near]), nodes, wave)
+
+
+@pytest.mark.filterwarnings("ignore::edof.errors.DiagnosticWarning")
+def test_block_budget_changes_no_result(monkeypatch):
+    """Block sizes change memory use, not values.
+
+    Assembly is elementwise, so every entry is bitwise equal.  The bandwidth
+    field and the lag correlation end each block with a BLAS matrix-vector
+    product, whose accumulation order for a row depends on how many rows
+    share the call; those agree to round-off.
+    """
+    wave = WaveConfig(wavelength=WAVELENGTH)
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), APERTURE, APERTURE)
+    rx = make_surface((0.1, 0.05, 3.0), rotation_about((1.0, 1.0, 0.0), 0.3),
+                      0.4, 0.3)
+    g_tx, g_rx = discretize(tx, 13, 11), discretize(rx, 9, 7)
+
+    def results():
+        return (assemble_operator(g_tx, g_rx, wave).matrix,
+                bandwidth_field(g_tx, g_rx, wave).values,
+                wavenumber_response(rx, g_tx, wave, lag_grid=(21, 15),
+                                    lag_extent=0.5).H_values)
+
+    default = results()
+    monkeypatch.setattr(edof.kernel, "BLOCK_PAIRS", 7)
+    assert list(row_blocks(3, 4)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    tiny = results()
+    assert np.array_equal(tiny[0], default[0])
+    for got, want in zip(tiny[1:], default[1:]):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())

@@ -282,7 +282,8 @@ def test_polarization_validates_inputs(small_scene, wave):
     tx, rx = small_scene
     with pytest.raises(ValueError):
         polarization_study(tx, rx, wave, scales=[])
-    with pytest.raises(ValueError):
-        polarization_study(tx, rx, wave, scales=[0.5])
+    for bad in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            polarization_study(tx, rx, wave, scales=[1.0, bad])
     with pytest.raises(ValueError):
         polarization_study(tx, rx, wave, scales=[1.0], gammas=(0.5,))
