@@ -128,7 +128,11 @@ def _parse_pair(value: Any, path: str, kind: str) -> Any:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment description with derived geometry objects."""
+    """Validated experiment description with derived geometry objects.
+
+    ``seed`` is a label of the run: it appears in the echo only, and no
+    computation reads it.
+    """
 
     wave: WaveConfig
     tx_surface: PlanarSurface

@@ -305,8 +305,9 @@ def run_experiment(config: ExperimentConfig,
     Methods are isolated: an error in one is recorded in the diagnostics
     and the others still run (the report is then flagged "partial").  A
     coupling matrix over ``max_matrix_entries`` raises ResourceError before
-    any work starts.  Output is deterministic for a fixed config and seed;
-    only the report timestamp differs between reruns.
+    any work starts.  Output is deterministic for a fixed config, and the
+    config's seed is only a label; the report timestamp alone differs
+    between reruns.
     """
     from . import __version__
 

@@ -31,6 +31,7 @@ from typing import Any
 
 import numpy as np
 
+from .cutset import wavenumber_component
 from .errors import DiagnosticWarning, ResourceError
 from .geometry import PlanarSurface, QuadratureGrid, discretize
 from .kernel import WaveConfig, assemble_operator, node_distances, row_blocks
@@ -38,8 +39,10 @@ from .spectrum import CouplingSpectrum, EdofReport, coupling_spectrum, count_edo
 
 # Default lag-window extent in units of the coherence scale lambda*d/L_tx.
 DEFAULT_EXTENT_COHERENCE_UNITS = 8.0
-# Default lag spacing in wavelengths (Nyquist-safe for any incidence).
-DEFAULT_SPACING_WAVELENGTHS = 0.25
+# Padding of the scene's wavenumber band, in Fejer main-lobe half widths
+# (4 pi / extent each); the default lag spacing samples the padded band
+# twice as finely as Nyquist, which is a quarter wavelength at grazing.
+BAND_PAD_LOBES = 2.0
 # |g| at the lag-window boundary should fall below this fraction of g(0).
 BOUNDARY_DECAY_FRACTION = 1e-3
 # Transform noise floor: H may dip this far below zero (relative to max)
@@ -95,6 +98,40 @@ def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     return out
 
 
+def _autocorrelation_lattice(lags, reference, rx_surface, tx_grid, wave):
+    """g on a point-symmetric lag list, whose rows m and M-1-m are negatives.
+
+    Only the first (M+1)/2 lags are evaluated; g(-delta) = conj(g(delta))
+    fills in the rest exactly.
+    """
+    half = _autocorrelation_many(lags[:(len(lags) + 1) // 2], reference,
+                                 rx_surface, tx_grid, wave)
+    return np.concatenate([half, np.conj(half[-2::-1])])
+
+
+def _corners(surface, half_u, half_v):
+    """(4, 3) corners of the centered half_u x half_v box on a surface's plane."""
+    return np.array([surface.center + su * half_u * surface.tangent_u
+                     + sv * half_v * surface.tangent_v
+                     for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
+
+
+def _band_edge(rx_surface, tx_surface, wave, extent):
+    """Padded per-axis in-plane wavenumber band of the correlation, rad/m.
+
+    The largest |k_u| and |k_v| over rays from the transmit corners to the
+    corners of a receive-plane box that covers the aperture and every lag
+    point c +/- delta/2, each padded by BAND_PAD_LOBES Fejer half widths.
+    """
+    box = _corners(rx_surface, max(0.5 * rx_surface.length_u, 0.25 * extent[0]),
+                   max(0.5 * rx_surface.length_v, 0.25 * extent[1]))
+    tx = _corners(tx_surface, 0.5 * tx_surface.length_u, 0.5 * tx_surface.length_v)
+    k = wavenumber_component(box[:, None, :], tx[None, :, :], rx_surface, wave)
+    k_max = np.abs(k).max(axis=(0, 1))
+    return tuple(float(km + BAND_PAD_LOBES * 4.0 * np.pi / e)
+                 for km, e in zip(k_max, extent))
+
+
 def autocorrelation_kernel(delta_r, rx_reference_point, tx_grid: QuadratureGrid,
                            wave: WaveConfig, rx_surface: PlanarSurface) -> complex:
     """Receive-plane correlation g(delta) at one 2-vector lag.
@@ -130,11 +167,17 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     """Bartlett estimate of H(k) from autocorrelation samples on a lag grid.
 
     Defaults: per-axis extent of 8 coherence scales (lambda * d / L_tx_axis,
-    d the center-to-center distance) and lag spacing of a quarter
-    wavelength.  Counts are forced odd so the lattice is symmetric and the
-    Hermitian lag symmetry translates into a real transform.  An extent too
-    short for |g| to decay below 1e-3 * g(0) at the window boundary is
-    flagged with a DiagnosticWarning and recorded in the diagnostics.
+    d the center-to-center distance) and, per axis, a lag spacing of
+    pi / (2 * k_band): k_band is the largest in-plane wavenumber of the
+    rays from the transmit corners to a receive-plane box covering the
+    aperture and the lag points, padded by two Fejer main-lobe half widths
+    (4 pi / extent each).  The spacing is capped at a quarter wavelength,
+    its value at grazing incidence (k_band >= k0).  Counts are forced odd
+    so the lattice is symmetric: g is evaluated on half of it, the Hermitian
+    symmetry g(-delta) = conj(g(delta)) fills in the rest, and the
+    transform is real.  An extent too short for |g| to decay below
+    1e-3 * g(0) at the window boundary is flagged with a DiagnosticWarning
+    and recorded in the diagnostics.
     """
     center_distance = float(np.linalg.norm(
         rx_surface.center - tx_grid.surface.center))
@@ -145,10 +188,12 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
         "lag_extent")
     if not (extent_u > 0.0 and extent_v > 0.0):
         raise ValueError("lag extents must be positive")
-    default_spacing = DEFAULT_SPACING_WAVELENGTHS * wave.wavelength
+    k_band = _band_edge(rx_surface, tx_grid.surface, wave, (extent_u, extent_v))
     if lag_grid is None:
-        counts = (int(np.ceil(extent_u / default_spacing)),
-                  int(np.ceil(extent_v / default_spacing)))
+        # max(lambda/4, pi/(2 k_band)), written to be exactly lambda/4 at grazing
+        counts = tuple(
+            int(np.ceil(e / (0.25 * wave.wavelength * max(1.0, wave.k0 / kb))))
+            for e, kb in zip((extent_u, extent_v), k_band))
     elif np.isscalar(lag_grid):
         counts = (int(lag_grid), int(lag_grid))
     else:
@@ -164,8 +209,8 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     iv = np.arange(n_v) - (n_v - 1) / 2.0
     lag_u, lag_v = np.meshgrid(iu * du, iv * dv, indexing="ij")
     lags = np.column_stack([lag_u.ravel(), lag_v.ravel()])
-    g = _autocorrelation_many(lags, rx_surface.center, rx_surface,
-                              tx_grid, wave).reshape(n_u, n_v)
+    g = _autocorrelation_lattice(lags, rx_surface.center, rx_surface,
+                                 tx_grid, wave).reshape(n_u, n_v)
     g_zero = float(np.real(g[(n_u - 1) // 2, (n_v - 1) // 2]))
 
     boundary = np.concatenate([np.abs(g[0, :]), np.abs(g[-1, :]),
@@ -202,6 +247,7 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
             "zero_lag": g_zero,
             "lag_shape": (n_u, n_v),
             "lag_spacing": (du, dv),
+            "k_band": k_band,
             "lag_extent": (extent_u, extent_v),
             "boundary_decay_ratio": decay_ratio,
             "boundary_decay_ok": decay_ok,
@@ -256,11 +302,8 @@ def stationarity_check(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     coh = wave.wavelength * center_distance / max(tx_grid.surface.length_u,
                                                   tx_grid.surface.length_v)
     probes = np.array([[0.0, 0.0], [0.5 * coh, 0.0], [0.0, 0.5 * coh]])
-    hu = 0.5 * rx_surface.length_u
-    hv = 0.5 * rx_surface.length_v
-    corners = [rx_surface.center + su * hu * rx_surface.tangent_u
-               + sv * hv * rx_surface.tangent_v
-               for su in (-1.0, 1.0) for sv in (-1.0, 1.0)]
+    corners = _corners(rx_surface, 0.5 * rx_surface.length_u,
+                       0.5 * rx_surface.length_v)
     ref = np.abs(_autocorrelation_many(probes, rx_surface.center, rx_surface,
                                        tx_grid, wave))
     worst = 0.0

@@ -107,6 +107,28 @@ def test_json_only_format_filter(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
+def test_report_records_band_edge_outside_the_csv(tmp_path):
+    cfg = config_from_mapping(_scene_mapping(grid=8, methods=["landau"]))
+    run_experiment(cfg, out_dir=str(tmp_path))
+    block = json.loads((tmp_path / "report.json").read_text())["wavenumber_response"]
+    assert len(block["k_band"]) == 2 and len(block["lag_spacing"]) == 2
+    assert all(0.0 < k for k in block["k_band"])
+    assert "k_band" not in (tmp_path / "edof.csv").read_text()
+
+
+def test_seed_only_labels_the_run(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for seed, out in ((3, a), (11, b)):
+        mapping = _scene_mapping(grid=8, landau_options={})
+        mapping["seed"] = seed
+        run_experiment(config_from_mapping(mapping), out_dir=str(out))
+    for name in ("edof.csv", "spectrum.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    seeds = [json.loads((d / "report.json").read_text())["config"]["seed"]
+             for d in (a, b)]
+    assert seeds == [3, 11]
+
+
 def test_rerun_is_deterministic(tmp_path):
     cfg = config_from_mapping(_scene_mapping(methods=["svd"]))
     a, b = tmp_path / "a", tmp_path / "b"

@@ -1,14 +1,18 @@
 """Autocorrelation sampling, wavenumber response, and the Landau count."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import edof.landau
 from edof.errors import DiagnosticWarning, ResourceError, SingularKernelError
-from edof.geometry import discretize, make_surface
+from edof.geometry import discretize, make_surface, rotation_about
 from edof.kernel import WaveConfig, assemble_operator, green_kernel
 from edof.landau import (
+    _autocorrelation_lattice,
+    _autocorrelation_many,
     autocorrelation_kernel,
     landau_edof,
     polarization_study,
@@ -157,6 +161,134 @@ def test_response_validates_lag_arguments(anchor_surfaces, anchor_grids, wave):
     with pytest.raises(ValueError):
         wavenumber_response(rx, tx_grid, wave, lag_grid=11,
                             lag_extent=(1.0, 2.0, 3.0))
+
+
+@pytest.fixture(scope="module")
+def rotated_scene(wave):
+    """Rotated, non-square receive aperture facing a 13 x 11 transmit grid."""
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), APERTURE, APERTURE)
+    rx = make_surface((0.1, 0.05, 3.0), rotation_about((1.0, 1.0, 0.0), 0.3),
+                      0.4, 0.3)
+    return rx, discretize(tx, 13, 11)
+
+
+def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch):
+    rx, tx_grid = rotated_scene
+    iu, iv = np.arange(21) - 10.0, np.arange(15) - 7.0
+    lag_u, lag_v = np.meshgrid(iu * 0.5 / 21, iv * 0.5 / 15, indexing="ij")
+    lags = np.column_stack([lag_u.ravel(), lag_v.ravel()])
+    evaluated = []
+
+    def spy(lags, *args):
+        evaluated.append(len(lags))
+        return _autocorrelation_many(lags, *args)
+
+    monkeypatch.setattr(edof.landau, "_autocorrelation_many", spy)
+    g = _autocorrelation_lattice(lags, rx.center, rx, tx_grid, wave)
+    monkeypatch.undo()
+    assert evaluated == [(len(lags) + 1) // 2]
+    assert np.array_equal(g[::-1], np.conj(g))
+    full = _autocorrelation_many(lags, rx.center, rx, tx_grid, wave)
+    np.testing.assert_allclose(g, full, rtol=0.0, atol=1e-13 * np.abs(full).max())
+
+
+def test_half_lattice_response_matches_full_lattice(rotated_scene, wave,
+                                                    monkeypatch):
+    rx, tx_grid = rotated_scene
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiagnosticWarning)
+        half = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
+                                   lag_extent=0.5)
+        monkeypatch.setattr(edof.landau, "_autocorrelation_lattice",
+                            _autocorrelation_many)
+        full = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
+                                   lag_extent=0.5)
+    np.testing.assert_allclose(half.H_values, full.H_values, rtol=0.0,
+                               atol=1e-13 * full.H_values.max())
+
+
+def _quarter_wavelength_shape(response, wave):
+    """Lag shape of the former default: quarter-wavelength spacing."""
+    return tuple(2 * (math.ceil(e / (0.25 * wave.wavelength)) // 2) + 1
+                 for e in response.diagnostics["lag_extent"])
+
+
+def _default_scene(tx_size, tx_nodes, rx_center, rx_size, rotation=np.eye(3)):
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), tx_size, tx_size)
+    rx = make_surface(rx_center, rotation, rx_size, rx_size)
+    return rx, discretize(tx, tx_nodes, tx_nodes)
+
+
+DEFAULT_GRID_SCENES = {
+    "distance-2m": ((0.5, 24, (0.0, 0.0, 2.0), 0.5), {}),
+    "distance-1m": ((0.5, 24, (0.0, 0.0, 1.0), 0.5), {}),
+    "offset-rx": ((0.5, 24, (0.4, 0.2, 2.0), 0.5), {}),
+    "tilted-rx": ((0.5, 24, (0.0, 0.0, 2.0), 0.5),
+                  {"rotation": rotation_about((1.0, 0.0, 0.0), 0.4)}),
+    "small-rx": ((0.5, 24, (0.0, 0.0, 3.0), 0.05), {}),
+    "large-rx-small-tx": ((0.2, 10, (0.0, 0.0, 2.0), 1.0), {}),
+}
+# Bound on how far, relative to max H, the band-sized lattice moves a
+# response sample against the quarter-wavelength lattice (up to 9.2e-3 on
+# these scenes); only a sample that close to a threshold may change side,
+# and every sample the smaller lattice drops lies below it.
+SAMPLE_SHIFT = 1e-2
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_GRID_SCENES))
+def test_default_lag_grid_matches_quarter_wavelength_grid(name, wave):
+    args, kwargs = DEFAULT_GRID_SCENES[name]
+    rx, tx_grid = _default_scene(*args, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiagnosticWarning)
+        new = wavenumber_response(rx, tx_grid, wave)
+        extent = new.diagnostics["lag_extent"]
+        old = wavenumber_response(rx, tx_grid, wave,
+                                  lag_grid=_quarter_wavelength_shape(new, wave),
+                                  lag_extent=extent)
+    assert new.shape[0] <= old.shape[0] and new.shape[1] <= old.shape[1]
+    # same dual-grid cell, so the band-sized k lattice is a subset of the old
+    assert new.cell_area == pytest.approx(old.cell_area, rel=1e-9)
+    cells = np.round(old.k_samples * np.asarray(extent) / (2.0 * np.pi))
+    index = {tuple(c): i for i, c in enumerate(cells.astype(int))}
+    common = np.array([index[tuple(c)] for c in np.round(
+        new.k_samples * np.asarray(extent) / (2.0 * np.pi)).astype(int)])
+    outside = np.ones(len(old.H_values), dtype=bool)
+    outside[common] = False
+    h_new = new.H_values / new.op_norm_estimate
+    h_old = old.H_values[common] / old.op_norm_estimate
+    assert np.abs(h_new - h_old).max() <= SAMPLE_SHIFT
+    assert old.H_values[outside].max() <= SAMPLE_SHIFT * old.op_norm_estimate
+    for gamma in (0.25, 0.5, 0.75):
+        # the counts agree unless a sample within SAMPLE_SHIFT of the
+        # threshold changed side (offset-rx at 0.75: two samples 1e-3 below)
+        if np.array_equal(h_new >= gamma, h_old >= gamma):
+            assert support_measure(new, gamma) == pytest.approx(
+                support_measure(old, gamma), rel=1e-9)
+
+
+def test_default_lag_grid_is_quarter_wavelength_at_grazing(wave):
+    rx, tx_grid = _default_scene(0.5, 24, (0.0, 0.0, 0.3), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiagnosticWarning)
+        resp = wavenumber_response(rx, tx_grid, wave)
+    assert min(resp.diagnostics["k_band"]) >= wave.k0
+    assert resp.shape == _quarter_wavelength_shape(resp, wave)
+
+
+def test_default_lag_grid_shrinks_on_paraxial_scene(wave):
+    rx, tx_grid = _default_scene(0.5, 8, (0.0, 0.0, 4.0), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiagnosticWarning)
+        resp = wavenumber_response(rx, tx_grid, wave)
+    old_u, old_v = _quarter_wavelength_shape(resp, wave)
+    assert (old_u, old_v) == (257, 257)
+    assert resp.shape[0] * resp.shape[1] <= old_u * old_v / 16
+    k_band = resp.diagnostics["k_band"]
+    spacing = resp.diagnostics["lag_spacing"]
+    assert all(k < wave.k0 for k in k_band)
+    # sampled at least twice as finely as Nyquist for the padded band
+    assert all(d <= np.pi / (2.0 * k) for d, k in zip(spacing, k_band))
 
 
 def test_support_measure_extremes_and_monotonicity(anchor_response):
