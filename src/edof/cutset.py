@@ -125,6 +125,32 @@ def local_bandwidth(r_rx, tx_grid: QuadratureGrid, rx_surface: PlanarSurface,
     return float(dets @ tx_grid.weights)
 
 
+def _occupied_cells(r_rows, tx_grid: QuadratureGrid, rx_surface: PlanarSurface,
+                    wave: WaveConfig, resolution: float) -> np.ndarray:
+    """Distinct occupancy cells of the mapped wavenumber set, per rx point.
+
+    Sorts each row's (u, v) cell indices lexicographically and counts the
+    changes; warns once per point whose set of nonzero spread collapsed
+    into a single cell.
+    """
+    if not resolution > 0.0:
+        raise ValueError(f"resolution must be positive, got {resolution}")
+    k = wavenumber_component(np.asarray(r_rows, dtype=float)[:, None, :],
+                             tx_grid.points[None, :, :], rx_surface, wave)
+    cells = np.floor(k / resolution).astype(np.int64)
+    order = np.lexsort((cells[..., 1], cells[..., 0]), axis=-1)
+    ordered = np.take_along_axis(cells, order[..., None], axis=1)
+    changes = np.any(np.diff(ordered, axis=1) != 0, axis=-1)
+    occupied = 1 + np.count_nonzero(changes, axis=-1)
+    spread = np.ptp(k, axis=1)
+    for i in np.flatnonzero((occupied == 1) & np.any(spread > 0.0, axis=-1)):
+        warnings.warn(
+            f"wavenumber set of spread {tuple(spread[i])} rad/m collapsed into a "
+            f"single cell at resolution {resolution}; measure is unresolved",
+            DiagnosticWarning, stacklevel=3)
+    return occupied
+
+
 def set_measure_bandwidth(r_rx, tx_grid: QuadratureGrid,
                           rx_surface: PlanarSurface, wave: WaveConfig,
                           resolution: float) -> float:
@@ -135,19 +161,9 @@ def set_measure_bandwidth(r_rx, tx_grid: QuadratureGrid,
     resolution^2.  Refining the resolution (with sampling dense enough to
     keep covering the set) converges to the measure from above.
     """
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    k = wavenumber_component(np.asarray(r_rx, dtype=float), tx_grid.points,
-                             rx_surface, wave)
-    cells = np.floor(k / resolution).astype(np.int64)
-    occupied = np.unique(cells, axis=0).shape[0]
-    spread = np.ptp(k, axis=0)
-    if occupied == 1 and np.any(spread > 0.0):
-        warnings.warn(
-            f"wavenumber set of spread {tuple(spread)} rad/m collapsed into a "
-            f"single cell at resolution {resolution}; measure is unresolved",
-            DiagnosticWarning, stacklevel=2)
-    return float(occupied) * resolution ** 2
+    occupied = _occupied_cells(np.asarray(r_rx, dtype=float)[None, :], tx_grid,
+                               rx_surface, wave, resolution)
+    return float(occupied[0]) * resolution ** 2
 
 
 def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
@@ -165,9 +181,10 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     elif method == "set-measure":
         if resolution is None:
             raise ValueError("set-measure bandwidth needs an explicit resolution")
-        for i in range(len(rx_grid)):
-            values[i] = set_measure_bandwidth(rx_grid.points[i], tx_grid,
-                                              rx_surface, wave, resolution)
+        for rows in row_blocks(len(rx_grid), len(tx_grid)):
+            values[rows] = _occupied_cells(rx_grid.points[rows], tx_grid,
+                                           rx_surface, wave, resolution) \
+                * resolution ** 2
     else:
         raise ValueError(f"unknown bandwidth method {method!r}")
     return LocalBandwidthField(rx_grid=rx_grid, values=values, method=method)

@@ -229,6 +229,8 @@ def _spectrum_summary(spectrum: CouplingSpectrum | None):
         "n_values": len(spectrum.values),
         "s0_squared": float(spectrum.values[0]),
         "sum_s_squared": float(spectrum.values.sum()),
+        "solver": spectrum.solver,
+        "mirror_residual": spectrum.mirror_residual,
     }
 
 

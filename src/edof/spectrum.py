@@ -13,6 +13,12 @@ The effective number of degrees of freedom at threshold gamma is
 i.e. the number of modes whose squared coupling strictly exceeds gamma.
 The width s_N also equals the Kolmogorov N-width of the set of receivable
 fields generated by unit-power transmit currents.
+
+When the matrix commutes with the u- and v-mirrors of both lattices (two
+coaxial parallel apertures, the canonical holographic-MIMO link), each
+mirror splits it into an even and an odd half, so the spectrum is the
+merged spectra of four parity-sector blocks of about N/4 x N/4 each.
+Any other matrix takes one full SVD.
 """
 
 from __future__ import annotations
@@ -24,9 +30,15 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .geometry import QuadratureGrid
-from .kernel import DiscreteOperator, WaveConfig
+from .kernel import DiscreteOperator, WaveConfig, row_blocks
 
 GAMMA_MODES = ("absolute", "relative")
+
+# Relative Frobenius distance ||A - P A Q||_F / ||A||_F between the matrix
+# and its mirror image below which it counts as mirror-symmetric.  By
+# Weyl's inequality each sector singular value then lies within a few
+# MIRROR_TOL * ||A||_F of the full SVD's.
+MIRROR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,6 +48,8 @@ class CouplingSpectrum:
     values: np.ndarray          # (N,) real, s_n^2 sorted descending
     grid_shape: tuple           # (n_rx_points, n_tx_points)
     wave: WaveConfig
+    solver: str = "svd"         # "mirror-sectors" | "svd"
+    mirror_residual: float | None = None  # None: the mirror check stopped early
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -81,15 +95,97 @@ class EdofReport:
     diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
+def _mirror_residual(a4: np.ndarray) -> float | None:
+    """max over the u- and v-mirrors of ||A - P A Q||_F / ||A||_F.
+
+    ``a4`` is the matrix as (n_u_rx, n_v_rx, n_u_tx, n_v_tx); the u-mirror
+    flips axes 0 and 2, the v-mirror axes 1 and 3.  Works one block of rx
+    u-rows at a time and returns None as soon as either residual exceeds
+    ``MIRROR_TOL``.
+    """
+    norm_sq = np.vdot(a4, a4).real
+    limit = MIRROR_TOL ** 2 * norm_sq
+    mirror_u = a4[::-1, :, ::-1, :]
+    mirror_v = a4[:, ::-1, :, ::-1]
+    res_u = res_v = 0.0
+    for rows in row_blocks(a4.shape[0], a4[0].size):
+        diff = a4[rows] - mirror_u[rows]
+        res_u += np.vdot(diff, diff).real
+        diff = a4[rows] - mirror_v[rows]
+        res_v += np.vdot(diff, diff).real
+        if max(res_u, res_v) > limit:
+            return None
+    return float(np.sqrt(max(res_u, res_v) / norm_sq)) if norm_sq > 0.0 else 0.0
+
+
+def _fold(x: np.ndarray, axis: int, odd: bool) -> np.ndarray:
+    """(lo +/- mirrored) / sqrt(2) along one tx axis, as a new array.
+
+    The even sector keeps the centre line of an odd count unchanged; the
+    odd sector has none.
+    """
+    n = x.shape[axis]
+    half = n // 2
+    width = half if odd else n - half
+    lead = (slice(None),) * axis
+    out = np.empty(x.shape[:axis] + (width,) + x.shape[axis + 1:], dtype=x.dtype)
+    lo = x[lead + (slice(0, half),)]
+    hi = np.flip(x, axis)[lead + (slice(0, half),)]
+    paired = out[lead + (slice(0, half),)]
+    (np.subtract if odd else np.add)(lo, hi, out=paired)
+    paired *= np.sqrt(0.5)
+    if width > half:
+        out[lead + (slice(half, None),)] = x[lead + (slice(half, half + 1),)]
+    return out
+
+
+def _sector_values(a4: np.ndarray) -> np.ndarray:
+    """Singular values of the four parity-sector blocks, merged descending.
+
+    A sector block takes the rx rows of the fundamental domain (the first
+    ceil(n/2) per axis for even parity, floor(n/2) for odd), folds its tx
+    axes with ``_fold`` and scales each paired rx row by sqrt(2).
+    """
+    n_u, n_v = a4.shape[:2]
+    values = []
+    for odd_u in (False, True):
+        for odd_v in (False, True):
+            rows_u = n_u // 2 if odd_u else n_u - n_u // 2
+            rows_v = n_v // 2 if odd_v else n_v - n_v // 2
+            block = _fold(_fold(a4[:rows_u, :rows_v], 2, odd_u), 3, odd_v)
+            block[:n_u // 2] *= np.sqrt(2.0)
+            block[:, :n_v // 2] *= np.sqrt(2.0)
+            if block.size:
+                values.append(np.linalg.svd(block.reshape(rows_u * rows_v, -1),
+                                            compute_uv=False))
+    return np.sort(np.concatenate(values))[::-1]
+
+
 def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
-    """Squared singular values of the operator matrix, descending."""
+    """Squared singular values of the operator matrix, descending.
+
+    When the matrix commutes with the u- and v-mirrors of both lattices to
+    within ``MIRROR_TOL`` (checked on the matrix itself), the values come
+    from the four parity-sector blocks, padded with exact zeros to
+    min(N_rx, N_tx); otherwise from one full SVD.
+    """
+    a = operator.matrix
+    a4 = a.reshape(operator.rx_grid.shape + operator.tx_grid.shape)
+    residual = _mirror_residual(a4)
     try:
-        s = np.linalg.svd(operator.matrix, compute_uv=False)
+        if residual is None:
+            s = np.linalg.svd(a, compute_uv=False)
+        else:
+            s = np.zeros(min(a.shape))
+            sectors = _sector_values(a4)
+            s[:sectors.size] = sectors
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
     return CouplingSpectrum(values=s * s,
-                            grid_shape=operator.matrix.shape,
-                            wave=operator.wave)
+                            grid_shape=a.shape,
+                            wave=operator.wave,
+                            solver="svd" if residual is None else "mirror-sectors",
+                            mirror_residual=residual)
 
 
 def _resolve_threshold(spectrum: CouplingSpectrum, gamma: float, mode: str) -> float:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from edof.geometry import discretize, make_surface
 from edof.kernel import WaveConfig, assemble_operator
@@ -10,6 +11,12 @@ from edof.spectrum import coupling_spectrum
 WAVELENGTH = 0.01
 APERTURE = 0.5
 DISTANCE = 10.0
+
+# property tests draw the same examples on every run and keep no database,
+# so the suite stays deterministic and its time bounded
+settings.register_profile("edof", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("edof")
 
 # closed-form paraxial values for the reference link
 PARAXIAL_BANDWIDTH = (2.0 * np.pi / WAVELENGTH * APERTURE / DISTANCE) ** 2

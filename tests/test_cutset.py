@@ -20,6 +20,7 @@ from edof.cutset import (
 )
 from edof.errors import DiagnosticWarning, DimensionError, GeometryError, SingularKernelError
 from edof.geometry import QuadratureGrid, discretize, make_surface, rotation_about
+from edof import kernel
 from edof.kernel import WaveConfig, assemble_operator
 from edof.spectrum import count_edof, coupling_spectrum
 
@@ -168,6 +169,42 @@ def test_set_measure_warns_on_unresolved_collapse(wave):
     with pytest.warns(DiagnosticWarning):
         set_measure_bandwidth(rx.center, discretize(tx, 2, 2), rx, wave,
                               resolution=1e6)
+
+
+def _unique_cell_measure(r_rx, tx_grid, rx_surface, wave, resolution):
+    """Reference: distinct occupancy cells of one rx node by np.unique."""
+    k = wavenumber_component(r_rx, tx_grid.points, rx_surface, wave)
+    cells = np.floor(k / resolution).astype(np.int64)
+    return float(np.unique(cells, axis=0).shape[0]) * resolution ** 2
+
+
+@pytest.mark.parametrize("block_pairs", [None, 3 * 63])
+def test_set_measure_field_equals_node_by_node(wave, monkeypatch, block_pairs):
+    if block_pairs is not None:   # two rx rows per block, last block short
+        monkeypatch.setattr(kernel, "BLOCK_PAIRS", block_pairs)
+    tx = make_surface((0.0, 0.0, 0.0), rotation_about((0.3, 1.0, 0.2), 0.4), 0.5, 0.4)
+    rx = make_surface((0.2, -0.1, 2.0), rotation_about((1.0, 0.1, 0.2), 0.2), 0.3, 0.3)
+    tx_grid, rx_grid = discretize(tx, 9, 7), discretize(rx, 5, 3)
+    for resolution in (3.0, 20.0, 60.0):
+        field = bandwidth_field(tx_grid, rx_grid, wave, method="set-measure",
+                                resolution=resolution)
+        per_node = [set_measure_bandwidth(p, tx_grid, rx, wave, resolution)
+                    for p in rx_grid.points]
+        reference = [_unique_cell_measure(p, tx_grid, rx, wave, resolution)
+                     for p in rx_grid.points]
+        assert np.array_equal(field.values, per_node)
+        assert np.array_equal(field.values, reference)
+    assert len(set(field.values)) > 1
+
+
+def test_set_measure_field_warns_once_per_collapsed_node(wave):
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.01, 0.01)
+    rx = make_surface((5.0, 5.0, 10.0), np.eye(3), 0.1, 0.1)
+    tx_grid, rx_grid = discretize(tx, 2, 2), discretize(rx, 2, 3)
+    with pytest.warns(DiagnosticWarning) as caught:
+        bandwidth_field(tx_grid, rx_grid, wave, method="set-measure", resolution=1e6)
+    assert len(caught) == len(rx_grid)
+    assert all(w.filename == __file__ for w in caught)
 
 
 def test_set_measure_rejects_non_positive_resolution(anchor_grids, wave):

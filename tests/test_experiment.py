@@ -8,6 +8,7 @@ import pytest
 from edof.config import config_from_mapping
 from edof.errors import ConfigError, ResourceError
 from edof.experiment import report_mapping, run_experiment, run_sweep
+from edof.spectrum import MIRROR_TOL
 
 
 def _scene_mapping(grid=16, distance=10.0, methods=None, **extra):
@@ -66,6 +67,23 @@ def test_report_mapping_is_json_ready(full_report):
     assert mapping["spectrum"]["n_values"] == 256
     assert config_from_mapping(mapping["config"]) == full_report.config
     assert "generated_at" not in text
+
+
+def test_report_names_the_spectrum_solver(full_report):
+    block = report_mapping(full_report)["spectrum"]
+    assert block["solver"] == "mirror-sectors"
+    assert 0.0 <= block["mirror_residual"] <= MIRROR_TOL
+
+    # criterion 2's tilted and offset receiver breaks both mirrors
+    tilted = _scene_mapping(methods=["svd"])
+    tilted["tx"].update(size_m=[0.4, 0.6], grid=[10, 14])
+    tilted["rx"] = {"center_m": [0.5, -0.3, 8.0], "size_m": [0.3, 0.3],
+                    "rotation": {"axis": [0.3, 1.0, 0.2], "angle_rad": 0.7},
+                    "grid": [12, 12]}
+    block = report_mapping(run_experiment(config_from_mapping(tilted),
+                                          write=False))["spectrum"]
+    assert block["solver"] == "svd"
+    assert block["mirror_residual"] is None
 
 
 def test_run_writes_all_outputs(tmp_path):

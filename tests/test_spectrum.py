@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from edof.errors import DimensionError, NumericalError
-from edof.geometry import discretize, make_surface
+from edof.geometry import discretize, make_surface, rotation_about
 from edof.kernel import WaveConfig, assemble_operator, green_kernel, hilbert_schmidt_norm
 from edof.spectrum import (
+    MIRROR_TOL,
     CouplingSpectrum,
     count_edof,
     coupling_spectrum,
@@ -177,3 +180,129 @@ def test_expand_field_validates_inputs(small_operator):
         expand_field(np.zeros(basis.tx_modes.shape[0]), basis, side="middle")
     with pytest.raises(DimensionError):
         expand_field(np.zeros(basis.tx_modes.shape[0] + 1), basis, side="tx")
+
+
+# --- mirror-symmetric scenes: the parity-sector solver -------------------
+
+def _coaxial_operator(tx_counts, rx_counts, tx_size=(0.5, 0.5), rx_size=(0.5, 0.5),
+                      distance=2.0, rx_turn=np.eye(3), rx_offset=(0.0, 0.0),
+                      motion=(np.eye(3), np.zeros(3)), rule="midpoint",
+                      wave=WaveConfig(wavelength=0.01)):
+    """tx at the origin, rx ``distance`` up its normal, both moved by the
+    rigid motion (R, t); ``rx_turn`` and ``rx_offset`` break or keep the
+    mirror symmetry of the coaxial link."""
+    rot, shift = motion
+    rx_center = np.array([rx_offset[0], rx_offset[1], distance])
+    tx = make_surface(shift, rot, *tx_size)
+    rx = make_surface(rot @ rx_center + shift, rot @ rx_turn, *rx_size)
+    return assemble_operator(discretize(tx, *tx_counts, rule=rule),
+                             discretize(rx, *rx_counts, rule=rule), wave)
+
+
+def _full_svd_squared(operator):
+    return np.linalg.svd(operator.matrix, compute_uv=False) ** 2
+
+
+SECTOR_SCENES = {
+    "even-counts": dict(tx_counts=(10, 12), rx_counts=(12, 10)),
+    "odd-counts": dict(tx_counts=(9, 11), rx_counts=(11, 7)),
+    "unequal-shapes": dict(tx_counts=(21, 23), rx_counts=(17, 19),
+                           tx_size=(0.5, 0.3), rx_size=(0.4, 0.6)),
+    "one-point-axis": dict(tx_counts=(1, 6), rx_counts=(5, 1)),
+    "gauss-legendre": dict(tx_counts=(8, 9), rx_counts=(7, 6),
+                           rule="gauss-legendre"),
+    "rigid-motion": dict(tx_counts=(9, 8), rx_counts=(8, 7),
+                         motion=(rotation_about((0.3, -1.0, 0.6), 0.9),
+                                 np.array([0.4, -0.2, 0.7]))),
+    "rx-turned-180": dict(tx_counts=(9, 8), rx_counts=(8, 7),
+                          rx_turn=rotation_about((0.0, 0.0, 1.0), np.pi)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_SCENES))
+def test_sector_spectrum_matches_full_svd(name):
+    op = _coaxial_operator(**SECTOR_SCENES[name])
+    spec = coupling_spectrum(op)
+    expected = _full_svd_squared(op)
+    assert spec.solver == "mirror-sectors"
+    assert 0.0 <= spec.mirror_residual <= MIRROR_TOL
+    assert len(spec) == expected.size
+    assert np.max(np.abs(spec.values - expected)) <= 1e-13 * expected[0]
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_SCENES))
+def test_sector_spectrum_keeps_parseval(name):
+    op = _coaxial_operator(**SECTOR_SCENES[name])
+    assert float(np.sum(coupling_spectrum(op).values)) == pytest.approx(
+        hilbert_schmidt_norm(op), rel=1e-12)
+
+
+@pytest.mark.parametrize("breaker", [
+    dict(rx_offset=(1e-6, 0.0)),
+    dict(rx_turn=rotation_about((1.0, 0.0, 0.0), 0.01)),
+    dict(rx_turn=rotation_about((0.0, 0.0, 1.0), np.pi / 2)),
+], ids=["lateral-1um", "tilt", "turn-90"])
+def test_asymmetric_scene_takes_the_full_svd(breaker):
+    op = _coaxial_operator((8, 8), (8, 8), **breaker)
+    spec = coupling_spectrum(op)
+    assert spec.solver == "svd"
+    assert spec.mirror_residual is None
+    assert np.array_equal(spec.values, _full_svd_squared(op))
+
+
+def test_sector_spectrum_pads_structural_zeros():
+    # rx 3x1 against tx 1x3: the sectors hold 2 values, the matrix rank 2 of 3
+    op = _coaxial_operator(tx_counts=(1, 3), rx_counts=(3, 1))
+    spec = coupling_spectrum(op)
+    expected = _full_svd_squared(op)
+    assert spec.solver == "mirror-sectors"
+    assert len(spec) == 3
+    assert spec.values[-1] == 0.0
+    assert np.max(np.abs(spec.values - expected)) <= 1e-13 * expected[0]
+
+
+def test_reference_scene_uses_sectors_and_tilted_scene_does_not(anchor_spectrum):
+    assert anchor_spectrum.solver == "mirror-sectors"
+    wave = WaveConfig(wavelength=0.01)
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.4, 0.6)
+    rx = make_surface((0.5, -0.3, 8.0), rotation_about((0.3, 1.0, 0.2), 0.7), 0.3, 0.3)
+    tilted = coupling_spectrum(assemble_operator(discretize(tx, 10, 14),
+                                                 discretize(rx, 12, 12), wave))
+    assert tilted.solver == "svd"
+    assert tilted.mirror_residual is None
+
+
+@st.composite
+def coaxial_scenes(draw):
+    sizes = st.floats(0.05, 0.6)
+    counts = st.integers(1, 12)
+    polar, azimuth = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    axis = (np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+            np.cos(polar))
+    motion = (rotation_about(axis, draw(st.floats(0.0, 2.0 * np.pi))),
+              np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))))
+    turn = rotation_about((0.0, 0.0, 1.0), np.pi * draw(st.integers(0, 1)))
+    return dict(tx_counts=(draw(counts), draw(counts)),
+                rx_counts=(draw(counts), draw(counts)),
+                tx_size=(draw(sizes), draw(sizes)), rx_size=(draw(sizes), draw(sizes)),
+                distance=draw(st.floats(0.5, 5.0)), rx_turn=turn, motion=motion)
+
+
+@given(coaxial_scenes())
+def test_coaxial_spectrum_properties(scene):
+    op = _coaxial_operator(**scene)
+    spec = coupling_spectrum(op)
+    event(spec.solver)
+    expected = _full_svd_squared(op)
+    s0 = expected[0]
+    assert len(spec) == expected.size
+    assert np.max(np.abs(spec.values - expected)) <= 1e-12 * s0
+
+    # reciprocity: the link read backwards has the same spectrum
+    back = coupling_spectrum(assemble_operator(op.rx_grid, op.tx_grid, op.wave))
+    assert len(back) == len(spec)
+    assert np.max(np.abs(back.values - spec.values)) <= 1e-12 * s0
+
+    counts = [count_edof(spec, g, mode="relative") for g in np.linspace(0.0, 1.0, 21)]
+    assert all(a >= b for a, b in zip(counts, counts[1:]))
+    assert counts[0] <= len(spec)
