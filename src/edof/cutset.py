@@ -61,26 +61,46 @@ def wavenumber_component(r_rx, r_tx, rx_surface: PlanarSurface,
                                rhat @ rx_surface.tangent_v], axis=-1)
 
 
-def _jacobian_dets(r_rx, tx_points, tx_surface, rx_surface, wave):
-    """|det d(kvec)/d(a, b)| at transmit points, vectorized.
+def _jacobian_dets(points, nodes, tx_surface, rx_surface, wave):
+    """|det d(kvec)/d(a, b)| for (M, 3) receive points by (N, 3) transmit
+    nodes, as an (M, N) array.
 
-    d(kvec)/da = -(k0/d) * u_rx . (I - rhat rhat^T) u_tx  and cyclic, so the
-    determinant is (k0/d)^2 * det of the projected frame overlap matrix.
+    With D = r - t, d = |D|, X = D . (ru, rv), H = D . rn, Y = D . (tu, tv)
+    and the frame overlap G = [[ru.tu, ru.tv], [rv.tu, rv.tv]], the
+    differential is (k0/d) (G - X Y^T / d^2) up to sign, and the matrix
+    determinant lemma gives, exactly,
+
+        det = k0^2 |det(G) d^2 - Y^T adj(G) X| / d^4,   d^2 = |X|^2 + H^2.
+
+    Y^T adj(G) X = X . Z with Z = D . (a1, a2), where a1 = G22 tu - G21 tv
+    and a2 = G11 tv - G12 tu, so every pair term is an outer difference of
+    per-point projections: no (M, N, 3) tensor and no square root.  The
+    projections are taken about the receive center, so rounding does not
+    grow with the scene's distance from the origin.
     """
-    diff = np.asarray(r_rx, dtype=float) - tx_points
-    d = np.linalg.norm(diff, axis=-1)
-    if np.any(d == 0.0):
-        raise SingularKernelError("receive point lies on the transmit surface")
-    rhat = diff / d[..., None]
-    ru, rv = rx_surface.tangent_u, rx_surface.tangent_v
+    ru, rv, rn = rx_surface.tangent_u, rx_surface.tangent_v, rx_surface.normal
     tu, tv = tx_surface.tangent_u, tx_surface.tangent_v
-    c_ru, c_rv = rhat @ ru, rhat @ rv
-    c_tu, c_tv = rhat @ tu, rhat @ tv
-    m11 = (ru @ tu) - c_ru * c_tu
-    m12 = (ru @ tv) - c_ru * c_tv
-    m21 = (rv @ tu) - c_rv * c_tu
-    m22 = (rv @ tv) - c_rv * c_tv
-    return (wave.k0 / d) ** 2 * np.abs(m11 * m22 - m12 * m21)
+    g11, g12, g21, g22 = ru @ tu, ru @ tv, rv @ tu, rv @ tv
+    axes = np.column_stack([ru, rv, rn, g22 * tu - g21 * tv, g11 * tv - g12 * tu])
+    p = ((points - rx_surface.center) @ axes).T
+    # contiguous node rows: each is swept once per receive point
+    t = ((nodes - rx_surface.center) @ axes).T.copy()
+    x1, x2, h, z1, z2 = (p[k, :, None] - t[k, None, :] for k in range(5))
+    d2 = x1 * x1
+    d2 += x2 * x2
+    d2 += h * h
+    if np.any(d2 == 0.0):
+        raise SingularKernelError("receive point lies on the transmit surface")
+    z1 *= x1
+    z2 *= x2
+    z1 += z2
+    det = np.multiply(d2, g11 * g22 - g12 * g21, out=x1)
+    det -= z1
+    np.abs(det, out=det)
+    d2 *= d2
+    det /= d2
+    det *= wave.k0 ** 2
+    return det
 
 
 def jacobian_det(r_rx, tx_local, tx_surface: PlanarSurface,
@@ -95,9 +115,9 @@ def jacobian_det(r_rx, tx_local, tx_surface: PlanarSurface,
     """
     t_point = global_point(tx_surface, tx_local)
     if method == "analytic":
-        return float(_jacobian_dets(np.asarray(r_rx, dtype=float),
+        return float(_jacobian_dets(np.asarray(r_rx, dtype=float)[None, :],
                                     t_point[None, :], tx_surface, rx_surface,
-                                    wave)[0])
+                                    wave)[0, 0])
     if method != "central-difference":
         raise ValueError(f"method must be 'analytic' or 'central-difference', got {method!r}")
     if not step > 0.0:
@@ -120,9 +140,9 @@ def jacobian_det(r_rx, tx_local, tx_surface: PlanarSurface,
 def local_bandwidth(r_rx, tx_grid: QuadratureGrid, rx_surface: PlanarSurface,
                     wave: WaveConfig) -> float:
     """W(r): quadrature of the |Jacobian| of the wavenumber map over tx."""
-    dets = _jacobian_dets(np.asarray(r_rx, dtype=float), tx_grid.points,
-                          tx_grid.surface, rx_surface, wave)
-    return float(dets @ tx_grid.weights)
+    dets = _jacobian_dets(np.asarray(r_rx, dtype=float)[None, :],
+                          tx_grid.points, tx_grid.surface, rx_surface, wave)
+    return float(dets[0] @ tx_grid.weights)
 
 
 def _occupied_cells(r_rows, tx_grid: QuadratureGrid, rx_surface: PlanarSurface,
@@ -174,8 +194,7 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     values = np.empty(len(rx_grid))
     if method == "jacobian-integral":
         for rows in row_blocks(len(rx_grid), len(tx_grid)):
-            dets = _jacobian_dets(rx_grid.points[rows, None, :],
-                                  tx_grid.points[None, :, :],
+            dets = _jacobian_dets(rx_grid.points[rows], tx_grid.points,
                                   tx_grid.surface, rx_surface, wave)
             values[rows] = dets @ tx_grid.weights
     elif method == "set-measure":

@@ -78,6 +78,17 @@ def row_blocks(n_rows: int, n_cols: int):
         yield slice(start, min(start + step, n_rows))
 
 
+def _distance(r, t):
+    """|r - t| over the broadcast leading axes of two (..., 3) arrays.
+
+    Built from the per-axis differences, so no (..., 3) difference tensor is
+    formed; the squares are summed as (x^2 + z^2) + y^2, which reproduces
+    numpy's einsum reduction over a length-3 axis bitwise.
+    """
+    x, y, z = (r[..., k] - t[..., k] for k in range(3))
+    return np.sqrt((x * x + z * z) + y * y)
+
+
 def node_distances(points, nodes, wave: WaveConfig) -> np.ndarray:
     """Distances |p_i - t_j| as an (N_points, N_nodes) array.
 
@@ -85,8 +96,7 @@ def node_distances(points, nodes, wave: WaveConfig) -> np.ndarray:
     ``MIN_SEPARATION_WAVELENGTHS`` wavelengths, where the quadrature cannot
     resolve the 1/d singularity of the kernel.
     """
-    diff = points[:, None, :] - nodes[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d = _distance(points[:, None, :], nodes[None, :, :])
     min_sep = MIN_SEPARATION_WAVELENGTHS * wave.wavelength
     if d.min() < min_sep:
         raise SingularKernelError(
@@ -117,7 +127,7 @@ def green_kernel(r_rx, r_tx, wave: WaveConfig):
     """
     r = np.asarray(r_rx, dtype=float)
     t = np.asarray(r_tx, dtype=float)
-    d = np.linalg.norm(r - t, axis=-1)
+    d = _distance(r, t)
     if np.any(d == 0.0):
         raise SingularKernelError("kernel evaluated at coincident points")
     value = _kernel_of_distance(d, wave)

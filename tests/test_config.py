@@ -1,9 +1,12 @@
 """Config parsing, validation paths, and round-tripping."""
 
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edof.config import ExperimentConfig, config_from_mapping, load_config
 from edof.errors import ConfigError
@@ -185,3 +188,53 @@ def test_load_config_wraps_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+
+
+# every key the parser reads, with both rotation forms
+FULL = {
+    "wave": {"wavelength_m": 0.01},
+    "tx": {"center_m": [0.0, 0.0, 0.0], "size_m": [0.5, 0.4], "grid": [8, 6],
+           "rotation": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+    "rx": {"center_m": [0.1, 0.0, 10.0], "size_m": [0.3, 0.5], "grid": [5, 7],
+           "rotation": {"axis": [0.0, 1.0, 0.0], "angle_rad": 0.2}},
+    "methods": ["svd", "cutset", "landau"],
+    "gamma": {"mode": "relative", "value": 0.5},
+    "landau_options": {"lag_extent_m": [6.3, 3.15], "lag_grid": [15, 21]},
+    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "seed": 3,
+}
+DELETE = object()
+BAD_VALUES = ["x", "", None, True, False, {}, [], float("nan"), float("inf"),
+              -float("inf"), 0, 0.0, -1, -2.5, 1e308, [1.0], [1.0, 2.0, 3.0, 4.0],
+              [[1.0, 0.0], [0.0, 1.0]], DELETE]
+
+
+def _paths(node, prefix=()):
+    """Index paths to every key and list element of a nested mapping."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+# 1e308 entries overflow inside numpy's matrix checks before the parser decides
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=1000)
+@given(path=st.sampled_from(list(_paths(FULL))), bad=st.sampled_from(BAD_VALUES))
+def test_config_fuzz_raises_only_config_error(path, bad):
+    """A wrong type, non-finite, zero or negative value, wrong-length list or
+    missing entry anywhere is either accepted or a ConfigError."""
+    data = copy.deepcopy(FULL)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if bad is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(bad)
+    try:
+        cfg = config_from_mapping(data)
+    except ConfigError:
+        return
+    assert config_from_mapping(cfg.to_mapping()) == cfg

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from edof.cutset import (
     bandwidth_field,
@@ -229,6 +231,21 @@ def test_bandwidth_field_input_validation(anchor_grids, wave):
         bandwidth_field(tx_grid, rx_grid, wave, method="histogram")
 
 
+def test_bandwidth_field_rejects_coincident_nodes(wave):
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), APERTURE, APERTURE)
+    grid = discretize(tx, 4, 4)
+    with pytest.raises(SingularKernelError, match="receive point lies on the transmit surface"):
+        bandwidth_field(grid, grid, wave)
+
+
+def test_jacobian_det_and_local_bandwidth_return_floats(anchor_grids, wave):
+    tx_grid, rx_grid = anchor_grids
+    center = rx_grid.surface.center
+    assert type(jacobian_det(center, (0.1, -0.05), tx_grid.surface,
+                             rx_grid.surface, wave)) is float
+    assert type(local_bandwidth(center, tx_grid, rx_grid.surface, wave)) is float
+
+
 def test_isotropic_bandwidth_closed_form():
     assert isotropic_bandwidth(WaveConfig(wavelength=2.0 * np.pi)) \
         == pytest.approx(np.pi, rel=1e-15)
@@ -346,3 +363,65 @@ def test_filter_field_checks_sample_count(wave):
     grid = discretize(rx, 8, 8)
     with pytest.raises(DimensionError):
         filter_field(np.zeros(63), full_support(), grid)
+
+
+def _three_vector_jacobian_dets(r_rx, tx_points, tx_surface, rx_surface, wave):
+    """Reference: the Jacobian from unit ray vectors, (k0/d)^2 |det(G - c_r c_t^T)|."""
+    diff = r_rx - tx_points
+    d = np.linalg.norm(diff, axis=-1)
+    rhat = diff / d[..., None]
+    ru, rv = rx_surface.tangent_u, rx_surface.tangent_v
+    tu, tv = tx_surface.tangent_u, tx_surface.tangent_v
+    c_ru, c_rv = rhat @ ru, rhat @ rv
+    c_tu, c_tv = rhat @ tu, rhat @ tv
+    m11 = (ru @ tu) - c_ru * c_tu
+    m12 = (ru @ tv) - c_ru * c_tv
+    m21 = (rv @ tu) - c_rv * c_tu
+    m22 = (rv @ tv) - c_rv * c_tv
+    return (wave.k0 / d) ** 2 * np.abs(m11 * m22 - m12 * m21)
+
+
+@st.composite
+def tilted_scenes(draw):
+    """Two apertures facing each other along z, each tilted up to 0.8 rad
+    about an in-plane axis and turned freely about its normal."""
+    sizes, counts = st.floats(0.05, 0.6), st.integers(1, 10)
+
+    def frame():
+        heading = draw(st.floats(0.0, 2.0 * np.pi))
+        tilt = rotation_about((np.cos(heading), np.sin(heading), 0.0),
+                              draw(st.floats(0.0, 0.8)))
+        return tilt @ rotation_about((0.0, 0.0, 1.0), draw(st.floats(0.0, 2.0 * np.pi)))
+
+    tx = make_surface((0.0, 0.0, 0.0), frame(), draw(sizes), draw(sizes))
+    offset = draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    rx = make_surface((*offset, draw(st.floats(1.0, 12.0))), frame(),
+                      draw(sizes), draw(sizes))
+    polar, azimuth = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    axis = (np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+            np.cos(polar))
+    return (discretize(tx, draw(counts), draw(counts)),
+            discretize(rx, draw(counts), draw(counts)),
+            rotation_about(axis, draw(st.floats(0.0, 2.0 * np.pi))),
+            np.array(draw(st.tuples(*[st.floats(-10.0, 10.0)] * 3))))
+
+
+@given(tilted_scenes())
+def test_tilted_scene_field_and_rigid_motion(wave, scene):
+    tx_grid, rx_grid, rotation, shift = scene
+    field = bandwidth_field(tx_grid, rx_grid, wave).values
+    reference = _three_vector_jacobian_dets(
+        rx_grid.points[:, None, :], tx_grid.points[None, :, :],
+        tx_grid.surface, rx_grid.surface, wave) @ tx_grid.weights
+    assert np.max(np.abs(field - reference) / reference) <= 1e-12
+
+    def moved(grid):
+        s = grid.surface
+        frame = np.column_stack([s.tangent_u, s.tangent_v, s.normal])
+        surface = make_surface(rotation @ s.center + shift, rotation @ frame,
+                               s.length_u, s.length_v)
+        return discretize(surface, *grid.shape)
+
+    base = cutset_edof(tx_grid, rx_grid, wave).n_edof
+    motion = cutset_edof(moved(tx_grid), moved(rx_grid), wave).n_edof
+    assert motion == pytest.approx(base, rel=1e-12, abs=0.0)

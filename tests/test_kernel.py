@@ -252,15 +252,53 @@ def test_row_blocks_cover_every_row_once(n_rows, n_cols):
 def test_node_distances_match_norm_and_reject_close_pairs():
     wave = WaveConfig(wavelength=0.01)
     rng = np.random.default_rng(5)
-    points = rng.standard_normal((7, 3))
-    nodes = rng.standard_normal((5, 3)) + 10.0
-    d = node_distances(points, nodes, wave)
-    expected = np.linalg.norm(points[:, None, :] - nodes[None, :, :], axis=-1)
-    assert d.shape == (7, 5)
-    assert np.allclose(d, expected, rtol=1e-15, atol=0.0)
+    for n_points, n_nodes in [(1, 1), (1, 40), (40, 1), (7, 5)]:
+        points = rng.standard_normal((n_points, 3))
+        nodes = rng.standard_normal((n_nodes, 3)) + 10.0
+        d = node_distances(points, nodes, wave)
+        expected = np.linalg.norm(points[:, None, :] - nodes[None, :, :], axis=-1)
+        assert d.shape == (n_points, n_nodes)
+        np.testing.assert_array_max_ulp(d, expected, maxulp=1)
     near = nodes[2] + np.array([0.0, 0.0, 0.05 * wave.wavelength])
     with pytest.raises(SingularKernelError):
         node_distances(np.vstack([points, near]), nodes, wave)
+
+
+@pytest.mark.parametrize("n_points", [1, 9])
+def test_node_distances_separation_message_on_any_block(n_points):
+    wave = WaveConfig(wavelength=0.01)
+    nodes = discretize(make_surface((0.0, 0.0, 0.0), np.eye(3), 0.2, 0.2), 4, 4).points
+    points = nodes[:n_points] + (0.0, 0.0, 1.0)
+    points[-1] = nodes[5] + (0.0, 0.0, 0.05 * wave.wavelength)
+    with pytest.raises(SingularKernelError,
+                       match=r"evaluation points come within 5\.000e-04 m of the grid "
+                             r"nodes, below 0\.1 wavelengths \(1\.000e-03 m\)"):
+        node_distances(points, nodes, wave)
+
+
+def test_node_distances_sum_like_einsum():
+    """The per-axis sum keeps the einsum order of the difference-tensor
+    form, so assembly and the lag correlation stay bit for bit the same."""
+    rng = np.random.default_rng(11)
+    for n_points, n_nodes in [(1, 1), (1, 300), (81, 300), (300, 3)]:
+        points = rng.uniform(-1.0, 1.0, (n_points, 3)) * 10.0 ** rng.integers(-2, 3)
+        nodes = rng.uniform(-1.0, 1.0, (n_nodes, 3)) + (0.0, 0.0, 10.0)
+        diff = points[:, None, :] - nodes[None, :, :]
+        expected = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        assert np.array_equal(node_distances(points, nodes, WaveConfig(0.01)), expected)
+
+
+def test_green_kernel_shares_the_assembly_distance():
+    """One distance formula: the broadcast kernel and the assembled operator
+    agree entry for entry, bit for bit."""
+    wave = WaveConfig(wavelength=0.01)
+    tx = make_surface((0.0, 0.0, 0.0), rotation_about((1.0, 0.0, 0.0), 0.4), 0.3, 0.2)
+    rx = make_surface((0.2, -0.1, 2.0), np.eye(3), 0.2, 0.3)
+    g_tx, g_rx = discretize(tx, 5, 4), discretize(rx, 3, 6)
+    k = green_kernel(g_rx.points[:, None, :], g_tx.points[None, :, :], wave)
+    entries = assemble_operator(g_tx, g_rx, wave).matrix
+    weighted = np.sqrt(g_rx.weights)[:, None] * k * np.sqrt(g_tx.weights)[None, :]
+    assert np.array_equal(entries, weighted)
 
 
 @pytest.mark.filterwarnings("ignore::edof.errors.DiagnosticWarning")
