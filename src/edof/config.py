@@ -10,11 +10,17 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import PlanarSurface, make_surface, rotation_about, surfaces_intersect
+from .geometry import (
+    ROTATION_TOL,
+    PlanarSurface,
+    make_surface,
+    rotation_about,
+    surfaces_intersect,
+)
 from .kernel import WaveConfig
+from .spectrum import GAMMA_MODES as VALID_GAMMA_MODES
 
 VALID_METHODS = ("svd", "cutset", "landau")
-VALID_GAMMA_MODES = ("absolute", "relative")
 VALID_FORMATS = ("csv", "json")
 
 _DEFAULTS: dict[str, Any] = {
@@ -74,12 +80,14 @@ def _rotation_matrix(value: Any, path: str) -> tuple[np.ndarray, Any]:
             raise _fail(path, "axis-angle form needs both 'axis' and 'angle_rad'")
         axis = _vector(value["axis"], f"{path}.axis", 3)
         angle = _number(value["angle_rad"], f"{path}.angle_rad")
-        if not np.linalg.norm(axis) > 0:
-            raise _fail(f"{path}.axis", "must be nonzero")
+        if not 0.0 < sum(x * x for x in axis) < math.inf:
+            raise _fail(f"{path}.axis", "must be nonzero, with a finite squared norm")
         matrix = rotation_about(np.asarray(axis), angle)
         return matrix, {"axis": axis, "angle_rad": angle}
     if isinstance(value, (list, tuple)) and len(value) == 3:
         rows = [_vector(row, f"{path}[{i}]", 3) for i, row in enumerate(value)]
+        if max(abs(x) for row in rows for x in row) > 1.0 + ROTATION_TOL:
+            raise _fail(path, "entries of a rotation matrix lie in [-1, 1]")
         matrix = np.asarray(rows, dtype=float)
         return matrix, rows
     raise _fail(path, "expected a 3x3 matrix or {'axis', 'angle_rad'}")
@@ -92,6 +100,8 @@ def _parse_surface(value: Any, path: str) -> tuple[PlanarSurface, tuple[int, int
             raise _fail(f"{path}.{key}", "missing required key")
     center = _vector(value["center_m"], f"{path}.center_m", 3)
     size = _vector(value["size_m"], f"{path}.size_m", 2, positive=True)
+    if not math.isfinite(size[0] * size[1]):
+        raise _fail(f"{path}.size_m", "area overflows")
     grid_raw = value["grid"]
     if not isinstance(grid_raw, (list, tuple)) or len(grid_raw) != 2:
         raise _fail(f"{path}.grid", "expected 2 integers")
@@ -173,6 +183,10 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
 
     tx_surface, tx_grid, tx_echo = _parse_surface(data["tx"], "tx")
     rx_surface, rx_grid, rx_echo = _parse_surface(data["rx"], "rx")
+    # kernel distances square the coordinate differences
+    offset = [r - t for r, t in zip(rx_echo["center_m"], tx_echo["center_m"])]
+    if not math.isfinite(sum(x * x for x in offset)):
+        raise ConfigError("rx.center_m: squared offset from tx.center_m overflows")
     if surfaces_intersect(tx_surface, rx_surface):
         raise ConfigError("tx/rx: surfaces intersect")
 

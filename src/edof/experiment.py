@@ -21,7 +21,7 @@ from .cutset import (
     set_measure_bandwidth,
     wavenumber_component,
 )
-from .errors import ConfigError, ResourceError
+from .errors import ConfigError, NumericalError, ResourceError
 from .geometry import QuadratureGrid, discretize
 from .kernel import assemble_operator
 from .landau import (
@@ -155,6 +155,13 @@ def _injectivity_diagnostic(config: ExperimentConfig, tx_grid: QuadratureGrid) -
     }
 
 
+def _finite(report: EdofReport) -> EdofReport:
+    """The report; a count that is not finite is an error, not a result."""
+    if not np.isfinite(report.n_edof):
+        raise NumericalError(f"n_edof is {report.n_edof}, not a finite count")
+    return report
+
+
 def _run_methods(config: ExperimentConfig,
                  max_matrix_entries: int) -> tuple[list[EdofReport], dict, dict]:
     """Execute each selected method in isolation; one failure never aborts the rest."""
@@ -189,15 +196,14 @@ def _run_methods(config: ExperimentConfig,
                     n = count_edof(spectrum, config.gamma_value, config.gamma_mode)
                     reports.append(EdofReport(
                         method="svd", n_edof=n,
-                        gamma_mode=config.gamma_mode, gamma_value=config.gamma_value,
-                        diagnostics={"s0_squared": float(spectrum.values[0]),
-                                     "n_values": len(spectrum.values)}))
+                        gamma_mode=config.gamma_mode, gamma_value=config.gamma_value))
                     diagnostics["convergence"] = _convergence_diagnostic(
                         config, spectrum)
                 elif method == "cutset":
                     bw = bandwidth_field(tx_grid, rx_grid, config.wave)
                     evidence["bandwidth"] = bw
-                    reports.append(cutset_edof(tx_grid, rx_grid, config.wave, field=bw))
+                    reports.append(_finite(cutset_edof(tx_grid, rx_grid, config.wave,
+                                                       field=bw)))
                     diagnostics["injectivity"] = _injectivity_diagnostic(config, tx_grid)
                 elif method == "landau":
                     response = wavenumber_response(
@@ -208,8 +214,7 @@ def _run_methods(config: ExperimentConfig,
                                               config.gamma_mode)
                     rep = landau_edof(config.rx_surface, support,
                                       config.gamma_mode, config.gamma_value)
-                    # one row per selected method name: fold the -gamma tag
-                    reports.append(dataclasses.replace(rep, method="landau"))
+                    reports.append(_finite(rep))
                     stat = stationarity_check(config.rx_surface, tx_grid, config.wave)
                     diagnostics["stationarity"] = {
                         "flag": "stationary" if stat["stationary"] else "non-stationary",
@@ -370,8 +375,7 @@ def _shifted_mapping(config: ExperimentConfig, axis: str, value: float) -> dict:
     return mapping
 
 
-def _sweep_scale_r(config: ExperimentConfig, values,
-                   max_matrix_entries: int) -> tuple[list[dict], list[str]]:
+def _sweep_scale_r(config: ExperimentConfig, values, max_matrix_entries: int) -> list[dict]:
     if config.gamma_mode != "relative":
         raise ConfigError("scale_r sweeps report thresholds relative to the "
                           "top mode; set gamma.mode to 'relative'")
@@ -381,9 +385,8 @@ def _sweep_scale_r(config: ExperimentConfig, values,
     study = polarization_study(config.tx_surface, config.rx_surface, config.wave,
                                scales=values, gammas=gammas,
                                max_matrix_entries=max_matrix_entries)
-    rows = [{"axis_value": row.scale, "method": "svd",
+    return [{"axis_value": row.scale, "method": "svd",
              "n_edof": row.n_edof[config.gamma_value]} for row in study]
-    return rows, []
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values,
@@ -406,7 +409,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values,
     rows: list[dict] = []
     failures: list[str] = []
     if axis == "scale_r":
-        rows, failures = _sweep_scale_r(config, values, max_matrix_entries)
+        rows = _sweep_scale_r(config, values, max_matrix_entries)
     else:
         for value in values:
             try:

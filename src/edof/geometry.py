@@ -13,7 +13,7 @@ are the midpoint (uniform cell) rule and tensor-product Gauss-Legendre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +122,6 @@ class QuadratureGrid:
     local_coords: np.ndarray  # (N, 2)
     weights: np.ndarray      # (N,)
     shape: tuple[int, int]
-    rule: str = field(default="midpoint")
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
@@ -179,7 +178,7 @@ def discretize(surface: PlanarSurface, n_u: int, n_v: int,
               + local[:, :1] * surface.tangent_u[None, :]
               + local[:, 1:] * surface.tangent_v[None, :])
     return QuadratureGrid(surface=surface, points=points, local_coords=local,
-                          weights=weights, shape=(n_u, n_v), rule=rule)
+                          weights=weights, shape=(n_u, n_v))
 
 
 def global_point(surface: PlanarSurface, local) -> np.ndarray:

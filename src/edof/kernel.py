@@ -17,7 +17,7 @@ vectors equal the discrete weighted L2 inner products of the fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class DiscreteOperator:
     tx_grid: QuadratureGrid
     rx_grid: QuadratureGrid
     wave: WaveConfig
-    weighting: str = field(default="symmetric-sqrt")
 
     @property
     def shape(self):

@@ -35,7 +35,13 @@ from .cutset import wavenumber_component
 from .errors import DiagnosticWarning, ResourceError
 from .geometry import PlanarSurface, QuadratureGrid, discretize
 from .kernel import WaveConfig, assemble_operator, node_distances, row_blocks
-from .spectrum import CouplingSpectrum, EdofReport, coupling_spectrum, count_edof
+from .spectrum import (
+    CouplingSpectrum,
+    EdofReport,
+    count_edof,
+    coupling_spectrum,
+    resolve_threshold,
+)
 
 # Default lag-window extent in units of the coherence scale lambda*d/L_tx.
 DEFAULT_EXTENT_COHERENCE_UNITS = 8.0
@@ -73,7 +79,6 @@ class PolarizationScale:
     scale: float
     spectrum: CouplingSpectrum
     n_edof: dict[float, int]    # relative gamma -> mode count
-    grid_shape: tuple           # (n_rx_points, n_tx_points)
     spread: float               # (n[min gamma] - n[max gamma]) / n[mid gamma]
 
 
@@ -263,11 +268,7 @@ def support_measure(response: WavenumberResponse, gamma: float,
     gamma; gamma = 0 returns the whole sampled plane, gamma above the peak
     returns zero.
     """
-    if mode not in ("absolute", "relative"):
-        raise ValueError(f"gamma mode must be 'absolute' or 'relative', got {mode!r}")
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    threshold = gamma * response.op_norm_estimate if mode == "relative" else gamma
+    threshold = resolve_threshold(gamma, mode, response.op_norm_estimate)
     return float(np.count_nonzero(response.H_values >= threshold)
                  * response.cell_area)
 
@@ -277,13 +278,13 @@ def landau_edof(rx_surface: PlanarSurface, support: float,
                 gamma_value: float | None = None) -> EdofReport:
     """Landau count area(S_rx) * m(Q) / (2 pi)^2 for a measured support m(Q).
 
-    Tagged "landau-gamma" when the support came from an explicit threshold.
+    ``gamma_mode`` and ``gamma_value`` record the threshold the support was
+    measured at.
     """
     if not support >= 0.0:
         raise ValueError(f"support measure must be nonnegative, got {support}")
     n = rx_surface.area * support / (4.0 * np.pi ** 2)
-    method = "landau" if gamma_value is None else "landau-gamma"
-    return EdofReport(method=method, n_edof=float(n),
+    return EdofReport(method="landau", n_edof=float(n),
                       gamma_mode=gamma_mode, gamma_value=gamma_value,
                       diagnostics={"rx_area": rx_surface.area,
                                    "support_measure": float(support)})
@@ -314,20 +315,17 @@ def stationarity_check(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     return {"max_modulus_deviation": worst, "stationary": worst <= 0.1}
 
 
-def _study_counts(length, scale, wavelength, points_per_wavelength):
-    return int(np.ceil(length * scale * points_per_wavelength / wavelength))
+def _study_counts(length, scale, wavelength):
+    return int(np.ceil(length * scale * DEFAULT_POINTS_PER_WAVELENGTH / wavelength))
 
 
 def polarization_study(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
-                       wave: WaveConfig, scales,
-                       gammas=DEFAULT_STUDY_GAMMAS,
-                       points_per_wavelength: float = DEFAULT_POINTS_PER_WAVELENGTH,
-                       max_matrix_entries: int = DEFAULT_MATRIX_BUDGET,
-                       rule: str = "midpoint") -> list[PolarizationScale]:
+                       wave: WaveConfig, scales, gammas=DEFAULT_STUDY_GAMMAS,
+                       max_matrix_entries: int = DEFAULT_MATRIX_BUDGET) -> list[PolarizationScale]:
     """Spectra of the scene with both aperture side lengths scaled by r.
 
-    Grid density is fixed in points per wavelength so the runs stay
-    comparable across scales, then reduced uniformly when the coupling
+    Midpoint grids are fixed at DEFAULT_POINTS_PER_WAVELENGTH so the runs
+    stay comparable across scales, then reduced uniformly when the coupling
     matrix would exceed ``max_matrix_entries``.  If even the reduced grid
     cannot resolve the predicted mode count at some scale, a ResourceError
     naming that scale is raised.  Counts n_edof use relative thresholds;
@@ -345,10 +343,8 @@ def polarization_study(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
     for r in scales:
         counts = {}
         for tag, surf in (("tx", tx_surface), ("rx", rx_surface)):
-            counts[tag] = (_study_counts(surf.length_u, r, wave.wavelength,
-                                         points_per_wavelength),
-                           _study_counts(surf.length_v, r, wave.wavelength,
-                                         points_per_wavelength))
+            counts[tag] = (_study_counts(surf.length_u, r, wave.wavelength),
+                           _study_counts(surf.length_v, r, wave.wavelength))
         entries = (counts["tx"][0] * counts["tx"][1]
                    * counts["rx"][0] * counts["rx"][1])
         if entries > max_matrix_entries:
@@ -370,14 +366,12 @@ def polarization_study(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
                             length_v=tx_surface.length_v * r)
         rx_scaled = replace(rx_surface, length_u=rx_surface.length_u * r,
                             length_v=rx_surface.length_v * r)
-        tx_grid = discretize(tx_scaled, *counts["tx"], rule=rule)
-        rx_grid = discretize(rx_scaled, *counts["rx"], rule=rule)
+        tx_grid = discretize(tx_scaled, *counts["tx"])
+        rx_grid = discretize(rx_scaled, *counts["rx"])
         spectrum = coupling_spectrum(assemble_operator(tx_grid, rx_grid, wave))
         n_edof = {g: count_edof(spectrum, g, "relative") for g in gammas}
         mid = gammas[len(gammas) // 2]
         spread = (n_edof[gammas[0]] - n_edof[gammas[-1]]) / max(n_edof[mid], 1)
         rows.append(PolarizationScale(scale=r, spectrum=spectrum,
-                                      n_edof=n_edof,
-                                      grid_shape=spectrum.grid_shape,
-                                      spread=float(spread)))
+                                      n_edof=n_edof, spread=float(spread)))
     return rows

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .geometry import QuadratureGrid
-from .kernel import DiscreteOperator, WaveConfig, row_blocks
+from .kernel import DiscreteOperator, row_blocks
 
 GAMMA_MODES = ("absolute", "relative")
 
@@ -46,8 +46,6 @@ class CouplingSpectrum:
     """Squared singular values of a discrete coupling operator, descending."""
 
     values: np.ndarray          # (N,) real, s_n^2 sorted descending
-    grid_shape: tuple           # (n_rx_points, n_tx_points)
-    wave: WaveConfig
     solver: str = "svd"         # "mirror-sectors" | "svd"
     mirror_residual: float | None = None  # None: the mirror check stopped early
 
@@ -88,7 +86,7 @@ class ModeBasis:
 class EdofReport:
     """Effective-DoF estimate from one method, with its threshold context."""
 
-    method: str              # "svd" | "cutset" | "landau" | "landau-gamma"
+    method: str              # "svd" | "cutset" | "landau"
     n_edof: float            # integer-valued for "svd", real for the others
     gamma_mode: str | None = None
     gamma_value: float | None = None
@@ -182,19 +180,22 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
     return CouplingSpectrum(values=s * s,
-                            grid_shape=a.shape,
-                            wave=operator.wave,
                             solver="svd" if residual is None else "mirror-sectors",
                             mirror_residual=residual)
 
 
-def _resolve_threshold(spectrum: CouplingSpectrum, gamma: float, mode: str) -> float:
+def resolve_threshold(gamma: float, mode: str, peak: float) -> float:
+    """Absolute threshold for gamma: gamma itself, or gamma * peak in relative mode.
+
+    The one place a threshold is read, for the spectrum count and the Landau
+    support measure alike.
+    """
     if mode not in GAMMA_MODES:
         raise ValueError(f"gamma mode must be one of {GAMMA_MODES}, got {mode!r}")
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
     if mode == "relative":
-        return gamma * float(spectrum.values[0])
+        return gamma * float(peak)
     return float(gamma)
 
 
@@ -206,7 +207,7 @@ def count_edof(spectrum: CouplingSpectrum, gamma: float,
     first value <= threshold; if every resolved value exceeds it, the count
     saturates at the spectrum length (the grid-resolvable rank).
     """
-    threshold = _resolve_threshold(spectrum, gamma, mode)
+    threshold = resolve_threshold(gamma, mode, spectrum.values[0])
     return int(np.sum(spectrum.values > threshold))
 
 

@@ -38,6 +38,16 @@ def test_validate_rejects_intersecting_surfaces(tmp_path, capsys):
     assert "intersect" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rx", [
+    {"center_m": [0.0, 0.0, 1e308], "size_m": [0.5, 0.5], "grid": [16, 16]},
+    {"center_m": [1e308, 0.0, 10.0], "size_m": [0.5, 0.5], "grid": [16, 16]},
+    {"center_m": [0.0, 0.0, 10.0], "size_m": [1e308, 1e308], "grid": [16, 16]},
+])
+def test_validate_rejects_overflowing_geometry(tmp_path, capsys, rx):
+    assert main(["validate", _config_file(tmp_path, rx=rx)]) == 1
+    assert "error: rx." in capsys.readouterr().err
+
+
 def test_validate_missing_file_exits_1(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -52,6 +52,14 @@ def test_minimal_mapping_fills_defaults():
     (lambda d: d["tx"].update(size_m=[0.5, 0.0]), "tx.size_m[1]: must be positive"),
     (lambda d: d["rx"].update(center_m=[0.0, 0.0]), "rx.center_m: expected 3 numbers"),
     (lambda d: d["rx"].update(grid=[10, 10, 10]), "rx.grid: expected 2 integers"),
+    (lambda d: d["rx"].update(center_m=[0.0, 0.0, 1e308]), "rx.center_m: squared offset"),
+    (lambda d: d["rx"].update(center_m=[1e308, 0.0, 10.0]),
+     "rx.center_m: squared offset from tx.center_m overflows"),
+    (lambda d: d["rx"].update(size_m=[1e308, 1e308]), "rx.size_m: area overflows"),
+    (lambda d: d["tx"].update(rotation=[[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     "tx.rotation: entries of a rotation matrix lie in"),
+    (lambda d: d["tx"].update(rotation={"axis": [1e308, 1.0, 0.0], "angle_rad": 0.1}),
+     "tx.rotation.axis: must be nonzero"),
     (lambda d: d["rx"].update(grid=[10, 0]), "rx.grid[1]: must be >= 1"),
     (lambda d: d["rx"].update(grid=[10, 2.5]), "rx.grid[1]: expected an integer"),
     (lambda d: d.update(methods=[]), "methods: expected a nonempty list"),
@@ -218,8 +226,6 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-# 1e308 entries overflow inside numpy's matrix checks before the parser decides
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=1000)
 @given(path=st.sampled_from(list(_paths(FULL))), bad=st.sampled_from(BAD_VALUES))
 def test_config_fuzz_raises_only_config_error(path, bad):

@@ -262,6 +262,35 @@ def test_cutset_edof_anchor_value(anchor_grids, wave):
     assert report.diagnostics["bandwidth_max"] <= report.diagnostics["isotropic_bound"]
 
 
+def test_cutset_edof_tends_to_paraxial_closed_form():
+    """Oracle: n_par = A_tx A_rx / (lambda d)^2 along a coaxial distance sweep.
+
+    For parallel coaxial L x L squares at distance h, |det J| = k0^2 h^2 / |r - t|^4,
+    so 1 - n_cut / n_par is the mean of 1 - (1 + u)^-2 = 2u - 3u^2 + ... over
+    point pairs, u = |rho|^2 / h^2 with rho their lateral offset.  Its moments
+    give (2/3)(1 - 1/n^2)(L/d)^2 - (17/30)(L/d)^4 on an n x n midpoint grid,
+    which the sweep meets to 1.5e-3 relative (measured, at d = 2.5 m).  The gap
+    is an obliquity effect: it does not depend on the wavelength.
+    """
+    n = 24
+    gaps = []
+    for d in (2.5, 5.0, 10.0, 20.0, 40.0):
+        tx = make_surface((0.0, 0.0, 0.0), np.eye(3), APERTURE, APERTURE)
+        rx = make_surface((0.0, 0.0, d), np.eye(3), APERTURE, APERTURE)
+        grids = discretize(tx, n, n), discretize(rx, n, n)
+        n_par = APERTURE ** 4 / (WAVELENGTH * d) ** 2
+        gap = 1.0 - cutset_edof(*grids, WaveConfig(wavelength=WAVELENGTH)).n_edof / n_par
+        u = (APERTURE / d) ** 2
+        model = 2.0 / 3.0 * (1.0 - 1.0 / n ** 2) * u - 17.0 / 30.0 * u * u
+        assert gap == pytest.approx(model, rel=2e-3)
+        other = 1.0 - cutset_edof(*grids, WaveConfig(wavelength=WAVELENGTH / 2.0)).n_edof \
+            / (4.0 * n_par)
+        assert other == pytest.approx(gap, rel=1e-12)
+        gaps.append(gap)
+    assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1.1e-4
+
+
 def test_cutset_edof_accepts_matching_precomputed_field(anchor_grids, wave):
     tx_grid, rx_grid = anchor_grids
     field = bandwidth_field(tx_grid, rx_grid, wave)
@@ -348,8 +377,7 @@ def test_filter_field_rejects_perturbed_or_misdeclared_lattice(wave):
     points = (rx.center + local[:, :1] * rx.tangent_u[None, :]
               + local[:, 1:] * rx.tangent_v[None, :])
     perturbed = QuadratureGrid(surface=rx, points=points, local_coords=local,
-                               weights=grid.weights, shape=grid.shape,
-                               rule="midpoint")
+                               weights=grid.weights, shape=grid.shape)
     with pytest.raises(GeometryError):
         filter_field(np.zeros(64), full_support(), perturbed)
     # right node count, wrong lattice

@@ -1,5 +1,6 @@
 """Experiment harness: method isolation, diagnostics, persistence, sweeps."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from edof.config import config_from_mapping
 from edof.errors import ConfigError, ResourceError
 from edof.experiment import report_mapping, run_experiment, run_sweep
+from edof.geometry import make_surface
 from edof.spectrum import MIRROR_TOL
 
 
@@ -169,6 +171,18 @@ def test_method_failure_yields_partial_status():
     assert [r.method for r in report.edof_reports] == ["cutset"]
     assert "svd" in report.diagnostics["method_errors"]
     assert "SingularKernelError" in report.diagnostics["method_errors"]["svd"]
+
+
+def test_non_finite_count_is_a_method_error():
+    # past the config checks: distances to a center at 1e308 overflow when squared
+    cfg = config_from_mapping(_scene_mapping(grid=8, methods=["cutset", "landau"]))
+    far = make_surface((1e308, 0.0, 10.0), np.eye(3), 0.5, 0.5)
+    report = run_experiment(dataclasses.replace(cfg, rx_surface=far), write=False)
+    assert report.status == "partial"
+    assert all(np.isfinite(rep.n_edof) for rep in report.edof_reports)
+    assert "cutset" not in {rep.method for rep in report.edof_reports}
+    assert report.diagnostics["method_errors"]["cutset"].startswith(
+        "NumericalError: n_edof is nan")
 
 
 def test_matrix_budget_guards_svd_runs():

@@ -175,14 +175,14 @@ def test_grid_invariants_enforced():
     g = discretize(s, 2, 2)
     with pytest.raises(GeometryError):
         QuadratureGrid(surface=s, points=g.points, local_coords=g.local_coords,
-                       weights=-g.weights, shape=g.shape, rule="midpoint")
+                       weights=-g.weights, shape=g.shape)
     with pytest.raises(GeometryError):
         QuadratureGrid(surface=s, points=g.points, local_coords=g.local_coords,
-                       weights=2.0 * g.weights, shape=g.shape, rule="midpoint")
+                       weights=2.0 * g.weights, shape=g.shape)
     off_plane = g.points + np.array([0.0, 0.0, 1e-6])
     with pytest.raises(GeometryError):
         QuadratureGrid(surface=s, points=off_plane, local_coords=g.local_coords,
-                       weights=g.weights, shape=g.shape, rule="midpoint")
+                       weights=g.weights, shape=g.shape)
 
 
 def test_discretize_records_lattice_shape():

@@ -343,8 +343,9 @@ def test_landau_edof_threshold_tagging():
     tagged = landau_edof(unit, 1.0, gamma_mode="relative", gamma_value=0.5)
     assert plain.method == "landau"
     assert plain.gamma_value is None
-    assert tagged.method == "landau-gamma"
+    assert tagged.method == "landau"
     assert tagged.gamma_mode == "relative"
+    assert tagged.gamma_value == 0.5
     with pytest.raises(ValueError):
         landau_edof(unit, -1.0)
 
@@ -357,6 +358,43 @@ def test_landau_edof_anchor_chain(anchor_surfaces, anchor_response):
     assert report.n_edof == pytest.approx(6.0531620055429194, rel=1e-9)
     assert report.n_edof == pytest.approx(6.25, rel=0.10)
     assert report.diagnostics["rx_area"] == pytest.approx(0.25, rel=1e-15)
+
+
+def test_landau_is_whole_cells_and_misses_paraxial_by_more_than_one(
+        anchor_surfaces, anchor_response):
+    """Oracle: the paraxial count n_par = A_tx A_rx / (lambda d)^2.
+
+    The Landau value is a whole number of dual-grid cells times
+    A_rx * cell_area / (2 pi)^2.  A lag extent of c coherence scales
+    lambda d / L per axis makes n_par exactly c^2 cells, and the measured
+    count sits several cells off it: 961 = 31^2 against 992.25 = 31.5^2 on
+    the reference scene (3.1 % under), and 69 against 64 = 8^2 along a
+    coaxial sweep with the automatic extent (7.8 % over; 61 at 2.5 m).
+    """
+    def cells(rx, resp):
+        """Landau count and paraxial count, in units of one cell's count."""
+        per_cell = rx.area * resp.cell_area / (4.0 * np.pi ** 2)
+        d = rx.center[2]
+        n_par = APERTURE ** 4 / (WAVELENGTH * d) ** 2
+        return landau_edof(rx, support_measure(resp, 0.5)).n_edof / per_cell, n_par / per_cell
+
+    _, rx = anchor_surfaces
+    n_lan, n_par = cells(rx, anchor_response[0])
+    assert n_lan == pytest.approx(961.0, abs=1e-9)
+    assert n_par == pytest.approx(992.25, rel=1e-12)
+
+    measured = {2.5: 61, 5.0: 69, 10.0: 69, 20.0: 69, 40.0: 69}
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), APERTURE, APERTURE)
+    tx_grid = discretize(tx, 24, 24)
+    for d, expected in measured.items():
+        rx = make_surface((0.0, 0.0, d), np.eye(3), APERTURE, APERTURE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            resp = wavenumber_response(rx, tx_grid, WaveConfig(wavelength=WAVELENGTH))
+        n_lan, n_par = cells(rx, resp)
+        assert n_lan == pytest.approx(expected, abs=1e-9)
+        assert n_par == pytest.approx(64.0, rel=1e-12)
+        assert abs(n_lan - n_par) > 1.0
 
 
 def test_stationarity_far_scene_passes(anchor_surfaces, anchor_grids, wave):
@@ -393,7 +431,7 @@ def test_polarization_unit_scale_matches_direct_spectrum(small_scene, wave):
     direct = coupling_spectrum(assemble_operator(
         discretize(tx, 25, 25), discretize(rx, 25, 25), wave))
     assert np.array_equal(row.spectrum.values, direct.values)
-    assert row.grid_shape == (625, 625)
+    assert len(row.spectrum) == 625
 
 
 def test_polarization_counts_monotone_in_gamma(small_scene, wave):
