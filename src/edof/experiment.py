@@ -242,7 +242,8 @@ def _spectrum_summary(spectrum: CouplingSpectrum | None):
 def _bandwidth_summary(bw: LocalBandwidthField | None, report: EdofReport | None):
     if bw is None:
         return "not-applicable"
-    out = {"method": bw.method, "n_points": len(bw.values)}
+    out = {"method": bw.method, "n_points": len(bw.values),
+           "symmetry": list(bw.symmetry), "evaluated_nodes": bw.evaluated_nodes}
     if report is not None:
         out.update(report.diagnostics)
     return out

@@ -9,6 +9,11 @@ b in [-length_v/2, length_v/2].
 A quadrature grid attaches nodes and positive weights to a surface so that
 sum(w_i * f(p_i)) approximates the surface integral of f.  Supported rules
 are the midpoint (uniform cell) rule and tensor-product Gauss-Legendre.
+
+A scene's mirror symmetry is decided here, once, from the geometry:
+``mirror_axes`` names the reflections of the receive frame that map the
+transmit grid onto itself, and ``lattice_orbits`` folds a symmetric 2-D
+lattice to one node per orbit of those reflections.
 """
 
 from __future__ import annotations
@@ -28,6 +33,17 @@ ROTATION_TOL = 1e-10
 WEIGHT_SUM_RTOL = 1e-10
 # Absolute tolerance (meters) for "grid point lies in the surface plane".
 PLANE_TOL = 1e-12
+# Largest node displacement, relative to the size of the apertures or the
+# lattice, up to which a reflection still counts as mapping a grid onto
+# itself.  Rounding leaves about 1e-13 on rigidly moved coaxial scenes; a
+# 1 um shift of a 0.5 m aperture is 2e-6.
+SYMMETRY_RTOL = 1e-11
+# Reflections of a receive frame (ru, rv) about its center, by the unit
+# normal of the mirror plane in (ru, rv) components: "u" takes a -> -a, "v"
+# takes b -> -b, and "swap" exchanges a and b.
+MIRRORS = {"u": (1.0, 0.0), "v": (0.0, 1.0), "swap": (np.sqrt(0.5), -np.sqrt(0.5))}
+# Coordinate signs of the lattice generators that flip axes.
+_LATTICE_FLIPS = {"u": (-1.0, 1.0), "v": (1.0, -1.0), "point": (-1.0, -1.0)}
 
 
 def _as_unit(vec, name):
@@ -259,3 +275,116 @@ def surfaces_intersect(s1: PlanarSurface, s2: PlanarSurface, tol: float = 1e-12)
     if iv1 is None or iv2 is None:
         return False
     return min(iv1[1], iv2[1]) - max(iv1[0], iv2[0]) >= -tol
+
+
+def _signed_permutation(index, q):
+    """Flat node map of a u-major lattice ``index`` under the local-coordinate
+    map (a, b) -> q (a, b), with q rounded to a signed permutation; None when
+    q rounds to none, or to a swap of the axes of a lattice that is not square."""
+    p = np.rint(q).astype(int)
+    if p[0, 1] == p[1, 0] == 0 and abs(p[0, 0]) == abs(p[1, 1]) == 1:
+        return index[::p[0, 0], ::p[1, 1]].ravel()
+    if p[0, 0] == p[1, 1] == 0 and abs(p[0, 1]) == abs(p[1, 0]) == 1 \
+            and index.shape[0] == index.shape[1]:
+        # node (i, j) goes to (j or n-1-j, i or n-1-i)
+        return index.T[::p[1, 0], ::p[0, 1]].ravel()
+    return None
+
+
+def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> tuple[str, ...]:
+    """Names in MIRRORS of the receive-frame reflections that map the
+    transmit grid, nodes and weights, onto itself.
+
+    Each reflection is about the receive center and maps the receive plane
+    onto itself, keeping every point distance and the cut-set Jacobian.  One
+    is kept when every reflected transmit node lands on a node of equal
+    weight, to SYMMETRY_RTOL of the largest aperture side.  Nothing else is
+    assumed: a receiver turned by 90 or 180 degrees, or by 45 degrees in
+    front of a square transmitter, passes whenever the reflection holds.
+    """
+    tx = tx_grid.surface
+    tol = SYMMETRY_RTOL * max(tx.length_u, tx.length_v,
+                              rx_surface.length_u, rx_surface.length_v)
+    tangents = np.column_stack([tx.tangent_u, tx.tangent_v])
+    index = np.arange(len(tx_grid)).reshape(tx_grid.shape)
+    offsets = tx_grid.points - rx_surface.center
+    held = []
+    for name, (cu, cv) in MIRRORS.items():
+        e = cu * rx_surface.tangent_u + cv * rx_surface.tangent_v
+        image = tx_grid.points - 2.0 * np.outer(offsets @ e, e)
+        # the reflection in transmit local coordinates, about the tx center
+        perm = _signed_permutation(index, tangents.T @ (
+            tangents - 2.0 * np.outer(e, e @ tangents)))
+        if perm is not None \
+                and np.max(np.abs(image - tx_grid.points[perm])) <= tol \
+                and np.all(np.abs(tx_grid.weights[perm] - tx_grid.weights)
+                           <= SYMMETRY_RTOL * tx_grid.weights):
+            held.append(name)
+    return tuple(held)
+
+
+@dataclass(frozen=True)
+class LatticeFold:
+    """One node per orbit of a lattice's symmetry group, and the way back.
+
+    Values invariant under ``symmetry`` satisfy values == values[nodes][gather].
+    """
+
+    symmetry: tuple[str, ...]   # the asked-for symmetries the lattice holds
+    nodes: np.ndarray           # flat indices of the orbit minima, ascending
+    gather: np.ndarray          # (N,) position in nodes of each node's orbit
+
+
+def _lattice_holds(coords, perm, name, tol):
+    """True when every node's image node under the generator ``name`` sits
+    at the node's coordinates mirrored (or swapped), to ``tol``."""
+    gap = coords[perm]
+    if name == "swap":
+        gap = gap[:, ::-1]
+    else:
+        gap *= _LATTICE_FLIPS[name]
+    gap -= coords
+    return max(gap.max(), -gap.min()) <= tol
+
+
+def lattice_orbits(coords, shape, symmetry) -> LatticeFold:
+    """Fold a u-major (n_u, n_v) lattice to the first node of each orbit.
+
+    ``coords`` are the (N, 2) in-plane node coordinates.  ``symmetry`` names
+    the generators: the MIRRORS reflections "u" (node (i, j) to
+    (n_u-1-i, j)), "v" and "swap" ((i, j) to (j, i)), and "point" ((a, b) to
+    (-a, -b)).  A generator is kept only when every node's coordinates map
+    onto those of its image node, to SYMMETRY_RTOL of the largest
+    coordinate; "swap" therefore needs equal counts and spacings on the two
+    axes.  Generators the lattice does not hold are dropped, and an empty
+    set folds nothing.
+    """
+    n_u, n_v = shape
+    coords = np.asarray(coords, dtype=float)
+    index = np.arange(n_u * n_v).reshape(n_u, n_v)
+    tol = SYMMETRY_RTOL * max(coords.max(), -coords.min())
+    kept, perms = [], []
+    for name in symmetry:
+        if name == "swap" and n_u != n_v:
+            continue
+        perm = {"u": index[::-1, :], "v": index[:, ::-1], "swap": index.T,
+                "point": index[::-1, ::-1]}[name].ravel()
+        if _lattice_holds(coords, perm, name, tol):
+            kept.append(name)
+            perms.append(perm)
+    # each generator is an involution, so the fixed point holds each orbit's
+    # smallest index on all of its nodes
+    rep = np.arange(n_u * n_v)
+    while True:
+        low = rep
+        for perm in perms:
+            low = np.minimum(low, low[perm])
+        if np.array_equal(low, rep):
+            break
+        rep = low
+    # free the index maps first: the results then reuse their heap memory
+    # instead of leaving it resident beneath them
+    del index, perms, low
+    nodes = np.flatnonzero(rep == np.arange(rep.size))
+    return LatticeFold(symmetry=tuple(kept), nodes=nodes,
+                       gather=np.searchsorted(nodes, rep))

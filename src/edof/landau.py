@@ -21,6 +21,13 @@ samples are tapered with a triangular (Bartlett) window before the DFT: the
 bare truncated transform rings negative by several percent (Dirichlet
 sidelobes), while the Bartlett estimate smooths with a nonnegative Fejer
 kernel, keeping H >= 0 up to round-off without biasing the zero-lag sum.
+
+g is sampled on a centered lag lattice and evaluated once per orbit of the
+lattice's symmetry.  g(-delta) = conj(g(delta)) holds on every scene, so at
+most half the lags are evaluated.  When the scene also holds the receive
+frame's u- and v-mirrors (geometry.mirror_axes), as on a coaxial link, g
+is even in both axes and therefore real, and one lag per mirror orbit is
+evaluated: a quarter of the lattice, or an eighth with the u <-> v swap.
 """
 
 from __future__ import annotations
@@ -33,7 +40,14 @@ import numpy as np
 
 from .cutset import wavenumber_component
 from .errors import DiagnosticWarning, ResourceError
-from .geometry import PlanarSurface, QuadratureGrid, discretize
+from .geometry import (
+    MIRRORS,
+    PlanarSurface,
+    QuadratureGrid,
+    discretize,
+    lattice_orbits,
+    mirror_axes,
+)
 from .kernel import WaveConfig, assemble_operator, node_distances, row_blocks
 from .spectrum import (
     CouplingSpectrum,
@@ -103,15 +117,28 @@ def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     return out
 
 
-def _autocorrelation_lattice(lags, reference, rx_surface, tx_grid, wave):
-    """g on a point-symmetric lag list, whose rows m and M-1-m are negatives.
+def _autocorrelation_lattice(lags, shape, mirrors, reference, rx_surface,
+                             tx_grid, wave):
+    """g on a u-major lag lattice of the given shape, one lag per orbit.
 
-    Only the first (M+1)/2 lags are evaluated; g(-delta) = conj(g(delta))
-    fills in the rest exactly.
+    Every scene has g(-delta) = conj(g(delta)).  When ``mirrors`` (from
+    mirror_axes) holds both the u- and the v-mirror, g is also even in each
+    axis, hence real: it is folded by the mirrors (and the swap, when held)
+    and its real part gathered.  Otherwise it is folded by the point reflection, and the
+    mirrored half is filled with exact conjugates.  Returns g and the fold.
     """
-    half = _autocorrelation_many(lags[:(len(lags) + 1) // 2], reference,
-                                 rx_surface, tx_grid, wave)
-    return np.concatenate([half, np.conj(half[-2::-1])])
+    fold = lattice_orbits(lags, shape, mirrors)
+    real = {"u", "v"} <= set(fold.symmetry)
+    if not real:
+        fold = lattice_orbits(lags, shape, ("point",))
+    g = _autocorrelation_many(lags[fold.nodes], reference, rx_surface,
+                              tx_grid, wave)
+    if real:
+        return np.real(g)[fold.gather], fold
+    g = g[fold.gather]
+    mirrored = fold.nodes[fold.gather] != np.arange(len(lags))
+    g[mirrored] = np.conj(g[mirrored])
+    return g, fold
 
 
 def _corners(surface, half_u, half_v):
@@ -178,11 +205,18 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     aperture and the lag points, padded by two Fejer main-lobe half widths
     (4 pi / extent each).  The spacing is capped at a quarter wavelength,
     its value at grazing incidence (k_band >= k0).  Counts are forced odd
-    so the lattice is symmetric: g is evaluated on half of it, the Hermitian
-    symmetry g(-delta) = conj(g(delta)) fills in the rest, and the
-    transform is real.  An extent too short for |g| to decay below
-    1e-3 * g(0) at the window boundary is flagged with a DiagnosticWarning
-    and recorded in the diagnostics.
+    so the lattice is centered and the transform is real.
+
+    g is evaluated on one lag per orbit and gathered to the rest.  When the
+    scene holds both receive mirrors of ``mirror_axes``, the orbits are
+    those of the mirrors, plus the swap when the lattice has equal counts
+    and spacings, and g is real: 2,556 of the 19,881 lags of a 141 x 141
+    lattice on a coaxial square link.  Otherwise they are the pairs
+    {delta, -delta}, and conj(g(delta)) fills in -delta.  The diagnostics
+    record the mirrors used (``symmetry``) and ``evaluated_lags``.  An
+    extent too short for |g| to decay below 1e-3 * g(0) at the window
+    boundary is flagged with a DiagnosticWarning and recorded in the
+    diagnostics.
     """
     center_distance = float(np.linalg.norm(
         rx_surface.center - tx_grid.surface.center))
@@ -214,8 +248,10 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     iv = np.arange(n_v) - (n_v - 1) / 2.0
     lag_u, lag_v = np.meshgrid(iu * du, iv * dv, indexing="ij")
     lags = np.column_stack([lag_u.ravel(), lag_v.ravel()])
-    g = _autocorrelation_lattice(lags, rx_surface.center, rx_surface,
-                                 tx_grid, wave).reshape(n_u, n_v)
+    g, fold = _autocorrelation_lattice(lags, (n_u, n_v),
+                                       mirror_axes(tx_grid, rx_surface),
+                                       rx_surface.center, rx_surface, tx_grid, wave)
+    g = g.reshape(n_u, n_v)
     g_zero = float(np.real(g[(n_u - 1) // 2, (n_v - 1) // 2]))
 
     boundary = np.concatenate([np.abs(g[0, :]), np.abs(g[-1, :]),
@@ -257,6 +293,8 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
             "boundary_decay_ratio": decay_ratio,
             "boundary_decay_ok": decay_ok,
             "pre_clamp_min_ratio": min_ratio,
+            "symmetry": [name for name in fold.symmetry if name in MIRRORS],
+            "evaluated_lags": len(fold.nodes),
         })
 
 

@@ -21,7 +21,7 @@ from edof.cutset import (
     wavenumber_component,
 )
 from edof.errors import DiagnosticWarning, DimensionError, GeometryError, SingularKernelError
-from edof.geometry import QuadratureGrid, discretize, make_surface, rotation_about
+from edof.geometry import QuadratureGrid, discretize, make_surface, mirror_axes, rotation_about
 from edof import kernel
 from edof.kernel import WaveConfig, assemble_operator
 from edof.spectrum import count_edof, coupling_spectrum
@@ -184,19 +184,34 @@ def _unique_cell_measure(r_rx, tx_grid, rx_surface, wave, resolution):
 def test_set_measure_field_equals_node_by_node(wave, monkeypatch, block_pairs):
     if block_pairs is not None:   # two rx rows per block, last block short
         monkeypatch.setattr(kernel, "BLOCK_PAIRS", block_pairs)
-    tx = make_surface((0.0, 0.0, 0.0), rotation_about((0.3, 1.0, 0.2), 0.4), 0.5, 0.4)
-    rx = make_surface((0.2, -0.1, 2.0), rotation_about((1.0, 0.1, 0.2), 0.2), 0.3, 0.3)
+    def check(tx, rx, resolutions):
+        tx_grid, rx_grid = discretize(tx, 9, 7), discretize(rx, 5, 3)
+        for resolution in resolutions:
+            field = bandwidth_field(tx_grid, rx_grid, wave, method="set-measure",
+                                    resolution=resolution)
+            per_node = [set_measure_bandwidth(p, tx_grid, rx, wave, resolution)
+                        for p in rx_grid.points]
+            reference = [_unique_cell_measure(p, tx_grid, rx, wave, resolution)
+                         for p in rx_grid.points]
+            assert np.array_equal(field.values, per_node)
+            assert np.array_equal(field.values, reference)
+            assert field.symmetry == () and field.evaluated_nodes == len(rx_grid)
+        assert len(set(field.values)) > 1
+        return field
+
+    check(make_surface((0.0, 0.0, 0.0), rotation_about((0.3, 1.0, 0.2), 0.4), 0.5, 0.4),
+          make_surface((0.2, -0.1, 2.0), rotation_about((1.0, 0.1, 0.2), 0.2), 0.3, 0.3),
+          (3.0, 20.0, 60.0))
+    # A coaxial scene holds the u-mirror, but its set measure need not: with a
+    # cell edge through the largest k_u, mirrored nodes floor differently.
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.5, 0.5)
+    rx = make_surface((0.0, 0.0, 2.0), np.eye(3), 0.3, 0.3)
     tx_grid, rx_grid = discretize(tx, 9, 7), discretize(rx, 5, 3)
-    for resolution in (3.0, 20.0, 60.0):
-        field = bandwidth_field(tx_grid, rx_grid, wave, method="set-measure",
-                                resolution=resolution)
-        per_node = [set_measure_bandwidth(p, tx_grid, rx, wave, resolution)
-                    for p in rx_grid.points]
-        reference = [_unique_cell_measure(p, tx_grid, rx, wave, resolution)
-                     for p in rx_grid.points]
-        assert np.array_equal(field.values, per_node)
-        assert np.array_equal(field.values, reference)
-    assert len(set(field.values)) > 1
+    k_u = wavenumber_component(rx_grid.points[:, None, :], tx_grid.points[None, :, :],
+                               rx, wave)[..., 0]
+    field = check(tx, rx, (3.0, 20.0, 60.0, float(k_u.max())))
+    assert "u" in mirror_axes(tx_grid, rx)
+    assert not np.array_equal(field.values.reshape(5, 3), field.values.reshape(5, 3)[::-1])
 
 
 def test_set_measure_field_warns_once_per_collapsed_node(wave):

@@ -88,6 +88,29 @@ def test_report_names_the_spectrum_solver(full_report):
     assert block["mirror_residual"] is None
 
 
+def test_report_names_the_folds(full_report):
+    mapping = report_mapping(full_report)
+    # 16 x 16 receive nodes and 41 x 41 lags, folded by both mirrors and the swap
+    assert mapping["bandwidth"]["symmetry"] == ["u", "v", "swap"]
+    assert mapping["bandwidth"]["evaluated_nodes"] == 8 * 9 // 2
+    assert mapping["wavenumber_response"]["symmetry"] == ["u", "v", "swap"]
+    assert mapping["wavenumber_response"]["evaluated_lags"] == 21 * 22 // 2
+
+    # criterion 2's tilted and offset receiver: nothing folds but the
+    # Hermitian half of the lags
+    tilted = _scene_mapping(methods=["cutset", "landau"])
+    tilted["tx"].update(size_m=[0.4, 0.6], grid=[10, 14])
+    tilted["rx"] = {"center_m": [0.5, -0.3, 8.0], "size_m": [0.3, 0.3],
+                    "rotation": {"axis": [0.3, 1.0, 0.2], "angle_rad": 0.7},
+                    "grid": [12, 12]}
+    report = run_experiment(config_from_mapping(tilted), write=False)
+    mapping = report_mapping(report)
+    assert mapping["bandwidth"]["symmetry"] == []
+    assert mapping["bandwidth"]["evaluated_nodes"] == 144
+    assert mapping["wavenumber_response"]["symmetry"] == []
+    assert mapping["wavenumber_response"]["evaluated_lags"] == (41 * 41 + 1) // 2
+
+
 def test_run_writes_all_outputs(tmp_path):
     cfg = config_from_mapping(_scene_mapping(methods=["svd", "cutset"]))
     report = run_experiment(cfg, out_dir=str(tmp_path))

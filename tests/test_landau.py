@@ -8,7 +8,7 @@ import pytest
 
 import edof.landau
 from edof.errors import DiagnosticWarning, ResourceError, SingularKernelError
-from edof.geometry import discretize, make_surface, rotation_about
+from edof.geometry import discretize, lattice_orbits, make_surface, mirror_axes, rotation_about
 from edof.kernel import WaveConfig, assemble_operator, green_kernel
 from edof.landau import (
     _autocorrelation_lattice,
@@ -172,6 +172,11 @@ def rotated_scene(wave):
     return rx, discretize(tx, 13, 11)
 
 
+def _unfolded(coords, shape, symmetry):
+    """Stand-in for lattice_orbits that folds nothing: every lag is evaluated."""
+    return lattice_orbits(coords, shape, ())
+
+
 def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch):
     rx, tx_grid = rotated_scene
     iu, iv = np.arange(21) - 10.0, np.arange(15) - 7.0
@@ -184,8 +189,10 @@ def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch)
         return _autocorrelation_many(lags, *args)
 
     monkeypatch.setattr(edof.landau, "_autocorrelation_many", spy)
-    g = _autocorrelation_lattice(lags, rx.center, rx, tx_grid, wave)
+    g, fold = _autocorrelation_lattice(lags, (21, 15), mirror_axes(tx_grid, rx),
+                                       rx.center, rx, tx_grid, wave)
     monkeypatch.undo()
+    assert fold.symmetry == ("point",)
     assert evaluated == [(len(lags) + 1) // 2]
     assert np.array_equal(g[::-1], np.conj(g))
     full = _autocorrelation_many(lags, rx.center, rx, tx_grid, wave)
@@ -199,8 +206,7 @@ def test_half_lattice_response_matches_full_lattice(rotated_scene, wave,
         warnings.simplefilter("ignore", DiagnosticWarning)
         half = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
                                    lag_extent=0.5)
-        monkeypatch.setattr(edof.landau, "_autocorrelation_lattice",
-                            _autocorrelation_many)
+        monkeypatch.setattr(edof.landau, "lattice_orbits", _unfolded)
         full = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
                                    lag_extent=0.5)
     np.testing.assert_allclose(half.H_values, full.H_values, rtol=0.0,
