@@ -40,7 +40,7 @@ def _fail(path: str, message: str) -> ConfigError:
 
 def _require_mapping(value: Any, path: str, allowed: tuple[str, ...]) -> dict:
     if not isinstance(value, dict):
-        raise _fail(path, "expected an object")
+        raise _fail(path or "top level", "expected an object")
     for key in value:
         if key not in allowed:
             raise _fail(f"{path}.{key}" if path else key, "unknown key")
@@ -270,6 +270,8 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file cannot be read: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return config_from_mapping(data)

@@ -36,7 +36,7 @@ from .landau import (
 )
 from .spectrum import CouplingSpectrum, EdofReport, count_edof, coupling_spectrum
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 SWEEP_AXES = ("distance", "tx_size", "rx_size", "wavelength", "scale_r")
 
 # run-diagnostic thresholds; each flag stays informational, never fatal
@@ -235,7 +235,7 @@ def _spectrum_summary(spectrum: CouplingSpectrum | None):
         "s0_squared": float(spectrum.values[0]),
         "sum_s_squared": float(spectrum.values.sum()),
         "solver": spectrum.solver,
-        "mirror_residual": spectrum.mirror_residual,
+        "symmetry": list(spectrum.symmetry),
     }
 
 

@@ -10,10 +10,10 @@ A quadrature grid attaches nodes and positive weights to a surface so that
 sum(w_i * f(p_i)) approximates the surface integral of f.  Supported rules
 are the midpoint (uniform cell) rule and tensor-product Gauss-Legendre.
 
-A scene's mirror symmetry is decided here, once, from the geometry:
-``mirror_axes`` names the reflections of the receive frame that map the
-transmit grid onto itself, and ``lattice_orbits`` folds a symmetric 2-D
-lattice to one node per orbit of those reflections.
+A scene's mirror symmetry is decided here, once, for all three estimators:
+``mirror_axes`` names the reflections of the receive frame that map a grid
+onto itself and how each acts on its axes, and ``lattice_orbits`` folds a
+symmetric 2-D lattice to one node per orbit of those reflections.
 """
 
 from __future__ import annotations
@@ -278,29 +278,32 @@ def surfaces_intersect(s1: PlanarSurface, s2: PlanarSurface, tol: float = 1e-12)
 
 
 def _signed_permutation(index, q):
-    """Flat node map of a u-major lattice ``index`` under the local-coordinate
-    map (a, b) -> q (a, b), with q rounded to a signed permutation; None when
-    q rounds to none, or to a swap of the axes of a lattice that is not square."""
+    """(action, flat node map) of a u-major lattice ``index`` under the
+    local-coordinate map (a, b) -> q (a, b), with q rounded to a signed
+    permutation; the action is "swap" or names the axes flipped.  None when q
+    rounds to none, or to a swap of the axes of a lattice that is not square."""
     p = np.rint(q).astype(int)
     if p[0, 1] == p[1, 0] == 0 and abs(p[0, 0]) == abs(p[1, 1]) == 1:
-        return index[::p[0, 0], ::p[1, 1]].ravel()
+        flips = ("u" if p[0, 0] < 0 else "") + ("v" if p[1, 1] < 0 else "")
+        return flips, index[::p[0, 0], ::p[1, 1]].ravel()
     if p[0, 0] == p[1, 1] == 0 and abs(p[0, 1]) == abs(p[1, 0]) == 1 \
             and index.shape[0] == index.shape[1]:
         # node (i, j) goes to (j or n-1-j, i or n-1-i)
-        return index.T[::p[1, 0], ::p[0, 1]].ravel()
+        return "swap", index.T[::p[1, 0], ::p[0, 1]].ravel()
     return None
 
 
-def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> tuple[str, ...]:
-    """Names in MIRRORS of the receive-frame reflections that map the
-    transmit grid, nodes and weights, onto itself.
+def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> dict[str, str]:
+    """{name: action} of the receive-frame reflections in MIRRORS that map
+    the transmit grid, nodes and weights, onto itself.
 
     Each reflection is about the receive center and maps the receive plane
     onto itself, keeping every point distance and the cut-set Jacobian.  One
     is kept when every reflected transmit node lands on a node of equal
-    weight, to SYMMETRY_RTOL of the largest aperture side.  Nothing else is
-    assumed: a receiver turned by 90 or 180 degrees, or by 45 degrees in
-    front of a square transmitter, passes whenever the reflection holds.
+    weight, to SYMMETRY_RTOL of the largest aperture side; nothing else is
+    assumed.  Its action is the transmit axis it flips, "u" or "v" (the
+    other-named one behind a receiver turned by 90 degrees), or "swap" when
+    it exchanges them, as behind one turned by 45 degrees.
     """
     tx = tx_grid.surface
     tol = SYMMETRY_RTOL * max(tx.length_u, tx.length_v,
@@ -308,19 +311,19 @@ def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> tuple[str
     tangents = np.column_stack([tx.tangent_u, tx.tangent_v])
     index = np.arange(len(tx_grid)).reshape(tx_grid.shape)
     offsets = tx_grid.points - rx_surface.center
-    held = []
+    held = {}
     for name, (cu, cv) in MIRRORS.items():
         e = cu * rx_surface.tangent_u + cv * rx_surface.tangent_v
         image = tx_grid.points - 2.0 * np.outer(offsets @ e, e)
         # the reflection in transmit local coordinates, about the tx center
-        perm = _signed_permutation(index, tangents.T @ (
+        mapped = _signed_permutation(index, tangents.T @ (
             tangents - 2.0 * np.outer(e, e @ tangents)))
-        if perm is not None \
-                and np.max(np.abs(image - tx_grid.points[perm])) <= tol \
-                and np.all(np.abs(tx_grid.weights[perm] - tx_grid.weights)
+        if mapped is not None \
+                and np.max(np.abs(image - tx_grid.points[mapped[1]])) <= tol \
+                and np.all(np.abs(tx_grid.weights[mapped[1]] - tx_grid.weights)
                            <= SYMMETRY_RTOL * tx_grid.weights):
-            held.append(name)
-    return tuple(held)
+            held[name] = mapped[0]
+    return held
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ i.e. the number of modes whose squared coupling strictly exceeds gamma.
 The width s_N also equals the Kolmogorov N-width of the set of receivable
 fields generated by unit-power transmit currents.
 
-When the matrix commutes with the u- and v-mirrors of both lattices (two
-coaxial parallel apertures, the canonical holographic-MIMO link), each
-mirror splits it into an even and an odd half, so the spectrum is the
-merged spectra of four parity-sector blocks of about N/4 x N/4 each.
-Any other matrix takes one full SVD.
+When geometry.mirror_axes finds the receive u- and v-mirrors (two coaxial
+parallel apertures, the canonical holographic-MIMO link), each splits the
+matrix into an even and an odd half, so the spectrum is the merged spectra
+of four parity-sector blocks of about N/4 x N/4 each.  Any other scene
+takes one full SVD.
 """
 
 from __future__ import annotations
@@ -29,16 +29,15 @@ from typing import Any
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .geometry import QuadratureGrid
-from .kernel import DiscreteOperator, row_blocks
+from .geometry import QuadratureGrid, mirror_axes
+from .kernel import DiscreteOperator
 
 GAMMA_MODES = ("absolute", "relative")
 
-# Relative Frobenius distance ||A - P A Q||_F / ||A||_F between the matrix
-# and its mirror image below which it counts as mirror-symmetric.  By
-# Weyl's inequality each sector singular value then lies within a few
-# MIRROR_TOL * ||A||_F of the full SVD's.
-MIRROR_TOL = 1e-12
+# Transmit axes of the (rx_u, rx_v, tx_u, tx_v) matrix that the receive u-
+# and v-mirrors flip, keyed by their mirror_axes actions: the same-named
+# axes, or the other ones behind a receiver turned by 90 degrees.
+_SECTOR_AXES = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class CouplingSpectrum:
 
     values: np.ndarray          # (N,) real, s_n^2 sorted descending
     solver: str = "svd"         # "mirror-sectors" | "svd"
-    mirror_residual: float | None = None  # None: the mirror check stopped early
+    symmetry: tuple[str, ...] = ()  # receive mirrors the sectors used
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -91,29 +90,6 @@ class EdofReport:
     gamma_mode: str | None = None
     gamma_value: float | None = None
     diagnostics: dict[str, Any] = field(default_factory=dict)
-
-
-def _mirror_residual(a4: np.ndarray) -> float | None:
-    """max over the u- and v-mirrors of ||A - P A Q||_F / ||A||_F.
-
-    ``a4`` is the matrix as (n_u_rx, n_v_rx, n_u_tx, n_v_tx); the u-mirror
-    flips axes 0 and 2, the v-mirror axes 1 and 3.  Works one block of rx
-    u-rows at a time and returns None as soon as either residual exceeds
-    ``MIRROR_TOL``.
-    """
-    norm_sq = np.vdot(a4, a4).real
-    limit = MIRROR_TOL ** 2 * norm_sq
-    mirror_u = a4[::-1, :, ::-1, :]
-    mirror_v = a4[:, ::-1, :, ::-1]
-    res_u = res_v = 0.0
-    for rows in row_blocks(a4.shape[0], a4[0].size):
-        diff = a4[rows] - mirror_u[rows]
-        res_u += np.vdot(diff, diff).real
-        diff = a4[rows] - mirror_v[rows]
-        res_v += np.vdot(diff, diff).real
-        if max(res_u, res_v) > limit:
-            return None
-    return float(np.sqrt(max(res_u, res_v) / norm_sq)) if norm_sq > 0.0 else 0.0
 
 
 def _fold(x: np.ndarray, axis: int, odd: bool) -> np.ndarray:
@@ -162,26 +138,39 @@ def _sector_values(a4: np.ndarray) -> np.ndarray:
 def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
     """Squared singular values of the operator matrix, descending.
 
-    When the matrix commutes with the u- and v-mirrors of both lattices to
-    within ``MIRROR_TOL`` (checked on the matrix itself), the values come
-    from the four parity-sector blocks, padded with exact zeros to
-    min(N_rx, N_tx); otherwise from one full SVD.
+    ``operator.matrix`` must be what ``assemble_operator`` built from the
+    operator's grids and ``wave``: the solver is chosen from the grids
+    alone.  When ``mirror_axes`` holds the receive u- and v-mirrors as flips
+    of the two transmit axes, in either order, and as flips of the receive
+    grid's own axes, nodes and weights, the values come from the four
+    parity-sector blocks, padded with zeros to min(N_rx, N_tx); otherwise
+    from one full SVD.
+
+    Error bound: every node then lies within about SYMMETRY_RTOL * L of a
+    mirror image (L the largest aperture side) and weights match to
+    SYMMETRY_RTOL, so each s_n lies within 2 tau ||A||_F of the full SVD's
+    (Weyl), with tau = SYMMETRY_RTOL * (1 + 4 (k0 + 1/d_min) L) and d_min the
+    nearest node distance.
     """
     a = operator.matrix
-    a4 = a.reshape(operator.rx_grid.shape + operator.tx_grid.shape)
-    residual = _mirror_residual(a4)
+    tx_grid, rx_grid = operator.tx_grid, operator.rx_grid
+    on_tx = mirror_axes(tx_grid, rx_grid.surface)
+    on_rx = mirror_axes(rx_grid, rx_grid.surface)
+    axes = _SECTOR_AXES.get((on_tx.get("u"), on_tx.get("v")))
+    sectors = axes is not None and (on_rx.get("u"), on_rx.get("v")) == ("u", "v")
     try:
-        if residual is None:
+        if not sectors:
             s = np.linalg.svd(a, compute_uv=False)
         else:
+            a4 = a.reshape(rx_grid.shape + tx_grid.shape).transpose(0, 1, *axes)
             s = np.zeros(min(a.shape))
-            sectors = _sector_values(a4)
-            s[:sectors.size] = sectors
+            merged = _sector_values(a4)
+            s[:merged.size] = merged
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
     return CouplingSpectrum(values=s * s,
-                            solver="svd" if residual is None else "mirror-sectors",
-                            mirror_residual=residual)
+                            solver="mirror-sectors" if sectors else "svd",
+                            symmetry=("u", "v") if sectors else ())
 
 
 def resolve_threshold(gamma: float, mode: str, peak: float) -> float:

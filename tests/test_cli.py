@@ -53,6 +53,13 @@ def test_validate_missing_file_exits_1(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_validate_unreadable_config_exits_1(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file cannot be read")
+    assert "Traceback" not in err
+
+
 def test_run_writes_outputs_and_reports(tmp_path, capsys):
     path = _config_file(tmp_path)
     out = tmp_path / "out"

@@ -196,6 +196,21 @@ def test_load_config_wraps_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+    with pytest.raises(ConfigError, match="cannot be read"):
+        load_config(str(tmp_path))          # a directory
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"wave": "\xe9"}')  # not UTF-8
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(latin))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)   # nested past the parser's stack
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(deep))
+
+
+def test_top_level_value_must_be_an_object():
+    with pytest.raises(ConfigError, match="^top level: expected an object$"):
+        config_from_mapping([1, 2])
 
 
 # every key the parser reads, with both rotation forms

@@ -10,7 +10,6 @@ from edof.config import config_from_mapping
 from edof.errors import ConfigError, ResourceError
 from edof.experiment import report_mapping, run_experiment, run_sweep
 from edof.geometry import make_surface
-from edof.spectrum import MIRROR_TOL
 
 
 def _scene_mapping(grid=16, distance=10.0, methods=None, **extra):
@@ -63,7 +62,7 @@ def test_run_diagnostics_flags(full_report):
 def test_report_mapping_is_json_ready(full_report):
     mapping = report_mapping(full_report)
     text = json.dumps(mapping)  # must not hit numpy scalars
-    assert mapping["schema_version"] == "2"
+    assert mapping["schema_version"] == "3"
     assert mapping["status"] == "complete"
     assert len(mapping["edof"]) == 3
     assert mapping["spectrum"]["n_values"] == 256
@@ -74,7 +73,7 @@ def test_report_mapping_is_json_ready(full_report):
 def test_report_names_the_spectrum_solver(full_report):
     block = report_mapping(full_report)["spectrum"]
     assert block["solver"] == "mirror-sectors"
-    assert 0.0 <= block["mirror_residual"] <= MIRROR_TOL
+    assert block["symmetry"] == ["u", "v"]
 
     # criterion 2's tilted and offset receiver breaks both mirrors
     tilted = _scene_mapping(methods=["svd"])
@@ -85,7 +84,7 @@ def test_report_names_the_spectrum_solver(full_report):
     block = report_mapping(run_experiment(config_from_mapping(tilted),
                                           write=False))["spectrum"]
     assert block["solver"] == "svd"
-    assert block["mirror_residual"] is None
+    assert block["symmetry"] == []
 
 
 def test_report_names_the_folds(full_report):
