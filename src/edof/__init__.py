@@ -28,7 +28,14 @@ from .errors import (
     SingularKernelError,
 )
 from .experiment import ComparisonReport, SweepResult, run_experiment, run_sweep
-from .geometry import PlanarSurface, QuadratureGrid, discretize, make_surface, rotation_about
+from .geometry import (
+    PlanarSurface,
+    QuadratureGrid,
+    discretize,
+    make_surface,
+    quadrature_rule,
+    rotation_about,
+)
 from .kernel import (
     VACUUM_IMPEDANCE_OHM,
     DiscreteOperator,
@@ -103,6 +110,7 @@ __all__ = [
     "local_bandwidth",
     "make_surface",
     "polarization_study",
+    "quadrature_rule",
     "rotation_about",
     "run_experiment",
     "run_sweep",

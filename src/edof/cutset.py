@@ -31,10 +31,10 @@ from .errors import DiagnosticWarning, DimensionError, GeometryError, SingularKe
 from .geometry import (
     PlanarSurface,
     QuadratureGrid,
-    discretize,
     global_point,
     lattice_orbits,
     mirror_axes,
+    quadrature_rule,
 )
 from .kernel import WaveConfig, row_blocks
 from .spectrum import EdofReport
@@ -213,7 +213,7 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     """
     rx_surface = rx_grid.surface
     if method == "jacobian-integral":
-        fold = lattice_orbits(rx_grid.local_coords, rx_grid.shape,
+        fold = lattice_orbits(rx_grid.rule_u[0], rx_grid.rule_v[0],
                               mirror_axes(tx_grid, rx_surface))
         points = rx_grid.points[fold.nodes]
         folded = np.empty(len(points))
@@ -287,16 +287,17 @@ def box_support(ku_lo, ku_hi, kv_lo, kv_hi):
 def _uniform_lattice(grid: QuadratureGrid):
     """Shape and spacings of a u-major uniform midpoint lattice.
 
-    Raises GeometryError when the grid's nodes are not the midpoint lattice
-    of its shape (making FFT filtering ill-defined on it).
+    Raises GeometryError when either rule's nodes are not the midpoint nodes
+    of its side (making FFT filtering ill-defined on the grid).
     """
     n_u, n_v = grid.shape
     du = grid.surface.length_u / n_u
     dv = grid.surface.length_v / n_v
-    expected = discretize(grid.surface, n_u, n_v).local_coords
-    if not np.allclose(grid.local_coords, expected, rtol=0.0,
-                       atol=1e-9 * max(du, dv)):
-        raise GeometryError("grid nodes are not a uniform u-major midpoint lattice")
+    for (nodes, _), length in ((grid.rule_u, grid.surface.length_u),
+                               (grid.rule_v, grid.surface.length_v)):
+        midpoints = quadrature_rule(length, nodes.size, "midpoint")[0]
+        if np.max(np.abs(nodes - midpoints)) > 1e-9 * max(du, dv):
+            raise GeometryError("grid nodes are not a uniform u-major midpoint lattice")
     return n_u, n_v, du, dv
 
 

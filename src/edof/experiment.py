@@ -376,18 +376,26 @@ def _shifted_mapping(config: ExperimentConfig, axis: str, value: float) -> dict:
     return mapping
 
 
-def _sweep_scale_r(config: ExperimentConfig, values, max_matrix_entries: int) -> list[dict]:
+def _sweep_scale_r(config: ExperimentConfig, values,
+                   max_matrix_entries: int) -> tuple[list[dict], list[str]]:
     if config.gamma_mode != "relative":
         raise ConfigError("scale_r sweeps report thresholds relative to the "
                           "top mode; set gamma.mode to 'relative'")
     if not all(1.0 <= r < np.inf for r in values):
         raise ConfigError(f"scale_r values must be finite and >= 1, got {values}")
     gammas = tuple(sorted(set(DEFAULT_STUDY_GAMMAS) | {config.gamma_value}))
-    study = polarization_study(config.tx_surface, config.rx_surface, config.wave,
-                               scales=values, gammas=gammas,
-                               max_matrix_entries=max_matrix_entries)
-    return [{"axis_value": row.scale, "method": "svd",
-             "n_edof": row.n_edof[config.gamma_value]} for row in study]
+    rows, failures = [], []
+    for r in values:
+        try:
+            (row,) = polarization_study(config.tx_surface, config.rx_surface,
+                                        config.wave, scales=[r], gammas=gammas,
+                                        max_matrix_entries=max_matrix_entries)
+            n_edof = row.n_edof[config.gamma_value]
+        except Exception as exc:
+            failures.append(f"scale_r={r:g}: {type(exc).__name__}: {exc}")
+            n_edof = None
+        rows.append({"axis_value": r, "method": "svd", "n_edof": n_edof})
+    return rows, failures
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values,
@@ -410,7 +418,7 @@ def run_sweep(config: ExperimentConfig, axis: str, values,
     rows: list[dict] = []
     failures: list[str] = []
     if axis == "scale_r":
-        rows = _sweep_scale_r(config, values, max_matrix_entries)
+        rows, failures = _sweep_scale_r(config, values, max_matrix_entries)
     else:
         for value in values:
             try:

@@ -1,24 +1,26 @@
 """Planar rectangular apertures and quadrature grids.
 
 A surface is a flat rectangle in R^3 described by its center, an orthonormal
-tangent frame (tangent_u, tangent_v), the normal n = tangent_u x tangent_v,
-and the side lengths along the two tangent axes.  Local coordinates (a, b)
-are measured from the center, so a in [-length_u/2, length_u/2] and
-b in [-length_v/2, length_v/2].
+tangent frame (tangent_u, tangent_v) and the side lengths along the two
+tangent axes; its normal n = tangent_u x tangent_v is derived from the frame.
+Local coordinates (a, b) are measured from the center, so
+a in [-length_u/2, length_u/2] and b in [-length_v/2, length_v/2].
 
-A quadrature grid attaches nodes and positive weights to a surface so that
-sum(w_i * f(p_i)) approximates the surface integral of f.  Supported rules
-are the midpoint (uniform cell) rule and tensor-product Gauss-Legendre.
+A quadrature grid is a surface and two 1-D rules, one per tangent axis:
+nodes and positive weights.  Their tensor product gives the 2-D nodes and
+weights, so sum(w_i * f(p_i)) approximates the surface integral of f.
+Supported rules are the midpoint (uniform cell) rule and Gauss-Legendre.
 
 A scene's mirror symmetry is decided here, once, for all three estimators:
 ``mirror_axes`` names the reflections of the receive frame that map a grid
-onto itself and how each acts on its axes, and ``lattice_orbits`` folds a
-symmetric 2-D lattice to one node per orbit of those reflections.
+onto itself and how each acts on its axes, and ``lattice_orbits`` folds the
+tensor lattice of two coordinate axes to one node per orbit of those
+reflections, reading each reflection from the axes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +33,6 @@ FRAME_TOL = 1e-12
 ROTATION_TOL = 1e-10
 # Relative tolerance for the weight-sum == area check.
 WEIGHT_SUM_RTOL = 1e-10
-# Absolute tolerance (meters) for "grid point lies in the surface plane".
-PLANE_TOL = 1e-12
 # Largest node displacement, relative to the size of the apertures or the
 # lattice, up to which a reflection still counts as mapping a grid onto
 # itself.  Rounding leaves about 1e-13 on rigidly moved coaxial scenes; a
@@ -42,8 +42,6 @@ SYMMETRY_RTOL = 1e-11
 # normal of the mirror plane in (ru, rv) components: "u" takes a -> -a, "v"
 # takes b -> -b, and "swap" exchanges a and b.
 MIRRORS = {"u": (1.0, 0.0), "v": (0.0, 1.0), "swap": (np.sqrt(0.5), -np.sqrt(0.5))}
-# Coordinate signs of the lattice generators that flip axes.
-_LATTICE_FLIPS = {"u": (-1.0, 1.0), "v": (1.0, -1.0), "point": (-1.0, -1.0)}
 
 
 def _as_unit(vec, name):
@@ -63,20 +61,19 @@ class PlanarSurface:
     center: np.ndarray
     tangent_u: np.ndarray
     tangent_v: np.ndarray
-    normal: np.ndarray
     length_u: float
     length_v: float
+    normal: np.ndarray = field(init=False)   # tangent_u x tangent_v
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if self.center.shape != (3,):
             raise GeometryError("center must be a 3-vector")
-        for name in ("tangent_u", "tangent_v", "normal"):
+        for name in ("tangent_u", "tangent_v"):
             object.__setattr__(self, name, _as_unit(getattr(self, name), name))
         if abs(self.tangent_u @ self.tangent_v) > FRAME_TOL:
             raise GeometryError("tangent_u and tangent_v are not orthogonal")
-        if np.max(np.abs(np.cross(self.tangent_u, self.tangent_v) - self.normal)) > FRAME_TOL:
-            raise GeometryError("normal must equal cross(tangent_u, tangent_v)")
+        object.__setattr__(self, "normal", np.cross(self.tangent_u, self.tangent_v))
         if not (self.length_u > 0.0 and self.length_v > 0.0):
             raise GeometryError("side lengths must be positive")
 
@@ -103,9 +100,7 @@ def make_surface(center, rotation, length_u, length_v) -> PlanarSurface:
     u = r[:, 0] / np.linalg.norm(r[:, 0])
     v = r[:, 1] - (r[:, 1] @ u) * u
     v /= np.linalg.norm(v)
-    n = np.cross(u, v)
-    return PlanarSurface(center=np.asarray(center, dtype=float), tangent_u=u,
-                         tangent_v=v, normal=n,
+    return PlanarSurface(center=np.asarray(center, dtype=float), tangent_u=u, tangent_v=v,
                          length_u=float(length_u), length_v=float(length_v))
 
 
@@ -125,45 +120,53 @@ def rotation_about(axis, angle) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Quadrature nodes and weights attached to a surface.
+    """A surface sampled by the tensor product of two 1-D quadrature rules.
 
-    ``points`` are global 3-space positions, ``local_coords`` the matching
-    (a, b) surface coordinates, and ``weights`` the positive quadrature
-    weights, which sum to the surface area.  ``shape`` is the (n_u, n_v)
-    node lattice, with N = n_u * n_v.
+    ``rule_u`` and ``rule_v`` are (nodes, weights) pairs along tangent_u and
+    tangent_v: local coordinates from the center and positive weights.  The
+    u-major lattice (index = iu * n_v + iv) is derived from them once:
+    ``shape`` is (n_u, n_v), ``local_coords`` the (N, 2) (a, b) coordinates,
+    ``points`` the global 3-space positions, and ``weights`` the products
+    w_u[iu] * w_v[iv], which sum to the surface area.
     """
 
     surface: PlanarSurface
-    points: np.ndarray       # (N, 3)
-    local_coords: np.ndarray  # (N, 2)
-    weights: np.ndarray      # (N,)
-    shape: tuple[int, int]
+    rule_u: tuple[np.ndarray, np.ndarray]
+    rule_v: tuple[np.ndarray, np.ndarray]
+    shape: tuple[int, int] = field(init=False)
+    local_coords: np.ndarray = field(init=False)  # (N, 2)
+    points: np.ndarray = field(init=False)        # (N, 3)
+    weights: np.ndarray = field(init=False)       # (N,)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "local_coords", np.asarray(self.local_coords, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        n = self.points.shape[0]
-        if self.points.shape != (n, 3) or self.local_coords.shape != (n, 2) \
-                or self.weights.shape != (n,) or n == 0:
-            raise GeometryError("inconsistent grid array shapes")
-        if len(self.shape) != 2 or min(self.shape) < 1 \
-                or self.shape[0] * self.shape[1] != n:
-            raise GeometryError(f"lattice shape {self.shape} does not hold {n} nodes")
-        if not np.all(self.weights > 0.0):
-            raise GeometryError("quadrature weights must be strictly positive")
+        for name in ("rule_u", "rule_v"):
+            nodes, weights = (np.asarray(x, dtype=float) for x in getattr(self, name))
+            if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
+                raise GeometryError(f"{name} needs nodes and weights of one nonzero length")
+            if not np.all(weights > 0.0):
+                raise GeometryError("quadrature weights must be strictly positive")
+            object.__setattr__(self, name, (nodes, weights))
+        (xu, wu), (xv, wv) = self.rule_u, self.rule_v
+        weights = np.outer(wu, wv).ravel()
         area = self.surface.area
-        if abs(self.weights.sum() - area) > WEIGHT_SUM_RTOL * area:
+        if abs(weights.sum() - area) > WEIGHT_SUM_RTOL * area:
             raise GeometryError("quadrature weights do not sum to the surface area")
-        offsets = self.points - self.surface.center
-        if np.max(np.abs(offsets @ self.surface.normal)) > PLANE_TOL:
-            raise GeometryError("grid points do not lie in the surface plane")
+        A, B = np.meshgrid(xu, xv, indexing="ij")
+        local = np.column_stack([A.ravel(), B.ravel()])
+        s = self.surface
+        points = (s.center[None, :]
+                  + local[:, :1] * s.tangent_u[None, :]
+                  + local[:, 1:] * s.tangent_v[None, :])
+        for name, value in (("shape", (xu.size, xv.size)), ("local_coords", local),
+                            ("points", points), ("weights", weights)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
 
-def _nodes_1d(length, n, rule):
+def quadrature_rule(length, n, rule):
+    """(nodes, weights) of an n-node 1-D rule on [-length/2, length/2]."""
     if rule == "midpoint":
         x = (np.arange(n) + 0.5) * (length / n) - length / 2.0
         w = np.full(n, length / n)
@@ -184,17 +187,8 @@ def discretize(surface: PlanarSurface, n_u: int, n_v: int,
     """
     if int(n_u) != n_u or int(n_v) != n_v or n_u < 1 or n_v < 1:
         raise GeometryError(f"grid counts must be positive integers, got ({n_u}, {n_v})")
-    n_u, n_v = int(n_u), int(n_v)
-    xu, wu = _nodes_1d(surface.length_u, n_u, rule)
-    xv, wv = _nodes_1d(surface.length_v, n_v, rule)
-    A, B = np.meshgrid(xu, xv, indexing="ij")
-    local = np.column_stack([A.ravel(), B.ravel()])
-    weights = np.outer(wu, wv).ravel()
-    points = (surface.center[None, :]
-              + local[:, :1] * surface.tangent_u[None, :]
-              + local[:, 1:] * surface.tangent_v[None, :])
-    return QuadratureGrid(surface=surface, points=points, local_coords=local,
-                          weights=weights, shape=(n_u, n_v))
+    return QuadratureGrid(surface, quadrature_rule(surface.length_u, int(n_u), rule),
+                          quadrature_rule(surface.length_v, int(n_v), rule))
 
 
 def global_point(surface: PlanarSurface, local) -> np.ndarray:
@@ -338,43 +332,32 @@ class LatticeFold:
     gather: np.ndarray          # (N,) position in nodes of each node's orbit
 
 
-def _lattice_holds(coords, perm, name, tol):
-    """True when every node's image node under the generator ``name`` sits
-    at the node's coordinates mirrored (or swapped), to ``tol``."""
-    gap = coords[perm]
-    if name == "swap":
-        gap = gap[:, ::-1]
-    else:
-        gap *= _LATTICE_FLIPS[name]
-    gap -= coords
-    return max(gap.max(), -gap.min()) <= tol
+def lattice_orbits(axis_u, axis_v, symmetry) -> LatticeFold:
+    """Fold the u-major tensor lattice of two coordinate axes to the first
+    node of each orbit.
 
-
-def lattice_orbits(coords, shape, symmetry) -> LatticeFold:
-    """Fold a u-major (n_u, n_v) lattice to the first node of each orbit.
-
-    ``coords`` are the (N, 2) in-plane node coordinates.  ``symmetry`` names
-    the generators: the MIRRORS reflections "u" (node (i, j) to
-    (n_u-1-i, j)), "v" and "swap" ((i, j) to (j, i)), and "point" ((a, b) to
-    (-a, -b)).  A generator is kept only when every node's coordinates map
-    onto those of its image node, to SYMMETRY_RTOL of the largest
-    coordinate; "swap" therefore needs equal counts and spacings on the two
-    axes.  Generators the lattice does not hold are dropped, and an empty
+    ``symmetry`` names the generators: the MIRRORS reflections "u" (node
+    (i, j) to (n_u-1-i, j)), "v" and "swap" ((i, j) to (j, i)), and "point"
+    ((a, b) to (-a, -b)).  Each is read from the axes, to SYMMETRY_RTOL of
+    the largest coordinate: "u" or "v" holds when that axis equals its own
+    reverse, negated, "point" when both do, and "swap" when the two axes are
+    equal.  Generators the lattice does not hold are dropped, and an empty
     set folds nothing.
     """
-    n_u, n_v = shape
-    coords = np.asarray(coords, dtype=float)
+    axis_u, axis_v = np.asarray(axis_u, dtype=float), np.asarray(axis_v, dtype=float)
+    tol = SYMMETRY_RTOL * max(np.abs(axis_u).max(), np.abs(axis_v).max())
+
+    def equal(x, y):
+        return x.shape == y.shape and np.max(np.abs(x - y)) <= tol
+
+    holds = {"u": equal(-axis_u[::-1], axis_u), "v": equal(-axis_v[::-1], axis_v),
+             "swap": equal(axis_u, axis_v)}
+    holds["point"] = holds["u"] and holds["v"]
+    kept = tuple(name for name in symmetry if holds[name])
+    n_u, n_v = axis_u.size, axis_v.size
     index = np.arange(n_u * n_v).reshape(n_u, n_v)
-    tol = SYMMETRY_RTOL * max(coords.max(), -coords.min())
-    kept, perms = [], []
-    for name in symmetry:
-        if name == "swap" and n_u != n_v:
-            continue
-        perm = {"u": index[::-1, :], "v": index[:, ::-1], "swap": index.T,
-                "point": index[::-1, ::-1]}[name].ravel()
-        if _lattice_holds(coords, perm, name, tol):
-            kept.append(name)
-            perms.append(perm)
+    perms = [{"u": index[::-1, :], "v": index[:, ::-1], "swap": index.T,
+              "point": index[::-1, ::-1]}[name].ravel() for name in kept]
     # each generator is an involution, so the fixed point holds each orbit's
     # smallest index on all of its nodes
     rep = np.arange(n_u * n_v)
@@ -389,5 +372,5 @@ def lattice_orbits(coords, shape, symmetry) -> LatticeFold:
     # instead of leaving it resident beneath them
     del index, perms, low
     nodes = np.flatnonzero(rep == np.arange(rep.size))
-    return LatticeFold(symmetry=tuple(kept), nodes=nodes,
+    return LatticeFold(symmetry=kept, nodes=nodes,
                        gather=np.searchsorted(nodes, rep))

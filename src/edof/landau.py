@@ -65,9 +65,6 @@ DEFAULT_EXTENT_COHERENCE_UNITS = 8.0
 BAND_PAD_LOBES = 2.0
 # |g| at the lag-window boundary should fall below this fraction of g(0).
 BOUNDARY_DECAY_FRACTION = 1e-3
-# Transform noise floor: H may dip this far below zero (relative to max)
-# before clamping without signalling an invalid autocorrelation.
-NEGATIVITY_TOL = 1e-9
 
 DEFAULT_STUDY_GAMMAS = (0.01, 0.5, 0.99)
 DEFAULT_POINTS_PER_WAVELENGTH = 2.5
@@ -117,23 +114,23 @@ def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     return out
 
 
-def _autocorrelation_lattice(lags, shape, mirrors, reference, rx_surface,
-                             tx_grid, wave):
-    """g on a u-major lag lattice of the given shape, one lag per orbit.
+def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid,
+                             wave):
+    """g on the u-major lattice of two lag axes, one lag per orbit.
 
     Every scene has g(-delta) = conj(g(delta)).  When ``mirrors`` (from
     mirror_axes) holds both the u- and the v-mirror, g is also even in each
     axis, hence real: it is folded by the mirrors (and the swap, when held)
-    and its real part gathered.  Otherwise it is folded by the point reflection, and the
-    mirrored half is filled with exact conjugates.  Returns g and the fold.
+    and its real part gathered.  Otherwise it is folded by the point
+    reflection, and the mirrored half is filled with exact conjugates.
+    Returns g and the fold.
     """
-    fold = lattice_orbits(lags, shape, mirrors)
-    real = {"u", "v"} <= set(fold.symmetry)
-    if not real:
-        fold = lattice_orbits(lags, shape, ("point",))
+    lag_u, lag_v = np.meshgrid(*axes, indexing="ij")
+    lags = np.column_stack([lag_u.ravel(), lag_v.ravel()])
+    fold = lattice_orbits(*axes, mirrors if {"u", "v"} <= set(mirrors) else ("point",))
     g = _autocorrelation_many(lags[fold.nodes], reference, rx_surface,
                               tx_grid, wave)
-    if real:
+    if {"u", "v"} <= set(fold.symmetry):
         return np.real(g)[fold.gather], fold
     g = g[fold.gather]
     mirrored = fold.nodes[fold.gather] != np.arange(len(lags))
@@ -246,9 +243,7 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
 
     iu = np.arange(n_u) - (n_u - 1) / 2.0
     iv = np.arange(n_v) - (n_v - 1) / 2.0
-    lag_u, lag_v = np.meshgrid(iu * du, iv * dv, indexing="ij")
-    lags = np.column_stack([lag_u.ravel(), lag_v.ravel()])
-    g, fold = _autocorrelation_lattice(lags, (n_u, n_v),
+    g, fold = _autocorrelation_lattice((iu * du, iv * dv),
                                        mirror_axes(tx_grid, rx_surface),
                                        rx_surface.center, rx_surface, tx_grid, wave)
     g = g.reshape(n_u, n_v)

@@ -141,6 +141,21 @@ def test_sweep_rejects_scale_r_below_one_or_not_finite(tmp_path, capsys, value):
     assert "error: scale_r values must be finite and >= 1" in capsys.readouterr().err
 
 
+def test_sweep_unresolvable_scale_r_exits_2_and_keeps_the_other_rows(tmp_path, capsys):
+    small = {"size_m": [0.1, 0.1], "grid": [10, 10]}
+    path = _config_file(tmp_path, methods=["svd"],
+                        tx={**BASE["tx"], **small}, rx={**BASE["rx"], **small})
+    out = tmp_path / "out"
+    code = main(["sweep", path, "--axis", "scale_r", "--values", "1,40",
+                 "--out", str(out)])
+    assert code == 2
+    assert "FAILED: scale_r=40: ResourceError" in capsys.readouterr().err
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "axis_value,method,n_edof"
+    assert lines[1].startswith("1,svd,") and lines[1] != "1,svd,nan"
+    assert lines[2] == "40,svd,nan"
+
+
 def test_sweep_partial_failure_exits_2(tmp_path, capsys):
     path = _config_file(tmp_path)
     code = main(["sweep", path, "--axis", "distance", "--values", "0,10",

@@ -269,6 +269,23 @@ def test_scale_r_sweep_reports_svd_rows(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def test_scale_r_sweep_records_an_unresolvable_scale_and_goes_on(tmp_path):
+    mapping = _scene_mapping(grid=10, methods=["svd"])
+    mapping["tx"]["size_m"] = [0.1, 0.1]
+    mapping["rx"]["size_m"] = [0.1, 0.1]
+    cfg = config_from_mapping(mapping)
+    # at r = 40 the default budget caps the grid below the predicted count
+    result = run_sweep(cfg, "scale_r", [1.0, 40.0], out_dir=str(tmp_path))
+    assert [row["axis_value"] for row in result.rows] == [1.0, 40.0]
+    assert result.rows[0]["n_edof"] >= 1
+    assert result.rows[1]["n_edof"] is None
+    assert len(result.failures) == 1
+    assert result.failures[0].startswith("scale_r=40: ResourceError:")
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("1,svd,")
+    assert lines[2] == "40,svd,nan"
+
+
 def test_scale_r_sweep_requires_relative_threshold():
     cfg = config_from_mapping(_scene_mapping(
         gamma={"mode": "absolute", "value": 1.0}))

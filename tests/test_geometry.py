@@ -12,6 +12,7 @@ from edof.geometry import (
     global_point,
     local_point,
     make_surface,
+    quadrature_rule,
     rotation_about,
     surfaces_intersect,
 )
@@ -172,17 +173,30 @@ def test_surface_is_immutable():
 
 def test_grid_invariants_enforced():
     s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
-    g = discretize(s, 2, 2)
+    x, w = quadrature_rule(1.0, 2, "midpoint")
     with pytest.raises(GeometryError):
-        QuadratureGrid(surface=s, points=g.points, local_coords=g.local_coords,
-                       weights=-g.weights, shape=g.shape)
+        QuadratureGrid(s, (x, -w), (x, w))
     with pytest.raises(GeometryError):
-        QuadratureGrid(surface=s, points=g.points, local_coords=g.local_coords,
-                       weights=2.0 * g.weights, shape=g.shape)
-    off_plane = g.points + np.array([0.0, 0.0, 1e-6])
-    with pytest.raises(GeometryError):
-        QuadratureGrid(surface=s, points=off_plane, local_coords=g.local_coords,
-                       weights=g.weights, shape=g.shape)
+        QuadratureGrid(s, (x, 2.0 * w), (x, w))
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "gauss-legendre"])
+@pytest.mark.parametrize("n_u,n_v", [(1, 1), (1, 4), (3, 2), (6, 7), (9, 9)])
+def test_grid_is_the_tensor_product_of_its_rules(rule, n_u, n_v):
+    """The derived lattice is, bit for bit, the meshgrid, column stack, outer
+    product and point sum of the two 1-D rules."""
+    s = make_surface((0.5, -2.0, 4.0), rotation_about((0.3, -1.0, 0.2), 1.1), 0.7, 1.3)
+    (xu, wu), (xv, wv) = quadrature_rule(0.7, n_u, rule), quadrature_rule(1.3, n_v, rule)
+    g = QuadratureGrid(s, (xu, wu), (xv, wv))
+    A, B = np.meshgrid(xu, xv, indexing="ij")
+    local = np.column_stack([A.ravel(), B.ravel()])
+    points = (s.center[None, :] + local[:, :1] * s.tangent_u[None, :]
+              + local[:, 1:] * s.tangent_v[None, :])
+    assert g.shape == (n_u, n_v) and len(g) == n_u * n_v
+    assert np.array_equal(g.local_coords, local)
+    assert np.array_equal(g.weights, np.outer(wu, wv).ravel())
+    assert np.array_equal(g.points, points)
+    assert np.array_equal(discretize(s, n_u, n_v, rule=rule).points, points)
 
 
 def test_discretize_records_lattice_shape():
@@ -191,10 +205,11 @@ def test_discretize_records_lattice_shape():
     assert discretize(s, 4, 2, rule="gauss-legendre").shape == (4, 2)
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (4, 2), (1, 4, 1), (-2, -2)])
+@pytest.mark.parametrize("shape", [(2, 3), (4, 2), (1, 0), (0, 0)])
 def test_grid_rejects_shape_not_matching_point_count(shape):
+    """A rule needs as many weights as nodes, and at least one of each."""
     s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
-    g = discretize(s, 2, 2)
-    with pytest.raises(GeometryError, match="lattice shape"):
-        QuadratureGrid(surface=s, points=g.points, local_coords=g.local_coords,
-                       weights=g.weights, shape=shape)
+    n_nodes, n_weights = shape
+    rule = (np.linspace(-0.4, 0.4, n_nodes), np.full(n_weights, 1.0 / max(n_weights, 1)))
+    with pytest.raises(GeometryError, match="nodes and weights"):
+        QuadratureGrid(s, rule, quadrature_rule(1.0, 2, "midpoint"))

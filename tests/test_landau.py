@@ -172,15 +172,15 @@ def rotated_scene(wave):
     return rx, discretize(tx, 13, 11)
 
 
-def _unfolded(coords, shape, symmetry):
+def _unfolded(axis_u, axis_v, symmetry):
     """Stand-in for lattice_orbits that folds nothing: every lag is evaluated."""
-    return lattice_orbits(coords, shape, ())
+    return lattice_orbits(axis_u, axis_v, ())
 
 
 def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch):
     rx, tx_grid = rotated_scene
-    iu, iv = np.arange(21) - 10.0, np.arange(15) - 7.0
-    lag_u, lag_v = np.meshgrid(iu * 0.5 / 21, iv * 0.5 / 15, indexing="ij")
+    axes = (np.arange(21) - 10.0) * 0.5 / 21, (np.arange(15) - 7.0) * 0.5 / 15
+    lag_u, lag_v = np.meshgrid(*axes, indexing="ij")
     lags = np.column_stack([lag_u.ravel(), lag_v.ravel()])
     evaluated = []
 
@@ -189,7 +189,7 @@ def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch)
         return _autocorrelation_many(lags, *args)
 
     monkeypatch.setattr(edof.landau, "_autocorrelation_many", spy)
-    g, fold = _autocorrelation_lattice(lags, (21, 15), mirror_axes(tx_grid, rx),
+    g, fold = _autocorrelation_lattice(axes, mirror_axes(tx_grid, rx),
                                        rx.center, rx, tx_grid, wave)
     monkeypatch.undo()
     assert fold.symmetry == ("point",)

@@ -245,9 +245,10 @@ def _coaxial_operator(tx_counts, rx_counts, tx_size=(0.5, 0.5), rx_size=(0.5, 0.
     rx = make_surface(rot @ rx_center + shift, rot @ rx_turn, *rx_size)
     rx_grid = discretize(rx, *rx_counts, rule=rule)
     if rx_edge_weights is not None:
-        scale = np.ones(rx_counts)
-        scale[[0, -1]] = np.reshape(rx_edge_weights, (2, 1))
-        rx_grid = dataclasses.replace(rx_grid, weights=rx_grid.weights * scale.ravel())
+        nodes, weights = rx_grid.rule_u
+        scale = np.ones(rx_counts[0])
+        scale[[0, -1]] = rx_edge_weights
+        rx_grid = dataclasses.replace(rx_grid, rule_u=(nodes, weights * scale))
     return assemble_operator(discretize(tx, *tx_counts, rule=rule), rx_grid, wave)
 
 

@@ -74,19 +74,23 @@ def test_mirror_axes_names_the_reflections_that_hold(name):
 
 def test_mirror_axes_reads_the_weights():
     tx_grid, rx_grid = _scene()
-    a = tx_grid.local_coords[:, 0]
-    weights = tx_grid.weights * (1.0 + a)
-    weights *= tx_grid.weights.sum() / weights.sum()
-    tilted = QuadratureGrid(surface=tx_grid.surface, points=tx_grid.points,
-                            local_coords=tx_grid.local_coords, weights=weights,
-                            shape=tx_grid.shape)
+    a, w = tx_grid.rule_u
+    weights = w * (1.0 + a)
+    weights *= w.sum() / weights.sum()
+    tilted = QuadratureGrid(tx_grid.surface, (a, weights), tx_grid.rule_v)
     assert mirror_axes(tilted, rx_grid.surface) == {"v": "v"}
 
 
 def _integer_lattice(n_u, n_v, spacing=(1.0, 1.0)):
-    iu, iv = np.meshgrid(np.arange(n_u) - (n_u - 1) / 2.0,
-                         np.arange(n_v) - (n_v - 1) / 2.0, indexing="ij")
-    return np.column_stack([iu.ravel() * spacing[0], iv.ravel() * spacing[1]])
+    """The two centered coordinate axes of an n_u x n_v lattice."""
+    return ((np.arange(n_u) - (n_u - 1) / 2.0) * spacing[0],
+            (np.arange(n_v) - (n_v - 1) / 2.0) * spacing[1])
+
+
+def _coords(axes):
+    """(N, 2) u-major node coordinates of the lattice of two axes."""
+    a, b = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([a.ravel(), b.ravel()])
 
 
 @pytest.mark.parametrize("shape, symmetry, orbits", [
@@ -100,15 +104,15 @@ def _integer_lattice(n_u, n_v, spacing=(1.0, 1.0)):
     ((1, 1), ("u", "v", "swap", "point"), 1),
 ])
 def test_lattice_orbits_counts_and_gathers(shape, symmetry, orbits):
-    coords = _integer_lattice(*shape)
-    fold = lattice_orbits(coords, shape, symmetry)
+    axes = _integer_lattice(*shape)
+    fold = lattice_orbits(*axes, symmetry)
     assert fold.symmetry == tuple(s for s in symmetry
                                   if s != "swap" or shape[0] == shape[1])
     assert len(fold.nodes) == orbits
     assert np.all(np.diff(fold.nodes) > 0)
     assert np.array_equal(fold.nodes[fold.gather[fold.nodes]], fold.nodes)
     # a function with the lattice's symmetry is rebuilt from the orbit minima
-    invariant = _invariant(coords, fold.symmetry)
+    invariant = _invariant(_coords(axes), fold.symmetry)
     assert np.array_equal(invariant[fold.nodes][fold.gather], invariant)
 
 
@@ -125,9 +129,8 @@ def _invariant(coords, symmetry):
 
 
 def test_point_fold_is_the_hermitian_half():
-    coords = _integer_lattice(21, 15, spacing=(0.3, 0.7))
-    fold = lattice_orbits(coords, (21, 15), ("point",))
-    m = len(coords)
+    fold = lattice_orbits(*_integer_lattice(21, 15, spacing=(0.3, 0.7)), ("point",))
+    m = 21 * 15
     assert np.array_equal(fold.nodes, np.arange((m + 1) // 2))
     assert np.array_equal(fold.nodes[fold.gather],
                           np.minimum(np.arange(m), np.arange(m)[::-1]))
@@ -135,14 +138,15 @@ def test_point_fold_is_the_hermitian_half():
 
 def test_lattice_orbits_drops_what_the_lattice_does_not_hold():
     # swap needs equal spacings as well as equal counts
-    fold = lattice_orbits(_integer_lattice(9, 9, spacing=(1.0, 1.5)), (9, 9),
+    fold = lattice_orbits(*_integer_lattice(9, 9, spacing=(1.0, 1.5)),
                           ("u", "v", "swap"))
     assert fold.symmetry == ("u", "v")
-    coords = _integer_lattice(9, 9)
-    coords[4, 0] += 1e-6   # node (0, 4), on the v-mirror line
-    fold = lattice_orbits(coords, (9, 9), ("u", "v", "swap"))
+    axis_u, axis_v = _integer_lattice(9, 9)
+    axis_u[0] += 1e-6   # the first u-axis entry
+    # the point reflection needs both axes mirrored
+    fold = lattice_orbits(axis_u, axis_v, ("u", "v", "swap", "point"))
     assert fold.symmetry == ("v",)
-    none = lattice_orbits(coords, (9, 9), ())
+    none = lattice_orbits(axis_u, axis_v, ())
     assert none.symmetry == ()
     assert np.array_equal(none.nodes, np.arange(81))
     assert np.array_equal(none.gather, np.arange(81))
@@ -154,17 +158,18 @@ def _direct_field(tx_grid, rx_grid):
                           rx_grid.surface, WAVE) @ tx_grid.weights
 
 
-def _unfolded(coords, shape, symmetry):
+def _unfolded(axis_u, axis_v, symmetry):
     """Stand-in for lattice_orbits that folds nothing: every lag is evaluated."""
-    return lattice_orbits(coords, shape, ())
+    return lattice_orbits(axis_u, axis_v, ())
 
 
-def _hermitian_half(lags, shape, mirrors, reference, rx_surface, tx_grid, wave):
+def _hermitian_half(axes, mirrors, reference, rx_surface, tx_grid, wave):
     """g as an unfolded scene gets it: the first half of the lag list, and
     exact conjugates for the rest."""
+    lags = _coords(axes)
     half = _autocorrelation_many(lags[:(len(lags) + 1) // 2], reference,
                                  rx_surface, tx_grid, wave)
-    return np.concatenate([half, np.conj(half[-2::-1])]), _unfolded(lags, shape, ())
+    return np.concatenate([half, np.conj(half[-2::-1])]), _unfolded(*axes, ())
 
 
 def _response(tx_grid, rx_grid, lag_grid=(11, 11), lag_extent=0.4):
@@ -257,10 +262,7 @@ def test_folds_match_direct_evaluation(scene):
                                atol=1e-13 * full.H_values.max() + own_asymmetry)
 
     # the folded correlation keeps g(-delta) = conj(g(delta)) exactly
-    du, dv = (0.4 / n for n in lag_grid)
-    iu, iv = (np.arange(n) - (n - 1) / 2.0 for n in lag_grid)
-    lag_u, lag_v = np.meshgrid(iu * du, iv * dv, indexing="ij")
-    lags = np.column_stack([lag_u.ravel(), lag_v.ravel()])
-    g, _ = _autocorrelation_lattice(lags, lag_grid, mirrors, rx_grid.surface.center,
+    axes = _integer_lattice(*lag_grid, spacing=[0.4 / n for n in lag_grid])
+    g, _ = _autocorrelation_lattice(axes, mirrors, rx_grid.surface.center,
                                     rx_grid.surface, tx_grid, WAVE)
     assert np.array_equal(g[::-1], np.conj(g))
