@@ -119,6 +119,20 @@ def _parse_surface(value: Any, path: str) -> tuple[PlanarSurface, tuple[int, int
     return surface, grid, echo
 
 
+def _choices(value: Any, path: str, valid: tuple[str, ...], kind: str) -> list[str]:
+    """A nonempty list of values from ``valid``, duplicates dropped in
+    first-seen order."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise _fail(path, "expected a nonempty list")
+    out: list[str] = []
+    for i, x in enumerate(value):
+        if x not in valid:
+            raise _fail(f"{path}[{i}]", f"unknown {kind} {x!r}")
+        if x not in out:
+            out.append(x)
+    return out
+
+
 def _parse_pair(value: Any, path: str, kind: str) -> Any:
     """Scalar or length-2 list of positive numbers/ints, or None for auto."""
     if value is None:
@@ -190,15 +204,8 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
     if surfaces_intersect(tx_surface, rx_surface):
         raise ConfigError("tx/rx: surfaces intersect")
 
-    methods_raw = data.get("methods", _DEFAULTS["methods"])
-    if not isinstance(methods_raw, (list, tuple)) or not methods_raw:
-        raise _fail("methods", "expected a nonempty list")
-    methods: list[str] = []
-    for i, m in enumerate(methods_raw):
-        if m not in VALID_METHODS:
-            raise _fail(f"methods[{i}]", f"unknown method {m!r}")
-        if m not in methods:
-            methods.append(m)
+    methods = _choices(data.get("methods", _DEFAULTS["methods"]), "methods",
+                       VALID_METHODS, "method")
 
     gamma_raw = _require_mapping(data.get("gamma", _DEFAULTS["gamma"]), "gamma", ("mode", "value"))
     gamma_mode = gamma_raw.get("mode", _DEFAULTS["gamma"]["mode"])
@@ -220,15 +227,8 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
     directory = output_raw.get("directory", _DEFAULTS["output"]["directory"])
     if not isinstance(directory, str) or not directory:
         raise _fail("output.directory", "expected a nonempty string")
-    formats_raw = output_raw.get("formats", _DEFAULTS["output"]["formats"])
-    if not isinstance(formats_raw, (list, tuple)) or not formats_raw:
-        raise _fail("output.formats", "expected a nonempty list")
-    formats: list[str] = []
-    for i, f in enumerate(formats_raw):
-        if f not in VALID_FORMATS:
-            raise _fail(f"output.formats[{i}]", f"unknown format {f!r}")
-        if f not in formats:
-            formats.append(f)
+    formats = _choices(output_raw.get("formats", _DEFAULTS["output"]["formats"]),
+                       "output.formats", VALID_FORMATS, "format")
 
     seed = _integer(data.get("seed", _DEFAULTS["seed"]), "seed")
 

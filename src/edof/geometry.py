@@ -10,6 +10,8 @@ A quadrature grid is a surface and two 1-D rules, one per tangent axis:
 nodes and positive weights.  Their tensor product gives the 2-D nodes and
 weights, so sum(w_i * f(p_i)) approximates the surface integral of f.
 Supported rules are the midpoint (uniform cell) rule and Gauss-Legendre.
+``surfaces_intersect`` decides from the two rectangles' ``corners`` whether
+they share a point.
 
 A scene's mirror symmetry is decided here, once, for all three estimators:
 ``mirror_axes`` names the reflections of the receive frame that map a grid
@@ -33,6 +35,9 @@ FRAME_TOL = 1e-12
 ROTATION_TOL = 1e-10
 # Relative tolerance for the weight-sum == area check.
 WEIGHT_SUM_RTOL = 1e-10
+# Separating-axis test: tangent crossings shorter than this are parallel
+# tangents and give no axis, and a gap must exceed this many meters.
+INTERSECT_TOL = 1e-12
 # Largest node displacement, relative to the size of the apertures or the
 # lattice, up to which a reflection still counts as mapping a grid onto
 # itself.  Rounding leaves about 1e-13 on rigidly moved coaxial scenes; a
@@ -42,6 +47,12 @@ SYMMETRY_RTOL = 1e-11
 # normal of the mirror plane in (ru, rv) components: "u" takes a -> -a, "v"
 # takes b -> -b, and "swap" exchanges a and b.
 MIRRORS = {"u": (1.0, 0.0), "v": (0.0, 1.0), "swap": (np.sqrt(0.5), -np.sqrt(0.5))}
+
+
+def _on_side(x, length):
+    """|x| <= length / 2 elementwise, with a 1e-12 relative slack so boundary
+    points survive round-off."""
+    return np.abs(x) <= 0.5 * length * (1.0 + 1e-12)
 
 
 def _as_unit(vec, name):
@@ -123,11 +134,12 @@ class QuadratureGrid:
     """A surface sampled by the tensor product of two 1-D quadrature rules.
 
     ``rule_u`` and ``rule_v`` are (nodes, weights) pairs along tangent_u and
-    tangent_v: local coordinates from the center and positive weights.  The
-    u-major lattice (index = iu * n_v + iv) is derived from them once:
-    ``shape`` is (n_u, n_v), ``local_coords`` the (N, 2) (a, b) coordinates,
-    ``points`` the global 3-space positions, and ``weights`` the products
-    w_u[iu] * w_v[iv], which sum to the surface area.
+    tangent_v: strictly increasing local coordinates from the center, within
+    the side, and positive weights.  The u-major lattice (index = iu * n_v +
+    iv) is derived from them once: ``shape`` is (n_u, n_v), ``local_coords``
+    the (N, 2) (a, b) coordinates, ``points`` the global 3-space positions,
+    and ``weights`` the products w_u[iu] * w_v[iv], which sum to the surface
+    area.
     """
 
     surface: PlanarSurface
@@ -139,10 +151,14 @@ class QuadratureGrid:
     weights: np.ndarray = field(init=False)       # (N,)
 
     def __post_init__(self):
-        for name in ("rule_u", "rule_v"):
+        for name, length in (("rule_u", self.surface.length_u),
+                             ("rule_v", self.surface.length_v)):
             nodes, weights = (np.asarray(x, dtype=float) for x in getattr(self, name))
             if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
                 raise GeometryError(f"{name} needs nodes and weights of one nonzero length")
+            if not (np.all(np.diff(nodes) > 0.0) and np.all(_on_side(nodes, length))):
+                raise GeometryError(f"{name} nodes must increase strictly and lie "
+                                    f"on the side of length {length}")
             if not np.all(weights > 0.0):
                 raise GeometryError("quadrature weights must be strictly positive")
             object.__setattr__(self, name, (nodes, weights))
@@ -200,9 +216,7 @@ def global_point(surface: PlanarSurface, local) -> np.ndarray:
     if ab.shape != (2,):
         raise GeometryError("local coordinates must be a 2-vector")
     a, b = ab
-    # tiny relative slack so boundary points survive round-off
-    if abs(a) > 0.5 * surface.length_u * (1.0 + 1e-12) \
-            or abs(b) > 0.5 * surface.length_v * (1.0 + 1e-12):
+    if not (_on_side(a, surface.length_u) and _on_side(b, surface.length_v)):
         raise GeometryError(f"local point ({a}, {b}) outside the surface")
     return surface.center + a * surface.tangent_u + b * surface.tangent_v
 
@@ -216,59 +230,34 @@ def local_point(surface: PlanarSurface, point) -> np.ndarray:
     return np.array([off @ surface.tangent_u, off @ surface.tangent_v])
 
 
-def _line_rect_interval(p0, e, surface):
-    """Parameter interval of the line p0 + t*e inside a rectangle.
+def corners(surface: PlanarSurface, half_u=None, half_v=None) -> np.ndarray:
+    """(4, 3) corners of the centered 2 half_u x 2 half_v box on a surface's
+    plane; the surface's own corners by default."""
+    half_u = 0.5 * surface.length_u if half_u is None else half_u
+    half_v = 0.5 * surface.length_v if half_v is None else half_v
+    return np.array([surface.center + su * half_u * surface.tangent_u
+                     + sv * half_v * surface.tangent_v
+                     for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
 
-    The line is assumed to lie in the rectangle's plane.  Returns (lo, hi)
-    or None when the line misses the rectangle.
+
+def surfaces_intersect(s1: PlanarSurface, s2: PlanarSurface) -> bool:
+    """True when the two rectangles share at least one point (touching counts).
+
+    Separating-axis test (Gottschalk, Lin & Manocha, SIGGRAPH 1996): two
+    rectangles are disjoint exactly when their corners, projected onto one
+    of the unit normals, the tangents or the tangent x tangent crossings,
+    leave a gap.  Crossings of parallel tangents give no axis, and a gap
+    must exceed INTERSECT_TOL meters.
     """
-    lo, hi = -np.inf, np.inf
-    q = p0 - surface.center
-    for tangent, length in ((surface.tangent_u, surface.length_u),
-                            (surface.tangent_v, surface.length_v)):
-        c0 = q @ tangent
-        ce = e @ tangent
-        half = 0.5 * length
-        if abs(ce) < 1e-15:
-            if abs(c0) > half:
-                return None
-            continue
-        t0, t1 = (-half - c0) / ce, (half - c0) / ce
-        lo = max(lo, min(t0, t1))
-        hi = min(hi, max(t0, t1))
-    if lo > hi:
-        return None
-    return lo, hi
-
-
-def surfaces_intersect(s1: PlanarSurface, s2: PlanarSurface, tol: float = 1e-12) -> bool:
-    """True when the two rectangles share at least one point (touching counts)."""
-    n1, n2 = s1.normal, s2.normal
-    direction = np.cross(n1, n2)
-    dn = np.linalg.norm(direction)
-    if dn < 1e-12:
-        # parallel planes: distinct planes never meet
-        if abs((s2.center - s1.center) @ n1) > tol:
-            return False
-        # coplanar rectangles: separating-axis test with the four edge axes
-        for ax in (s1.tangent_u, s1.tangent_v, s2.tangent_u, s2.tangent_v):
-            r1 = (abs(ax @ s1.tangent_u) * s1.length_u
-                  + abs(ax @ s1.tangent_v) * s1.length_v) / 2.0
-            r2 = (abs(ax @ s2.tangent_u) * s2.length_u
-                  + abs(ax @ s2.tangent_v) * s2.length_v) / 2.0
-            if abs(ax @ (s2.center - s1.center)) > r1 + r2 + tol:
-                return False
-        return True
-    # planes meet in the line p0 + t*e
-    e = direction / dn
-    lhs = np.vstack([n1, n2])
-    rhs = np.array([n1 @ s1.center, n2 @ s2.center])
-    p0 = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
-    iv1 = _line_rect_interval(p0, e, s1)
-    iv2 = _line_rect_interval(p0, e, s2)
-    if iv1 is None or iv2 is None:
-        return False
-    return min(iv1[1], iv2[1]) - max(iv1[0], iv2[0]) >= -tol
+    tangents = np.array([s1.tangent_u, s1.tangent_v, s2.tangent_u, s2.tangent_v])
+    crossings = np.cross(tangents[:2, None, :], tangents[None, 2:, :]).reshape(4, 3)
+    norms = np.linalg.norm(crossings, axis=1)
+    kept = norms >= INTERSECT_TOL
+    axes = np.vstack([s1.normal, s2.normal, tangents,
+                      crossings[kept] / norms[kept, None]])
+    proj = (np.vstack([corners(s1), corners(s2)]) @ axes.T).reshape(2, 4, -1)
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
+    return not np.any(np.maximum(lo[1] - hi[0], lo[0] - hi[1]) > INTERSECT_TOL)
 
 
 def _signed_permutation(index, q):

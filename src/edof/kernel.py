@@ -5,7 +5,7 @@ A current distribution J on a transmit aperture produces the received field
     E(r) = integral over tx of  k(r, t) J(t) dt,
     k(r, t) = j * eta * exp(-j * k0 * |r - t|) / (2 * lambda * |r - t|),
 
-with k0 = 2*pi/lambda and eta the wave impedance of the medium.  With
+with k0 = 2*pi/lambda and eta the wave impedance of free space.  With
 quadrature grids on both apertures the operator becomes the matrix
 
     A[m, n] = sqrt(w_rx[m]) * k(r_m, t_n) * sqrt(w_tx[n]),
@@ -39,16 +39,13 @@ BLOCK_PAIRS = 1 << 19
 
 @dataclass(frozen=True)
 class WaveConfig:
-    """Wavelength (m) and medium impedance (ohm); k0 is derived as 2*pi/lambda."""
+    """Free-space wavelength (m); k0 is derived as 2*pi/lambda."""
 
     wavelength: float
-    impedance: float = VACUUM_IMPEDANCE_OHM
 
     def __post_init__(self):
         if not self.wavelength > 0.0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if not self.impedance > 0.0:
-            raise ValueError(f"impedance must be positive, got {self.impedance}")
 
     @property
     def k0(self) -> float:
@@ -105,10 +102,14 @@ def node_distances(points, nodes, wave: WaveConfig) -> np.ndarray:
     return d
 
 
+def kernel_scale(wave: WaveConfig) -> float:
+    """eta / (2 * lambda): the kernel's modulus at unit distance."""
+    return VACUUM_IMPEDANCE_OHM / (2.0 * wave.wavelength)
+
+
 def _kernel_of_distance(d, wave: WaveConfig):
     """k = j * eta * exp(-j * k0 * d) / (2 * lambda * d) at distances d."""
-    return (1j * wave.impedance / (2.0 * wave.wavelength)) \
-        * np.exp(-1j * wave.k0 * d) / d
+    return 1j * kernel_scale(wave) * np.exp(-1j * wave.k0 * d) / d
 
 
 def green_kernel(r_rx, r_tx, wave: WaveConfig):

@@ -44,11 +44,12 @@ from .geometry import (
     MIRRORS,
     PlanarSurface,
     QuadratureGrid,
+    corners,
     discretize,
     lattice_orbits,
     mirror_axes,
 )
-from .kernel import WaveConfig, assemble_operator, node_distances, row_blocks
+from .kernel import WaveConfig, assemble_operator, kernel_scale, node_distances, row_blocks
 from .spectrum import (
     CouplingSpectrum,
     EdofReport,
@@ -103,7 +104,7 @@ def _lag_points(lags, reference, rx_surface):
 def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     """g(delta) for many lags at once; symmetric centering around reference."""
     p_plus, p_minus = _lag_points(lags, reference, rx_surface)
-    scale = (wave.impedance / (2.0 * wave.wavelength)) ** 2
+    scale = kernel_scale(wave) ** 2
     out = np.empty(lags.shape[0], dtype=complex)
     for rows in row_blocks(lags.shape[0], len(tx_grid)):
         d_plus = node_distances(p_plus[rows], tx_grid.points, wave)
@@ -138,13 +139,6 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid,
     return g, fold
 
 
-def _corners(surface, half_u, half_v):
-    """(4, 3) corners of the centered half_u x half_v box on a surface's plane."""
-    return np.array([surface.center + su * half_u * surface.tangent_u
-                     + sv * half_v * surface.tangent_v
-                     for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
-
-
 def _band_edge(rx_surface, tx_surface, wave, extent):
     """Padded per-axis in-plane wavenumber band of the correlation, rad/m.
 
@@ -152,10 +146,10 @@ def _band_edge(rx_surface, tx_surface, wave, extent):
     corners of a receive-plane box that covers the aperture and every lag
     point c +/- delta/2, each padded by BAND_PAD_LOBES Fejer half widths.
     """
-    box = _corners(rx_surface, max(0.5 * rx_surface.length_u, 0.25 * extent[0]),
-                   max(0.5 * rx_surface.length_v, 0.25 * extent[1]))
-    tx = _corners(tx_surface, 0.5 * tx_surface.length_u, 0.5 * tx_surface.length_v)
-    k = wavenumber_component(box[:, None, :], tx[None, :, :], rx_surface, wave)
+    box = corners(rx_surface, max(0.5 * rx_surface.length_u, 0.25 * extent[0]),
+                  max(0.5 * rx_surface.length_v, 0.25 * extent[1]))
+    k = wavenumber_component(box[:, None, :], corners(tx_surface)[None, :, :],
+                             rx_surface, wave)
     k_max = np.abs(k).max(axis=(0, 1))
     return tuple(float(km + BAND_PAD_LOBES * 4.0 * np.pi / e)
                  for km, e in zip(k_max, extent))
@@ -225,17 +219,11 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     if not (extent_u > 0.0 and extent_v > 0.0):
         raise ValueError("lag extents must be positive")
     k_band = _band_edge(rx_surface, tx_grid.surface, wave, (extent_u, extent_v))
-    if lag_grid is None:
-        # max(lambda/4, pi/(2 k_band)), written to be exactly lambda/4 at grazing
-        counts = tuple(
-            int(np.ceil(e / (0.25 * wave.wavelength * max(1.0, wave.k0 / kb))))
-            for e, kb in zip((extent_u, extent_v), k_band))
-    elif np.isscalar(lag_grid):
-        counts = (int(lag_grid), int(lag_grid))
-    else:
-        counts = tuple(int(x) for x in lag_grid)
-        if len(counts) != 2:
-            raise ValueError("lag_grid must be a scalar or a pair")
+    # max(lambda/4, pi/(2 k_band)), written to be exactly lambda/4 at grazing
+    auto_counts = tuple(
+        np.ceil(e / (0.25 * wave.wavelength * max(1.0, wave.k0 / kb)))
+        for e, kb in zip((extent_u, extent_v), k_band))
+    counts = tuple(int(n) for n in _normalize_pair(lag_grid, auto_counts, "lag_grid"))
     if min(counts) < 3:
         raise ValueError(f"lag grid needs at least 3 points per axis, got {counts}")
     n_u, n_v = _odd_count(counts[0]), _odd_count(counts[1])
@@ -336,12 +324,10 @@ def stationarity_check(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     coh = wave.wavelength * center_distance / max(tx_grid.surface.length_u,
                                                   tx_grid.surface.length_v)
     probes = np.array([[0.0, 0.0], [0.5 * coh, 0.0], [0.0, 0.5 * coh]])
-    corners = _corners(rx_surface, 0.5 * rx_surface.length_u,
-                       0.5 * rx_surface.length_v)
     ref = np.abs(_autocorrelation_many(probes, rx_surface.center, rx_surface,
                                        tx_grid, wave))
     worst = 0.0
-    for corner in corners:
+    for corner in corners(rx_surface):
         mod = np.abs(_autocorrelation_many(probes, corner, rx_surface,
                                            tx_grid, wave))
         worst = max(worst, float(np.max(np.abs(mod - ref) / ref)))

@@ -8,6 +8,7 @@ import pytest
 from edof.errors import GeometryError
 from edof.geometry import (
     QuadratureGrid,
+    corners,
     discretize,
     global_point,
     local_point,
@@ -165,6 +166,126 @@ def test_perpendicular_clear_surfaces_do_not_intersect():
     assert not surfaces_intersect(s1, s2)
 
 
+def _plane_line_intersect(s1, s2, tol=1e-12):
+    """The earlier intersection test, kept as an oracle: clip the line where
+    the two planes meet to each rectangle, or run a separating-axis test on
+    the four edge axes of coplanar rectangles."""
+    def interval(p0, e, surface):
+        lo, hi = -np.inf, np.inf
+        q = p0 - surface.center
+        for tangent, length in ((surface.tangent_u, surface.length_u),
+                                (surface.tangent_v, surface.length_v)):
+            c0, ce, half = q @ tangent, e @ tangent, 0.5 * length
+            if abs(ce) < 1e-15:
+                if abs(c0) > half:
+                    return None
+                continue
+            t0, t1 = (-half - c0) / ce, (half - c0) / ce
+            lo, hi = max(lo, min(t0, t1)), min(hi, max(t0, t1))
+        return None if lo > hi else (lo, hi)
+
+    n1, n2 = s1.normal, s2.normal
+    direction = np.cross(n1, n2)
+    dn = np.linalg.norm(direction)
+    if dn < 1e-12:
+        if abs((s2.center - s1.center) @ n1) > tol:
+            return False
+        for ax in (s1.tangent_u, s1.tangent_v, s2.tangent_u, s2.tangent_v):
+            r1 = (abs(ax @ s1.tangent_u) * s1.length_u
+                  + abs(ax @ s1.tangent_v) * s1.length_v) / 2.0
+            r2 = (abs(ax @ s2.tangent_u) * s2.length_u
+                  + abs(ax @ s2.tangent_v) * s2.length_v) / 2.0
+            if abs(ax @ (s2.center - s1.center)) > r1 + r2 + tol:
+                return False
+        return True
+    e = direction / dn
+    p0 = np.linalg.lstsq(np.vstack([n1, n2]),
+                         np.array([n1 @ s1.center, n2 @ s2.center]), rcond=None)[0]
+    iv1, iv2 = interval(p0, e, s1), interval(p0, e, s2)
+    if iv1 is None or iv2 is None:
+        return False
+    return min(iv1[1], iv2[1]) - max(iv1[0], iv2[0]) >= -tol
+
+
+PARALLEL_OFFSETS = (0.0, 1e-13, 5e-13, 2e-12, 1e-9, 1e-3)
+EDGE_GAPS = (0.0, 1e-13, 1e-11, 1e-6)
+PAIR_FAMILIES = ("random", "coplanar-turned", "parallel", "perpendicular", "edge-gap")
+Z = (0.0, 0.0, 1.0)
+
+
+def _pair(family, rng):
+    """Two rectangles of the named family, drawn from ``rng``."""
+    r1 = rotation_about(rng.normal(size=3), rng.uniform(0.0, 2.0 * np.pi))
+    s1 = make_surface(rng.uniform(-1.0, 1.0, 3), r1, *rng.uniform(0.2, 1.5, 2))
+    sides = rng.uniform(0.2, 1.5, 2)
+    a, b = rng.uniform(-1.0, 1.0, 2)
+    in_plane = s1.center + a * s1.tangent_u + b * s1.tangent_v
+    turn = r1 @ rotation_about(Z, rng.uniform(0.0, 2.0 * np.pi))
+    if family == "random":
+        r2 = rotation_about(rng.normal(size=3), rng.uniform(0.0, 2.0 * np.pi))
+        return s1, make_surface(s1.center + rng.uniform(-1.0, 1.0, 3), r2, *sides)
+    if family == "coplanar-turned":
+        return s1, make_surface(in_plane, turn, *sides)
+    if family == "parallel":
+        return s1, make_surface(in_plane + rng.choice(PARALLEL_OFFSETS) * s1.normal,
+                                turn, *sides)
+    if family == "perpendicular":
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        r2 = r1 @ rotation_about((np.cos(phi), np.sin(phi), 0.0), 0.5 * np.pi)
+        return s1, make_surface(s1.center + rng.uniform(-1.0, 1.0, 3), r2, *sides)
+    # coplanar, turned by a quarter-turn multiple, an edge gap apart along
+    # one of s1's axes and shifted at random along the other
+    quarters = int(rng.integers(4))
+    reach = 0.5 * (np.array([s1.length_u, s1.length_v])
+                   + (sides[::-1] if quarters % 2 else sides))
+    axes, k = (s1.tangent_u, s1.tangent_v), int(rng.integers(2))
+    shift = rng.choice((-1.0, 1.0)) * (reach[k] + rng.choice(EDGE_GAPS)) * axes[k] \
+        + rng.uniform(-1.2, 1.2) * reach[1 - k] * axes[1 - k]
+    return s1, make_surface(s1.center + shift,
+                            r1 @ rotation_about(Z, 0.5 * np.pi * quarters), *sides)
+
+
+@pytest.mark.parametrize("family", PAIR_FAMILIES)
+def test_surfaces_intersect_matches_plane_line_oracle(family):
+    rng = np.random.default_rng([10, PAIR_FAMILIES.index(family)])
+    pairs = [_pair(family, rng) for _ in range(300)]
+    want = [_plane_line_intersect(s1, s2) for s1, s2 in pairs]
+    assert [surfaces_intersect(s1, s2) for s1, s2 in pairs] == want
+    assert 0 < sum(want) < len(want)
+
+
+def _square(center, rotation=np.eye(3)):
+    return make_surface(center, rotation, 1.0, 1.0)
+
+
+QUARTER_ABOUT_U = rotation_about((1.0, 0.0, 0.0), 0.5 * np.pi)
+TOUCH_CASES = {
+    # a gap up to 1e-12 m on every axis still touches
+    "parallel": lambda h: _square((0.3, -0.2, h)),
+    "coplanar-edge": lambda h: _square((1.0 + h, 0.4, 0.0)),
+    "coplanar-corner": lambda h: _square((1.0 + h, 1.0 + h, 0.0)),
+    "perpendicular-edge": lambda h: _square((0.1, 0.0, 0.5 + h), QUARTER_ABOUT_U),
+    "perpendicular-t": lambda h: _square((0.0, 0.5 + h, 0.3), QUARTER_ABOUT_U),
+}
+
+
+@pytest.mark.parametrize("gap,touching", [(0.0, True), (5e-13, True),
+                                          (2e-12, False), (1e-9, False)])
+@pytest.mark.parametrize("case", sorted(TOUCH_CASES))
+def test_surfaces_intersect_tolerance_is_1e12_m(case, gap, touching):
+    s1, s2 = _square((0.0, 0.0, 0.0)), TOUCH_CASES[case](gap)
+    assert surfaces_intersect(s1, s2) is touching
+    assert surfaces_intersect(s2, s1) is touching
+
+
+def test_corners_default_to_the_surface_and_take_half_sides():
+    s = make_surface((1.0, 2.0, 3.0), rotation_about((0.0, 0.0, 1.0), 0.5 * np.pi), 2.0, 4.0)
+    assert np.allclose(corners(s), [[3.0, 1.0, 3.0], [-1.0, 1.0, 3.0],
+                                    [3.0, 3.0, 3.0], [-1.0, 3.0, 3.0]])
+    assert np.allclose(corners(s, 0.5, 0.25), [[1.25, 1.5, 3.0], [0.75, 1.5, 3.0],
+                                               [1.25, 2.5, 3.0], [0.75, 2.5, 3.0]])
+
+
 def test_surface_is_immutable():
     s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -178,6 +299,27 @@ def test_grid_invariants_enforced():
         QuadratureGrid(s, (x, -w), (x, w))
     with pytest.raises(GeometryError):
         QuadratureGrid(s, (x, 2.0 * w), (x, w))
+
+
+@pytest.mark.parametrize("rule_u", [
+    ([-5.0, 5.0], [0.5, 0.5]),         # 4.5 m off a 1 m square
+    ([-0.5000001, 0.0], [0.5, 0.5]),   # just off the edge
+    ([0.25, -0.25], [0.5, 0.5]),       # unsorted
+    ([0.25, 0.25], [0.5, 0.5]),        # repeated
+    ([-0.25, np.nan], [0.5, 0.5]),
+], ids=["far-outside", "outside", "unsorted", "repeated", "nan"])
+def test_grid_rejects_nodes_off_the_side_or_out_of_order(rule_u):
+    s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
+    with pytest.raises(GeometryError, match="nodes must increase strictly"):
+        QuadratureGrid(s, rule_u, ([-0.25, 0.25], [0.5, 0.5]))
+    with pytest.raises(GeometryError, match="rule_v nodes"):
+        QuadratureGrid(s, ([-0.25, 0.25], [0.5, 0.5]), rule_u)
+
+
+def test_grid_accepts_nodes_on_the_edges():
+    s = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.3, 0.7)
+    g = QuadratureGrid(s, ([-0.15, 0.15], [0.15, 0.15]), ([-0.35, 0.35], [0.35, 0.35]))
+    assert g.shape == (2, 2)
 
 
 @pytest.mark.parametrize("rule", ["midpoint", "gauss-legendre"])
