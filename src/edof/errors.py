@@ -29,5 +29,4 @@ class ConfigError(ValueError):
 
 
 class DiagnosticWarning(UserWarning):
-    """Non-fatal numerical diagnostic (coarse rasterization, truncated lag
-    window, non-stationary correlation)."""
+    """Non-fatal numerical diagnostic (coarse rasterization)."""

@@ -36,7 +36,7 @@ from .landau import (
 )
 from .spectrum import CouplingSpectrum, EdofReport, count_edof, coupling_spectrum
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 SWEEP_AXES = ("distance", "tx_size", "rx_size", "wavelength", "scale_r")
 
 # run-diagnostic thresholds; each flag stays informational, never fatal

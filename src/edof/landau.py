@@ -32,14 +32,13 @@ evaluated: a quarter of the lattice, or an eighth with the u <-> v swap.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .cutset import wavenumber_component
-from .errors import DiagnosticWarning, ResourceError
+from .errors import NumericalError, ResourceError
 from .geometry import (
     MIRRORS,
     PlanarSurface,
@@ -64,8 +63,6 @@ DEFAULT_EXTENT_COHERENCE_UNITS = 8.0
 # (4 pi / extent each); the default lag spacing samples the padded band
 # twice as finely as Nyquist, which is a quarter wavelength at grazing.
 BAND_PAD_LOBES = 2.0
-# |g| at the lag-window boundary should fall below this fraction of g(0).
-BOUNDARY_DECAY_FRACTION = 1e-3
 
 DEFAULT_STUDY_GAMMAS = (0.01, 0.5, 0.99)
 DEFAULT_POINTS_PER_WAVELENGTH = 2.5
@@ -180,7 +177,6 @@ def _normalize_pair(value, fallback, name):
 
 
 def _odd_count(n):
-    n = int(n)
     return n if n % 2 == 1 else n + 1
 
 
@@ -204,10 +200,7 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     and spacings, and g is real: 2,556 of the 19,881 lags of a 141 x 141
     lattice on a coaxial square link.  Otherwise they are the pairs
     {delta, -delta}, and conj(g(delta)) fills in -delta.  The diagnostics
-    record the mirrors used (``symmetry``) and ``evaluated_lags``.  An
-    extent too short for |g| to decay below 1e-3 * g(0) at the window
-    boundary is flagged with a DiagnosticWarning and recorded in the
-    diagnostics.
+    record the mirrors used (``symmetry``) and ``evaluated_lags``.
     """
     center_distance = float(np.linalg.norm(
         rx_surface.center - tx_grid.surface.center))
@@ -223,7 +216,10 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     auto_counts = tuple(
         np.ceil(e / (0.25 * wave.wavelength * max(1.0, wave.k0 / kb)))
         for e, kb in zip((extent_u, extent_v), k_band))
-    counts = tuple(int(n) for n in _normalize_pair(lag_grid, auto_counts, "lag_grid"))
+    counts = _normalize_pair(lag_grid, auto_counts, "lag_grid")
+    if not all(n.is_integer() for n in counts):
+        raise ValueError(f"lag_grid counts must be whole numbers, got {counts}")
+    counts = tuple(int(n) for n in counts)
     if min(counts) < 3:
         raise ValueError(f"lag grid needs at least 3 points per axis, got {counts}")
     n_u, n_v = _odd_count(counts[0]), _odd_count(counts[1])
@@ -237,16 +233,6 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     g = g.reshape(n_u, n_v)
     g_zero = float(np.real(g[(n_u - 1) // 2, (n_v - 1) // 2]))
 
-    boundary = np.concatenate([np.abs(g[0, :]), np.abs(g[-1, :]),
-                               np.abs(g[:, 0]), np.abs(g[:, -1])])
-    decay_ratio = float(boundary.max() / g_zero)
-    decay_ok = decay_ratio <= BOUNDARY_DECAY_FRACTION
-    if not decay_ok:
-        warnings.warn(
-            f"|g| at the lag-window boundary is {decay_ratio:.2e} of g(0) "
-            f"(threshold {BOUNDARY_DECAY_FRACTION}); enlarge lag_extent for a "
-            "sharper wavenumber response", DiagnosticWarning, stacklevel=2)
-
     # Bartlett taper: Fejer smoothing keeps the estimate nonnegative.
     taper_u = 1.0 - np.abs(iu) / ((n_u + 1) / 2.0)
     taper_v = 1.0 - np.abs(iv) / ((n_v + 1) / 2.0)
@@ -254,6 +240,8 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     h = np.fft.fft2(np.fft.ifftshift(tapered)) * du * dv
     h = np.real(np.fft.fftshift(h))
     h_max = float(h.max())
+    if not np.isfinite(h_max):
+        raise NumericalError(f"wavenumber response is not finite (max H = {h_max})")
     min_ratio = float(h.min() / h_max)
     h = np.maximum(h, 0.0)
 
@@ -273,8 +261,6 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
             "lag_spacing": (du, dv),
             "k_band": k_band,
             "lag_extent": (extent_u, extent_v),
-            "boundary_decay_ratio": decay_ratio,
-            "boundary_decay_ok": decay_ok,
             "pre_clamp_min_ratio": min_ratio,
             "symmetry": [name for name in fold.symmetry if name in MIRRORS],
             "evaluated_lags": len(fold.nodes),

@@ -56,13 +56,13 @@ def test_run_diagnostics_flags(full_report):
     assert d["injectivity"]["relative_difference"] <= 0.05
     assert d["stationarity"]["flag"] == "stationary"
     assert d["method_errors"] == {}
-    assert any("landau" in w for w in d["warnings"])
+    assert d["warnings"] == []
 
 
 def test_report_mapping_is_json_ready(full_report):
     mapping = report_mapping(full_report)
     text = json.dumps(mapping)  # must not hit numpy scalars
-    assert mapping["schema_version"] == "3"
+    assert mapping["schema_version"] == "4"
     assert mapping["status"] == "complete"
     assert len(mapping["edof"]) == 3
     assert mapping["spectrum"]["n_values"] == 256
@@ -205,6 +205,19 @@ def test_non_finite_count_is_a_method_error():
     assert "cutset" not in {rep.method for rep in report.edof_reports}
     assert report.diagnostics["method_errors"]["cutset"].startswith(
         "NumericalError: n_edof is nan")
+
+
+def test_non_finite_response_is_a_method_error():
+    # past the config checks: lag points 1e300 m out overflow when squared
+    cfg = config_from_mapping(_scene_mapping(
+        grid=8, methods=["cutset", "landau"],
+        landau_options={"lag_grid": 11, "lag_extent_m": 1e300}))
+    report = run_experiment(cfg, write=False)
+    assert report.status == "partial"
+    assert [rep.method for rep in report.edof_reports] == ["cutset"]
+    assert report.diagnostics["method_errors"]["landau"].startswith(
+        "NumericalError: wavenumber response is not finite")
+    assert any(w.startswith("landau: overflow") for w in report.diagnostics["warnings"])
 
 
 def test_matrix_budget_guards_svd_runs():

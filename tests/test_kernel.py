@@ -300,7 +300,6 @@ def test_green_kernel_shares_the_assembly_distance():
     assert np.array_equal(entries, weighted)
 
 
-@pytest.mark.filterwarnings("ignore::edof.errors.DiagnosticWarning")
 def test_block_budget_changes_no_result(monkeypatch):
     """Block sizes change memory use, not values.
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import edof.landau
-from edof.errors import DiagnosticWarning, ResourceError, SingularKernelError
+from edof.errors import NumericalError, ResourceError, SingularKernelError
 from edof.geometry import discretize, lattice_orbits, make_surface, mirror_axes, rotation_about
 from edof.kernel import WaveConfig, assemble_operator, green_kernel
 from edof.landau import (
@@ -30,15 +30,11 @@ ANCHOR_LAG_EXTENT = 6.3
 
 @pytest.fixture(scope="module")
 def anchor_response(anchor_surfaces, anchor_grids, wave):
-    """Anchor wavenumber response plus whatever warnings it emitted."""
+    """Anchor wavenumber response: 141 x 141 lags over 6.3 m."""
     _, rx = anchor_surfaces
     tx_grid, _ = anchor_grids
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        resp = wavenumber_response(rx, tx_grid, wave,
-                                   lag_grid=ANCHOR_LAG_GRID,
-                                   lag_extent=ANCHOR_LAG_EXTENT)
-    return resp, record
+    return wavenumber_response(rx, tx_grid, wave, lag_grid=ANCHOR_LAG_GRID,
+                               lag_extent=ANCHOR_LAG_EXTENT)
 
 
 def test_zero_lag_is_integrated_kernel_power(anchor_surfaces, anchor_grids, wave):
@@ -95,7 +91,7 @@ def test_autocorrelation_guards_minimum_separation(wave):
 
 
 def test_response_flat_inside_nominal_band(anchor_response, wave):
-    resp, _ = anchor_response
+    resp = anchor_response
     half = wave.k0 * APERTURE / (2.0 * DISTANCE)
     lobe = 2.0 * np.pi / ANCHOR_LAG_EXTENT  # Fejer main-lobe half width
     ku, kv = resp.k_samples[:, 0], resp.k_samples[:, 1]
@@ -106,7 +102,7 @@ def test_response_flat_inside_nominal_band(anchor_response, wave):
 
 
 def test_response_leakage_is_bounded(anchor_response, wave):
-    resp, _ = anchor_response
+    resp = anchor_response
     half = wave.k0 * APERTURE / (2.0 * DISTANCE)
     ku, kv = resp.k_samples[:, 0], resp.k_samples[:, 1]
     outer = (np.abs(ku) > 1.5 * half) | (np.abs(kv) > 1.5 * half)
@@ -115,36 +111,25 @@ def test_response_leakage_is_bounded(anchor_response, wave):
 
 
 def test_response_preserves_total_power(anchor_response):
-    resp, _ = anchor_response
+    resp = anchor_response
     total = float(resp.H_values.sum()) * resp.cell_area / (4.0 * np.pi ** 2)
     g0 = resp.diagnostics["zero_lag"]
     assert abs(total - g0) <= 1e-6 * g0
 
 
 def test_response_nonnegative_by_construction(anchor_response):
-    resp, _ = anchor_response
+    resp = anchor_response
     assert np.all(resp.H_values >= 0.0)
     assert resp.diagnostics["pre_clamp_min_ratio"] >= -1e-9
     assert resp.op_norm_estimate == pytest.approx(float(resp.H_values.max()),
                                                   rel=1e-15)
 
 
-def test_response_flags_short_lag_window(anchor_response):
-    resp, record = anchor_response
-    assert any(issubclass(w.category, DiagnosticWarning) for w in record)
-    ratio = resp.diagnostics["boundary_decay_ratio"]
-    assert ratio == pytest.approx(0.025653322530610156, rel=1e-9)
-    assert 0.01 < ratio < 0.1
-    assert resp.diagnostics["boundary_decay_ok"] is False
-
-
 def test_response_forces_odd_lag_counts(anchor_surfaces, wave):
     _, rx = anchor_surfaces
     tx_grid = discretize(make_surface((0.0, 0.0, 0.0), np.eye(3),
                                       APERTURE, APERTURE), 8, 8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        resp = wavenumber_response(rx, tx_grid, wave, lag_grid=10, lag_extent=1.0)
+    resp = wavenumber_response(rx, tx_grid, wave, lag_grid=10, lag_extent=1.0)
     assert resp.shape == (11, 11)
     assert resp.k_samples.shape == (121, 2)
 
@@ -161,6 +146,53 @@ def test_response_validates_lag_arguments(anchor_surfaces, anchor_grids, wave):
     with pytest.raises(ValueError):
         wavenumber_response(rx, tx_grid, wave, lag_grid=11,
                             lag_extent=(1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("lag_grid", [9.9, (11, 3.99)])
+def test_response_rejects_fractional_lag_counts(anchor_surfaces, wave, lag_grid):
+    tx, rx = anchor_surfaces
+    tx_grid = discretize(tx, 8, 8)
+    with pytest.raises(ValueError, match="whole numbers"):
+        wavenumber_response(rx, tx_grid, wave, lag_grid=lag_grid, lag_extent=1.0)
+
+
+@pytest.mark.parametrize("lag_grid", [11.0, np.int64(11), (11, 11.0)])
+def test_response_accepts_integral_lag_counts(anchor_surfaces, wave, lag_grid):
+    tx, rx = anchor_surfaces
+    tx_grid = discretize(tx, 8, 8)
+    want = wavenumber_response(rx, tx_grid, wave, lag_grid=11, lag_extent=1.0)
+    got = wavenumber_response(rx, tx_grid, wave, lag_grid=lag_grid, lag_extent=1.0)
+    assert got.shape == want.shape == (11, 11)
+    assert np.array_equal(got.H_values, want.H_values)
+
+
+def test_response_that_overflows_is_an_error(anchor_surfaces, wave):
+    # the config accepts this extent; lag points 1e300 m out overflow when squared
+    tx, rx = anchor_surfaces
+    tx_grid = discretize(tx, 8, 8)
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NumericalError, match="not finite"):
+        wavenumber_response(rx, tx_grid, wave, lag_grid=11, lag_extent=1e300)
+
+
+def _criterion_2_tilted_scene():
+    """The tilted, offset link of acceptance criterion 2, on automatic lags."""
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.4, 0.6)
+    rx = make_surface((0.5, -0.3, 8.0), rotation_about((0.3, 1.0, 0.2), 0.7),
+                      0.3, 0.3)
+    return rx, discretize(tx, 10, 14), {}
+
+
+@pytest.mark.parametrize("scene", ["reference", "criterion-2-tilted"])
+def test_response_emits_no_warning(scene, anchor_surfaces, anchor_grids, wave):
+    if scene == "reference":
+        rx, tx_grid = anchor_surfaces[1], anchor_grids[0]
+        lags = {"lag_grid": ANCHOR_LAG_GRID, "lag_extent": ANCHOR_LAG_EXTENT}
+    else:
+        rx, tx_grid, lags = _criterion_2_tilted_scene()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wavenumber_response(rx, tx_grid, wave, **lags)
 
 
 @pytest.fixture(scope="module")
@@ -202,13 +234,11 @@ def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch)
 def test_half_lattice_response_matches_full_lattice(rotated_scene, wave,
                                                     monkeypatch):
     rx, tx_grid = rotated_scene
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DiagnosticWarning)
-        half = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
-                                   lag_extent=0.5)
-        monkeypatch.setattr(edof.landau, "lattice_orbits", _unfolded)
-        full = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
-                                   lag_extent=0.5)
+    half = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
+                               lag_extent=0.5)
+    monkeypatch.setattr(edof.landau, "lattice_orbits", _unfolded)
+    full = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
+                               lag_extent=0.5)
     np.testing.assert_allclose(half.H_values, full.H_values, rtol=0.0,
                                atol=1e-13 * full.H_values.max())
 
@@ -245,13 +275,11 @@ SAMPLE_SHIFT = 1e-2
 def test_default_lag_grid_matches_quarter_wavelength_grid(name, wave):
     args, kwargs = DEFAULT_GRID_SCENES[name]
     rx, tx_grid = _default_scene(*args, **kwargs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DiagnosticWarning)
-        new = wavenumber_response(rx, tx_grid, wave)
-        extent = new.diagnostics["lag_extent"]
-        old = wavenumber_response(rx, tx_grid, wave,
-                                  lag_grid=_quarter_wavelength_shape(new, wave),
-                                  lag_extent=extent)
+    new = wavenumber_response(rx, tx_grid, wave)
+    extent = new.diagnostics["lag_extent"]
+    old = wavenumber_response(rx, tx_grid, wave,
+                              lag_grid=_quarter_wavelength_shape(new, wave),
+                              lag_extent=extent)
     assert new.shape[0] <= old.shape[0] and new.shape[1] <= old.shape[1]
     # same dual-grid cell, so the band-sized k lattice is a subset of the old
     assert new.cell_area == pytest.approx(old.cell_area, rel=1e-9)
@@ -275,18 +303,14 @@ def test_default_lag_grid_matches_quarter_wavelength_grid(name, wave):
 
 def test_default_lag_grid_is_quarter_wavelength_at_grazing(wave):
     rx, tx_grid = _default_scene(0.5, 24, (0.0, 0.0, 0.3), 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DiagnosticWarning)
-        resp = wavenumber_response(rx, tx_grid, wave)
+    resp = wavenumber_response(rx, tx_grid, wave)
     assert min(resp.diagnostics["k_band"]) >= wave.k0
     assert resp.shape == _quarter_wavelength_shape(resp, wave)
 
 
 def test_default_lag_grid_shrinks_on_paraxial_scene(wave):
     rx, tx_grid = _default_scene(0.5, 8, (0.0, 0.0, 4.0), 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DiagnosticWarning)
-        resp = wavenumber_response(rx, tx_grid, wave)
+    resp = wavenumber_response(rx, tx_grid, wave)
     old_u, old_v = _quarter_wavelength_shape(resp, wave)
     assert (old_u, old_v) == (257, 257)
     assert resp.shape[0] * resp.shape[1] <= old_u * old_v / 16
@@ -298,7 +322,7 @@ def test_default_lag_grid_shrinks_on_paraxial_scene(wave):
 
 
 def test_support_measure_extremes_and_monotonicity(anchor_response):
-    resp, _ = anchor_response
+    resp = anchor_response
     full_plane = resp.shape[0] * resp.shape[1] * resp.cell_area
     assert support_measure(resp, 0.0, mode="absolute") \
         == pytest.approx(full_plane, rel=1e-12)
@@ -314,22 +338,20 @@ def test_support_measure_extremes_and_monotonicity(anchor_response):
 
 
 def test_support_anchor_value(anchor_response):
-    resp, _ = anchor_response
+    resp = anchor_response
     s = support_measure(resp, 0.5, mode="relative")
     assert s == pytest.approx(955.8770299266125, rel=1e-9)
     assert s == pytest.approx(PARAXIAL_BANDWIDTH, rel=0.10)
 
 
 def test_support_doubles_with_transmit_width(anchor_response, anchor_surfaces, wave):
-    resp, _ = anchor_response
+    resp = anchor_response
     base = support_measure(resp, 0.5, mode="relative")
     _, rx = anchor_surfaces
     wide = make_surface((0.0, 0.0, 0.0), np.eye(3), 2.0 * APERTURE, APERTURE)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        resp_wide = wavenumber_response(
-            rx, discretize(wide, 80, 40), wave, lag_grid=ANCHOR_LAG_GRID,
-            lag_extent=(ANCHOR_LAG_EXTENT / 2.0, ANCHOR_LAG_EXTENT))
+    resp_wide = wavenumber_response(
+        rx, discretize(wide, 80, 40), wave, lag_grid=ANCHOR_LAG_GRID,
+        lag_extent=(ANCHOR_LAG_EXTENT / 2.0, ANCHOR_LAG_EXTENT))
     ratio = support_measure(resp_wide, 0.5, mode="relative") / base
     assert 1.8 <= ratio <= 2.2
 
@@ -358,7 +380,7 @@ def test_landau_edof_threshold_tagging():
 
 def test_landau_edof_anchor_chain(anchor_surfaces, anchor_response):
     _, rx = anchor_surfaces
-    resp, _ = anchor_response
+    resp = anchor_response
     report = landau_edof(rx, support_measure(resp, 0.5, mode="relative"),
                          gamma_mode="relative", gamma_value=0.5)
     assert report.n_edof == pytest.approx(6.0531620055429194, rel=1e-9)
@@ -385,7 +407,7 @@ def test_landau_is_whole_cells_and_misses_paraxial_by_more_than_one(
         return landau_edof(rx, support_measure(resp, 0.5)).n_edof / per_cell, n_par / per_cell
 
     _, rx = anchor_surfaces
-    n_lan, n_par = cells(rx, anchor_response[0])
+    n_lan, n_par = cells(rx, anchor_response)
     assert n_lan == pytest.approx(961.0, abs=1e-9)
     assert n_par == pytest.approx(992.25, rel=1e-12)
 
@@ -394,9 +416,7 @@ def test_landau_is_whole_cells_and_misses_paraxial_by_more_than_one(
     tx_grid = discretize(tx, 24, 24)
     for d, expected in measured.items():
         rx = make_surface((0.0, 0.0, d), np.eye(3), APERTURE, APERTURE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DiagnosticWarning)
-            resp = wavenumber_response(rx, tx_grid, WaveConfig(wavelength=WAVELENGTH))
+        resp = wavenumber_response(rx, tx_grid, WaveConfig(wavelength=WAVELENGTH))
         n_lan, n_par = cells(rx, resp)
         assert n_lan == pytest.approx(expected, abs=1e-9)
         assert n_par == pytest.approx(64.0, rel=1e-12)

@@ -1,7 +1,6 @@
 """Scene symmetry: the mirror predicate, the lattice fold, and the folded
 cut-set field and Landau response against direct evaluation."""
 
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 import edof.landau
 from edof.cutset import _jacobian_dets, bandwidth_field
-from edof.errors import DiagnosticWarning
 from edof.geometry import (
     QuadratureGrid,
     discretize,
@@ -173,10 +171,8 @@ def _hermitian_half(axes, mirrors, reference, rx_surface, tx_grid, wave):
 
 
 def _response(tx_grid, rx_grid, lag_grid=(11, 11), lag_extent=0.4):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DiagnosticWarning)
-        return wavenumber_response(rx_grid.surface, tx_grid, WAVE,
-                                   lag_grid=lag_grid, lag_extent=lag_extent)
+    return wavenumber_response(rx_grid.surface, tx_grid, WAVE,
+                               lag_grid=lag_grid, lag_extent=lag_extent)
 
 
 @pytest.mark.parametrize("name", sorted(MIRROR_CASES))
