@@ -64,7 +64,6 @@ class ComparisonReport:
 class SweepResult:
     """Aggregate of one run per axis value; failed rows carry n_edof None."""
 
-    axis: str
     rows: tuple[dict, ...]           # {"axis_value", "method", "n_edof"}
     failures: tuple[str, ...]
     output_files: tuple[str, ...] = ()
@@ -84,24 +83,13 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
     return value
 
 
 def _not_applicable() -> dict:
     return {"flag": "not-applicable"}
-
-
-def _collect_warnings(recorded, method: str, sink: list[str]) -> None:
-    for item in recorded:
-        sink.append(f"{method}: {item.message}")
 
 
 def _convergence_diagnostic(config: ExperimentConfig, spectrum: CouplingSpectrum) -> dict:
@@ -183,12 +171,11 @@ def _run_methods(config: ExperimentConfig,
         "method_errors": {},
         "warnings": [],
     }
-    warn_sink: list[str] = diagnostics["warnings"]
 
     for method in config.methods:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
                 if method == "svd":
                     spectrum = coupling_spectrum(
                         assemble_operator(tx_grid, rx_grid, config.wave))
@@ -220,10 +207,9 @@ def _run_methods(config: ExperimentConfig,
                         "flag": "stationary" if stat["stationary"] else "non-stationary",
                         "max_modulus_deviation": stat["max_modulus_deviation"],
                     }
-            _collect_warnings(caught, method, warn_sink)
-        except Exception as exc:
-            _collect_warnings(caught, method, warn_sink)
-            diagnostics["method_errors"][method] = f"{type(exc).__name__}: {exc}"
+            except Exception as exc:
+                diagnostics["method_errors"][method] = f"{type(exc).__name__}: {exc}"
+        diagnostics["warnings"].extend(f"{method}: {item.message}" for item in caught)
     return reports, evidence, diagnostics
 
 
@@ -258,6 +244,7 @@ def _response_summary(response: WavenumberResponse | None):
         "op_norm_estimate": response.op_norm_estimate,
         "cell_area": response.cell_area,
         "n_samples": len(response.H_values),
+        "lag_shape": response.shape,
         **diag,
     }
 
@@ -361,8 +348,6 @@ def _shifted_mapping(config: ExperimentConfig, axis: str, value: float) -> dict:
         rx_c = np.asarray(mapping["rx"]["center_m"], dtype=float)
         offset = rx_c - tx_c
         norm = float(np.linalg.norm(offset))
-        if norm == 0.0:
-            raise ConfigError("distance sweep needs distinct surface centers")
         mapping["rx"]["center_m"] = [float(x) for x in tx_c + offset / norm * value]
     elif axis in ("tx_size", "rx_size"):
         key = axis[:2]
@@ -371,8 +356,6 @@ def _shifted_mapping(config: ExperimentConfig, axis: str, value: float) -> dict:
         mapping[key]["size_m"] = [value, size[1] * factor]
     elif axis == "wavelength":
         mapping["wave"]["wavelength_m"] = value
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
     return mapping
 
 
@@ -436,11 +419,11 @@ def run_sweep(config: ExperimentConfig, axis: str, values,
                     rows.append({"axis_value": value, "method": method,
                                  "n_edof": done[method]})
                 else:
-                    detail = report.diagnostics["method_errors"].get(method, "failed")
+                    detail = report.diagnostics["method_errors"][method]
                     failures.append(f"{axis}={value:g} {method}: {detail}")
                     rows.append({"axis_value": value, "method": method, "n_edof": None})
 
-    result = SweepResult(axis=axis, rows=tuple(rows), failures=tuple(failures))
+    result = SweepResult(rows=tuple(rows), failures=tuple(failures))
     if not write:
         return result
     directory = out_dir if out_dir is not None else config.output_directory

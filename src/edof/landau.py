@@ -66,15 +66,17 @@ BAND_PAD_LOBES = 2.0
 
 DEFAULT_STUDY_GAMMAS = (0.01, 0.5, 0.99)
 DEFAULT_POINTS_PER_WAVELENGTH = 2.5
-DEFAULT_MATRIX_BUDGET = 16_000_000  # max entries of the SVD matrix
+# max entries of the SVD matrix, and max lags of the Landau lag lattice
+DEFAULT_MATRIX_BUDGET = 16_000_000
 
 
 @dataclass(frozen=True)
 class WavenumberResponse:
-    """Sampled wavenumber response H(k) of the receive-side correlation."""
+    """Sampled wavenumber response H(k) of the receive-side correlation,
+    on the u-major grid of its two wavenumber axes ``k_axes``."""
 
-    k_samples: np.ndarray       # (N, 2), in the rx tangent frame, rad/m
-    H_values: np.ndarray        # (N,) real, clamped nonnegative
+    k_axes: tuple               # (k_u, k_v) ascending, in the rx tangent frame, rad/m
+    H_values: np.ndarray        # (n_ku * n_kv,) real, clamped nonnegative
     op_norm_estimate: float     # max of H
     cell_area: float            # dku * dkv of one dual-grid cell
     shape: tuple                # (n_ku, n_kv); arrays are u-major flattened
@@ -123,15 +125,14 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid,
     reflection, and the mirrored half is filled with exact conjugates.
     Returns g and the fold.
     """
-    lag_u, lag_v = np.meshgrid(*axes, indexing="ij")
-    lags = np.column_stack([lag_u.ravel(), lag_v.ravel()])
     fold = lattice_orbits(*axes, mirrors if {"u", "v"} <= set(mirrors) else ("point",))
-    g = _autocorrelation_many(lags[fold.nodes], reference, rx_surface,
-                              tx_grid, wave)
+    iu, iv = np.divmod(fold.nodes, len(axes[1]))
+    g = _autocorrelation_many(np.column_stack([axes[0][iu], axes[1][iv]]),
+                              reference, rx_surface, tx_grid, wave)
     if {"u", "v"} <= set(fold.symmetry):
         return np.real(g)[fold.gather], fold
     g = g[fold.gather]
-    mirrored = fold.nodes[fold.gather] != np.arange(len(lags))
+    mirrored = fold.nodes[fold.gather] != np.arange(len(fold.gather))
     g[mirrored] = np.conj(g[mirrored])
     return g, fold
 
@@ -192,7 +193,9 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     aperture and the lag points, padded by two Fejer main-lobe half widths
     (4 pi / extent each).  The spacing is capped at a quarter wavelength,
     its value at grazing incidence (k_band >= k0).  Counts are forced odd
-    so the lattice is centered and the transform is real.
+    so the lattice is centered and the transform is real.  A lattice of
+    more than DEFAULT_MATRIX_BUDGET lags raises ResourceError before any
+    lag is placed.
 
     g is evaluated on one lag per orbit and gathered to the rest.  When the
     scene holds both receive mirrors of ``mirror_axes``, the orbits are
@@ -223,6 +226,10 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     if min(counts) < 3:
         raise ValueError(f"lag grid needs at least 3 points per axis, got {counts}")
     n_u, n_v = _odd_count(counts[0]), _odd_count(counts[1])
+    if n_u * n_v > DEFAULT_MATRIX_BUDGET:
+        raise ResourceError(
+            f"lag lattice of {n_u} x {n_v} lags is over the budget of {DEFAULT_MATRIX_BUDGET}"
+            "; reduce landau_options.lag_grid or lag_extent_m")
     du, dv = extent_u / n_u, extent_v / n_v
 
     iu = np.arange(n_u) - (n_u - 1) / 2.0
@@ -247,17 +254,15 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
 
     ku = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n_u, d=du))
     kv = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n_v, d=dv))
-    k_u, k_v = np.meshgrid(ku, kv, indexing="ij")
     cell_area = float((ku[1] - ku[0]) * (kv[1] - kv[0]))
     return WavenumberResponse(
-        k_samples=np.column_stack([k_u.ravel(), k_v.ravel()]),
+        k_axes=(ku, kv),
         H_values=h.ravel(),
         op_norm_estimate=h_max,
         cell_area=cell_area,
         shape=(n_u, n_v),
         diagnostics={
             "zero_lag": g_zero,
-            "lag_shape": (n_u, n_v),
             "lag_spacing": (du, dv),
             "k_band": k_band,
             "lag_extent": (extent_u, extent_v),

@@ -76,10 +76,6 @@ class ModeBasis:
     tx_grid: QuadratureGrid
     rx_grid: QuadratureGrid
 
-    @property
-    def n_modes(self) -> int:
-        return self.couplings.size
-
 
 @dataclass(frozen=True)
 class EdofReport:

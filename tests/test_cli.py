@@ -107,6 +107,16 @@ def test_run_partial_failure_exits_2(tmp_path, capsys):
     assert "cutset: n_edof =" in captured.out
 
 
+def test_run_lag_lattice_over_the_budget_exits_2(tmp_path, capsys):
+    path = _config_file(tmp_path, name="far.json", methods=["cutset", "landau"],
+                        rx={"center_m": [0.0, 0.0, 5000.0], "size_m": [0.5, 0.5],
+                            "grid": [8, 8]})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "landau: FAILED: ResourceError: lag lattice" in captured.err
+    assert "cutset: n_edof =" in captured.out
+
+
 def test_run_resource_overflow_exits_3(tmp_path, capsys):
     path = _config_file(tmp_path, name="huge.json",
                         methods=["svd"],
@@ -162,6 +172,16 @@ def test_sweep_partial_failure_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "FAILED" in capsys.readouterr().err
+
+
+def test_sweep_method_failure_inside_a_run_exits_2(tmp_path, capsys):
+    path = _config_file(tmp_path, methods=["svd", "cutset"])
+    code = main(["sweep", path, "--axis", "distance", "--values", "10,0.0005",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "FAILED: distance=0.0005 svd: SingularKernelError" in captured.err
+    assert "distance=0.0005 cutset: n_edof = " in captured.out
 
 
 @pytest.mark.parametrize("argv", [

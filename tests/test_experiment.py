@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import edof.landau
 from edof.config import config_from_mapping
 from edof.errors import ConfigError, ResourceError
 from edof.experiment import report_mapping, run_experiment, run_sweep
@@ -151,8 +152,9 @@ def test_json_only_format_filter(tmp_path):
 
 def test_report_records_band_edge_outside_the_csv(tmp_path):
     cfg = config_from_mapping(_scene_mapping(grid=8, methods=["landau"]))
-    run_experiment(cfg, out_dir=str(tmp_path))
+    report = run_experiment(cfg, out_dir=str(tmp_path))
     block = json.loads((tmp_path / "report.json").read_text())["wavenumber_response"]
+    assert block["lag_shape"] == list(report.response.shape) == [41, 41]
     assert len(block["k_band"]) == 2 and len(block["lag_spacing"]) == 2
     assert all(0.0 < k for k in block["k_band"])
     assert "k_band" not in (tmp_path / "edof.csv").read_text()
@@ -220,6 +222,22 @@ def test_non_finite_response_is_a_method_error():
     assert any(w.startswith("landau: overflow") for w in report.diagnostics["warnings"])
 
 
+def _refuse_lattice(*args):
+    raise AssertionError("lattice_orbits called on a lag lattice over the budget")
+
+
+def test_lag_lattice_over_the_budget_is_a_landau_error(monkeypatch):
+    # 5 km with automatic lags asks for 12,813^2 lags, over the 16M budget
+    cfg = config_from_mapping(_scene_mapping(grid=8, distance=5000.0,
+                                             landau_options={}))
+    monkeypatch.setattr(edof.landau, "lattice_orbits", _refuse_lattice)
+    report = run_experiment(cfg, write=False)
+    assert report.status == "partial"
+    assert [rep.method for rep in report.edof_reports] == ["svd", "cutset"]
+    assert report.diagnostics["method_errors"]["landau"].startswith(
+        "ResourceError: lag lattice of 12813 x 12813 lags is over the budget")
+
+
 def test_matrix_budget_guards_svd_runs():
     cfg = config_from_mapping(_scene_mapping(methods=["svd"]))
     with pytest.raises(ResourceError, match="budget"):
@@ -258,6 +276,25 @@ def test_sweep_records_failed_rows(tmp_path):
     assert result.rows[1]["n_edof"] is not None
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[1].endswith(",nan")
+
+
+def test_sweep_records_methods_that_fail_inside_a_run(tmp_path):
+    # at 0.5 mm assembly refuses the near-singular kernel and the automatic
+    # lag count is (1, 1); the cut-set field still runs
+    cfg = config_from_mapping(_scene_mapping(grid=8, landau_options={}))
+    result = run_sweep(cfg, "distance", [10.0, 0.0005], out_dir=str(tmp_path))
+    values = [(row["axis_value"], row["method"], row["n_edof"]) for row in result.rows]
+    assert [v[:2] for v in values] == [(d, m) for d in (10.0, 0.0005)
+                                       for m in ("svd", "cutset", "landau")]
+    assert [n is None for _, _, n in values] == [False] * 3 + [True, False, True]
+    assert len(result.failures) == 2
+    assert result.failures[0].startswith("distance=0.0005 svd: SingularKernelError:")
+    assert result.failures[1] == ("distance=0.0005 landau: ValueError: lag grid "
+                                  "needs at least 3 points per axis, got (1, 1)")
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    cells = [line.split(",")[1:] for line in lines[4:]]
+    assert cells[0] == ["svd", "nan"] and cells[2] == ["landau", "nan"]
+    assert cells[1][0] == "cutset" and float(cells[1][1]) == values[4][2]
 
 
 def test_size_and_wavelength_sweeps_shift_the_scene():

@@ -7,6 +7,7 @@ import pytest
 
 from edof.errors import GeometryError
 from edof.geometry import (
+    PlanarSurface,
     QuadratureGrid,
     corners,
     discretize,
@@ -130,6 +131,37 @@ def test_global_point_out_of_bounds():
     s = make_surface((0.0, 0.0, 0.0), np.eye(3), 2.0, 1.0)
     with pytest.raises(GeometryError):
         global_point(s, (1.5, 0.0))
+
+
+ORIGIN, X, Y = (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+DIAGONAL = (np.sqrt(0.5), np.sqrt(0.5), 0.0)
+BAD_GEOMETRY = {
+    "tangent-shape": (lambda: PlanarSurface(ORIGIN, (1.0, 0.0), Y, 1.0, 1.0),
+                      "tangent_u must be a 3-vector"),
+    "tangent-norm": (lambda: PlanarSurface(ORIGIN, X, (0.0, 2.0, 0.0), 1.0, 1.0),
+                     "tangent_v is not unit length"),
+    "center-shape": (lambda: PlanarSurface((0.0, 0.0), X, Y, 1.0, 1.0),
+                     "center must be a 3-vector"),
+    "tangents-not-orthogonal": (lambda: PlanarSurface(ORIGIN, X, DIAGONAL, 1.0, 1.0),
+                                "not orthogonal"),
+    "rotation-not-3x3": (lambda: make_surface(ORIGIN, np.eye(2), 1.0, 1.0),
+                         "rotation must be 3x3"),
+    "zero-rotation-axis": (lambda: rotation_about(ORIGIN, 0.3),
+                           "rotation axis must be a nonzero 3-vector"),
+    "global-point-shape": (lambda: global_point(make_surface(ORIGIN, np.eye(3), 1.0, 1.0),
+                                                ORIGIN),
+                           "local coordinates must be a 2-vector"),
+    "local-point-shape": (lambda: local_point(make_surface(ORIGIN, np.eye(3), 1.0, 1.0),
+                                              (0.0, 0.0)),
+                          "point must be a 3-vector"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GEOMETRY))
+def test_malformed_geometry_arguments_rejected(case):
+    build, message = BAD_GEOMETRY[case]
+    with pytest.raises(GeometryError, match=message):
+        build()
 
 
 def test_local_global_round_trip():

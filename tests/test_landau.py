@@ -28,6 +28,12 @@ ANCHOR_LAG_GRID = 141
 ANCHOR_LAG_EXTENT = 6.3
 
 
+def _k_points(resp):
+    """(N, 2) wavenumber of each H sample, u-major like H_values."""
+    k_u, k_v = np.meshgrid(*resp.k_axes, indexing="ij")
+    return np.column_stack([k_u.ravel(), k_v.ravel()])
+
+
 @pytest.fixture(scope="module")
 def anchor_response(anchor_surfaces, anchor_grids, wave):
     """Anchor wavenumber response: 141 x 141 lags over 6.3 m."""
@@ -94,7 +100,7 @@ def test_response_flat_inside_nominal_band(anchor_response, wave):
     resp = anchor_response
     half = wave.k0 * APERTURE / (2.0 * DISTANCE)
     lobe = 2.0 * np.pi / ANCHOR_LAG_EXTENT  # Fejer main-lobe half width
-    ku, kv = resp.k_samples[:, 0], resp.k_samples[:, 1]
+    ku, kv = _k_points(resp).T
     inner = (np.abs(ku) <= half - lobe) & (np.abs(kv) <= half - lobe)
     h = resp.H_values[inner]
     assert float(h.max() / h.min()) == pytest.approx(1.0734728445265576, rel=1e-9)
@@ -104,7 +110,7 @@ def test_response_flat_inside_nominal_band(anchor_response, wave):
 def test_response_leakage_is_bounded(anchor_response, wave):
     resp = anchor_response
     half = wave.k0 * APERTURE / (2.0 * DISTANCE)
-    ku, kv = resp.k_samples[:, 0], resp.k_samples[:, 1]
+    ku, kv = _k_points(resp).T
     outer = (np.abs(ku) > 1.5 * half) | (np.abs(kv) > 1.5 * half)
     leakage = float(resp.H_values[outer].sum() / resp.H_values.sum())
     assert leakage <= 0.05
@@ -125,13 +131,27 @@ def test_response_nonnegative_by_construction(anchor_response):
                                                   rel=1e-15)
 
 
+def test_response_k_axes_are_the_dft_frequencies(anchor_response):
+    resp = anchor_response
+    axes = [np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=d))
+            for n, d in zip(resp.shape, resp.diagnostics["lag_spacing"])]
+    for got, want in zip(resp.k_axes, axes):
+        assert np.array_equal(got, want)
+    # the (N, 2) wavenumber table the response used to carry
+    k_u, k_v = np.meshgrid(*axes, indexing="ij")
+    table = np.column_stack([k_u.ravel(), k_v.ravel()])
+    for got, column in zip(np.meshgrid(*resp.k_axes, indexing="ij"), table.T):
+        assert np.array_equal(got.ravel(), column)
+    assert len(resp.H_values) == len(table)
+
+
 def test_response_forces_odd_lag_counts(anchor_surfaces, wave):
     _, rx = anchor_surfaces
     tx_grid = discretize(make_surface((0.0, 0.0, 0.0), np.eye(3),
                                       APERTURE, APERTURE), 8, 8)
     resp = wavenumber_response(rx, tx_grid, wave, lag_grid=10, lag_extent=1.0)
     assert resp.shape == (11, 11)
-    assert resp.k_samples.shape == (121, 2)
+    assert [k.shape for k in resp.k_axes] == [(11,), (11,)]
 
 
 def test_response_validates_lag_arguments(anchor_surfaces, anchor_grids, wave):
@@ -183,16 +203,72 @@ def _criterion_2_tilted_scene():
     return rx, discretize(tx, 10, 14), {}
 
 
+def _response_scene(scene, anchor_surfaces, anchor_grids):
+    """rx, transmit grid and lag arguments: the reference or the tilted scene."""
+    if scene == "reference":
+        return anchor_surfaces[1], anchor_grids[0], {
+            "lag_grid": ANCHOR_LAG_GRID, "lag_extent": ANCHOR_LAG_EXTENT}
+    return _criterion_2_tilted_scene()
+
+
 @pytest.mark.parametrize("scene", ["reference", "criterion-2-tilted"])
 def test_response_emits_no_warning(scene, anchor_surfaces, anchor_grids, wave):
-    if scene == "reference":
-        rx, tx_grid = anchor_surfaces[1], anchor_grids[0]
-        lags = {"lag_grid": ANCHOR_LAG_GRID, "lag_extent": ANCHOR_LAG_EXTENT}
-    else:
-        rx, tx_grid, lags = _criterion_2_tilted_scene()
+    rx, tx_grid, lags = _response_scene(scene, anchor_surfaces, anchor_grids)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         wavenumber_response(rx, tx_grid, wave, **lags)
+
+
+@pytest.mark.parametrize("scene,fold", [("reference", ("u", "v", "swap")),
+                                        ("criterion-2-tilted", ("point",))])
+def test_lattice_evaluates_the_full_lattice_lags_of_its_fold(
+        scene, fold, anchor_surfaces, anchor_grids, wave, monkeypatch):
+    rx, tx_grid, lags = _response_scene(scene, anchor_surfaces, anchor_grids)
+    folds, evaluated = [], []
+
+    def orbits_spy(*args):
+        folds.append(lattice_orbits(*args))
+        return folds[-1]
+
+    def many_spy(lags, *args):
+        evaluated.append(lags)
+        return _autocorrelation_many(lags, *args)
+
+    monkeypatch.setattr(edof.landau, "lattice_orbits", orbits_spy)
+    monkeypatch.setattr(edof.landau, "_autocorrelation_many", many_spy)
+    resp = wavenumber_response(rx, tx_grid, wave, **lags)
+    (got,), (fold_used,) = evaluated, folds
+    assert fold_used.symmetry == fold
+    axes = [(np.arange(n) - (n - 1) / 2.0) * d
+            for n, d in zip(resp.shape, resp.diagnostics["lag_spacing"])]
+    lag_u, lag_v = np.meshgrid(*axes, indexing="ij")
+    full = np.column_stack([lag_u.ravel(), lag_v.ravel()])
+    assert np.array_equal(got, full[fold_used.nodes])
+
+
+class _LatticeReached(Exception):
+    """Raised in place of lattice_orbits: the lag lattice was about to be built."""
+
+
+def _reach_lattice(*args):
+    raise _LatticeReached
+
+
+@pytest.mark.parametrize("distance,lag_grid,outcome", [
+    (5000.0, None, ResourceError),        # automatic counts: 12,813^2 lags
+    (DISTANCE, 4001, ResourceError),
+    (DISTANCE, 3999, _LatticeReached),    # the largest lattice within the budget
+])
+def test_lag_lattice_is_bounded_before_it_is_built(distance, lag_grid, outcome,
+                                                   wave, monkeypatch):
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), APERTURE, APERTURE)
+    rx = make_surface((0.0, 0.0, distance), np.eye(3), APERTURE, APERTURE)
+    monkeypatch.setattr(edof.landau, "lattice_orbits", _reach_lattice)
+    with pytest.raises(outcome) as info:
+        wavenumber_response(rx, discretize(tx, 8, 8), wave, lag_grid=lag_grid,
+                            lag_extent=ANCHOR_LAG_EXTENT if lag_grid else None)
+    if outcome is ResourceError:
+        assert "landau_options.lag_grid or lag_extent_m" in str(info.value)
 
 
 @pytest.fixture(scope="module")
@@ -283,10 +359,10 @@ def test_default_lag_grid_matches_quarter_wavelength_grid(name, wave):
     assert new.shape[0] <= old.shape[0] and new.shape[1] <= old.shape[1]
     # same dual-grid cell, so the band-sized k lattice is a subset of the old
     assert new.cell_area == pytest.approx(old.cell_area, rel=1e-9)
-    cells = np.round(old.k_samples * np.asarray(extent) / (2.0 * np.pi))
+    cells = np.round(_k_points(old) * np.asarray(extent) / (2.0 * np.pi))
     index = {tuple(c): i for i, c in enumerate(cells.astype(int))}
     common = np.array([index[tuple(c)] for c in np.round(
-        new.k_samples * np.asarray(extent) / (2.0 * np.pi)).astype(int)])
+        _k_points(new) * np.asarray(extent) / (2.0 * np.pi)).astype(int)])
     outside = np.ones(len(old.H_values), dtype=bool)
     outside[common] = False
     h_new = new.H_values / new.op_norm_estimate
