@@ -22,7 +22,7 @@ from .cutset import (
     wavenumber_component,
 )
 from .errors import ConfigError, NumericalError, ResourceError
-from .geometry import QuadratureGrid, discretize
+from .geometry import discretize
 from .kernel import assemble_operator
 from .landau import (
     DEFAULT_MATRIX_BUDGET,
@@ -62,7 +62,7 @@ class ComparisonReport:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Aggregate of one run per axis value; failed rows carry n_edof None."""
+    """Each method's estimate per axis value; failed rows carry n_edof None."""
 
     rows: tuple[dict, ...]           # {"axis_value", "method", "n_edof"}
     failures: tuple[str, ...]
@@ -88,20 +88,33 @@ def _jsonable(value):
     return value
 
 
-def _not_applicable() -> dict:
-    return {"flag": "not-applicable"}
+def _svd_estimate(config: ExperimentConfig, tx_grid, rx_grid):
+    spectrum = coupling_spectrum(assemble_operator(tx_grid, rx_grid, config.wave))
+    n = count_edof(spectrum, config.gamma_value, config.gamma_mode)
+    return EdofReport(method="svd", n_edof=n, gamma_mode=config.gamma_mode,
+                      gamma_value=config.gamma_value), spectrum
 
 
-def _convergence_diagnostic(config: ExperimentConfig, spectrum: CouplingSpectrum) -> dict:
+def _cutset_estimate(config: ExperimentConfig, tx_grid, rx_grid):
+    bw = bandwidth_field(tx_grid, rx_grid, config.wave)
+    return cutset_edof(tx_grid, rx_grid, config.wave, field=bw), bw
+
+
+def _landau_estimate(config: ExperimentConfig, tx_grid, rx_grid):
+    response = wavenumber_response(config.rx_surface, tx_grid, config.wave,
+                                   lag_grid=config.lag_grid, lag_extent=config.lag_extent)
+    support = support_measure(response, config.gamma_value, config.gamma_mode)
+    return landau_edof(config.rx_surface, support, config.gamma_mode,
+                       config.gamma_value), response
+
+
+def _convergence_check(config: ExperimentConfig, tx_grid, spectrum: CouplingSpectrum) -> dict:
     """Top-mode drift against a half-resolution rerun of the same scene."""
     half_tx = tuple(max(1, n // 2) for n in config.tx_grid_counts)
     half_rx = tuple(max(1, n // 2) for n in config.rx_grid_counts)
-    try:
-        tx_grid = discretize(config.tx_surface, *half_tx)
-        rx_grid = discretize(config.rx_surface, *half_rx)
-        coarse = coupling_spectrum(assemble_operator(tx_grid, rx_grid, config.wave))
-    except Exception as exc:
-        return {"flag": "unavailable", "detail": f"{type(exc).__name__}: {exc}"}
+    coarse = coupling_spectrum(assemble_operator(discretize(config.tx_surface, *half_tx),
+                                                 discretize(config.rx_surface, *half_rx),
+                                                 config.wave))
     k = min(10, len(coarse.values), len(spectrum.values))
     drift = float(np.max(np.abs(coarse.values[:k] - spectrum.values[:k])
                          / spectrum.values[:k]))
@@ -113,7 +126,7 @@ def _convergence_diagnostic(config: ExperimentConfig, spectrum: CouplingSpectrum
     }
 
 
-def _injectivity_diagnostic(config: ExperimentConfig, tx_grid: QuadratureGrid) -> dict:
+def _injectivity_check(config: ExperimentConfig, tx_grid, bw) -> dict:
     """Jacobian-integral vs set-measure bandwidth at the receive center.
 
     The set-measure value is authoritative: the jacobian integral double
@@ -143,74 +156,52 @@ def _injectivity_diagnostic(config: ExperimentConfig, tx_grid: QuadratureGrid) -
     }
 
 
-def _finite(report: EdofReport) -> EdofReport:
-    """The report; a count that is not finite is an error, not a result."""
-    if not np.isfinite(report.n_edof):
-        raise NumericalError(f"n_edof is {report.n_edof}, not a finite count")
-    return report
+def _stationarity_check(config: ExperimentConfig, tx_grid, response) -> dict:
+    stat = stationarity_check(config.rx_surface, tx_grid, config.wave)
+    return {"flag": "stationary" if stat["stationary"] else "non-stationary",
+            "max_modulus_deviation": stat["max_modulus_deviation"]}
 
 
-def _run_methods(config: ExperimentConfig,
-                 max_matrix_entries: int) -> tuple[list[EdofReport], dict, dict]:
-    """Execute each selected method in isolation; one failure never aborts the rest."""
-    tx_grid = discretize(config.tx_surface, *config.tx_grid_counts)
-    rx_grid = discretize(config.rx_surface, *config.rx_grid_counts)
-    if "svd" in config.methods:
-        entries = len(tx_grid) * len(rx_grid)
-        if entries > max_matrix_entries:
-            raise ResourceError(
-                f"coupling matrix would hold {entries} entries, over the "
-                f"budget of {max_matrix_entries}; reduce the grids")
+# method -> (estimate, diagnostics key, cross-check): (config, tx_grid, rx_grid)
+# -> (EdofReport, evidence), and (config, tx_grid, evidence) -> flag dict
+_STEPS = {
+    "svd": (_svd_estimate, "convergence", _convergence_check),
+    "cutset": (_cutset_estimate, "injectivity", _injectivity_check),
+    "landau": (_landau_estimate, "stationarity", _stationarity_check),
+}
 
-    reports: list[EdofReport] = []
-    evidence: dict[str, Any] = {"spectrum": None, "bandwidth": None, "response": None}
-    diagnostics: dict[str, Any] = {
-        "convergence": _not_applicable(),
-        "injectivity": _not_applicable(),
-        "stationarity": _not_applicable(),
-        "method_errors": {},
-        "warnings": [],
-    }
 
-    for method in config.methods:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                if method == "svd":
-                    spectrum = coupling_spectrum(
-                        assemble_operator(tx_grid, rx_grid, config.wave))
-                    evidence["spectrum"] = spectrum
-                    n = count_edof(spectrum, config.gamma_value, config.gamma_mode)
-                    reports.append(EdofReport(
-                        method="svd", n_edof=n,
-                        gamma_mode=config.gamma_mode, gamma_value=config.gamma_value))
-                    diagnostics["convergence"] = _convergence_diagnostic(
-                        config, spectrum)
-                elif method == "cutset":
-                    bw = bandwidth_field(tx_grid, rx_grid, config.wave)
-                    evidence["bandwidth"] = bw
-                    reports.append(_finite(cutset_edof(tx_grid, rx_grid, config.wave,
-                                                       field=bw)))
-                    diagnostics["injectivity"] = _injectivity_diagnostic(config, tx_grid)
-                elif method == "landau":
-                    response = wavenumber_response(
-                        config.rx_surface, tx_grid, config.wave,
-                        lag_grid=config.lag_grid, lag_extent=config.lag_extent)
-                    evidence["response"] = response
-                    support = support_measure(response, config.gamma_value,
-                                              config.gamma_mode)
-                    rep = landau_edof(config.rx_surface, support,
-                                      config.gamma_mode, config.gamma_value)
-                    reports.append(_finite(rep))
-                    stat = stationarity_check(config.rx_surface, tx_grid, config.wave)
-                    diagnostics["stationarity"] = {
-                        "flag": "stationary" if stat["stationary"] else "non-stationary",
-                        "max_modulus_deviation": stat["max_modulus_deviation"],
-                    }
-            except Exception as exc:
-                diagnostics["method_errors"][method] = f"{type(exc).__name__}: {exc}"
-        diagnostics["warnings"].extend(f"{method}: {item.message}" for item in caught)
-    return reports, evidence, diagnostics
+def _step(method: str, caught: list[str], fn, *args):
+    """``(fn(*args), None)``, or ``(None, exc)`` if it raised ``exc``; the
+    warnings raised meanwhile are appended to ``caught`` as "method: message"."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            return fn(*args), None
+        except Exception as exc:
+            return None, exc
+        finally:
+            caught.extend(f"{method}: {item.message}" for item in seen)
+
+
+def _estimate(method: str, config: ExperimentConfig, grids, caught: list[str]):
+    """``(report, evidence, error)`` of a method's estimate step.  A count
+    that is not finite is an error, not a result; its evidence is kept."""
+    found, error = _step(method, caught, _STEPS[method][0], config, *grids)
+    report, evidence = found or (None, None)
+    if error is None and not np.isfinite(report.n_edof):
+        report, error = None, NumericalError(f"n_edof is {report.n_edof}, not a finite count")
+    return report, evidence, error
+
+
+def _grids(config: ExperimentConfig, max_matrix_entries: int):
+    grids = (discretize(config.tx_surface, *config.tx_grid_counts),
+             discretize(config.rx_surface, *config.rx_grid_counts))
+    entries = len(grids[0]) * len(grids[1])
+    if "svd" in config.methods and entries > max_matrix_entries:
+        raise ResourceError(f"coupling matrix would hold {entries} entries, over the "
+                            f"budget of {max_matrix_entries}; reduce the grids")
+    return grids
 
 
 def _spectrum_summary(spectrum: CouplingSpectrum | None):
@@ -297,27 +288,40 @@ def run_experiment(config: ExperimentConfig,
                    max_matrix_entries: int = DEFAULT_MATRIX_BUDGET) -> ComparisonReport:
     """Run every selected method on one scene and persist the comparison.
 
-    Methods are isolated: an error in one is recorded in the diagnostics
-    and the others still run (the report is then flagged "partial").  A
-    coupling matrix over ``max_matrix_entries`` raises ResourceError before
-    any work starts.  Output is deterministic for a fixed config, and the
-    config's seed is only a label; the report timestamp alone differs
-    between reruns.
+    A method's estimate and its cross-check fail on their own: a failed
+    estimate is recorded as a method error and the report is "partial", a
+    failed cross-check is flagged "unavailable" and its method stays
+    complete.  A coupling matrix over ``max_matrix_entries`` raises
+    ResourceError before any work starts.  Output is deterministic for a
+    fixed config, and the config's seed is only a label; the report
+    timestamp alone differs between reruns.
     """
     from . import __version__
 
-    reports, evidence, diagnostics = _run_methods(config, max_matrix_entries)
-    status = "partial" if diagnostics["method_errors"] else "complete"
+    grids = _grids(config, max_matrix_entries)
+    reports: list[EdofReport] = []
+    evidence: dict[str, Any] = {}
+    caught: list[str] = []
+    diagnostics: dict[str, Any] = {name: {"flag": "not-applicable"}
+                                   for _, name, _ in _STEPS.values()}
+    diagnostics.update(method_errors={}, warnings=caught)
+    for method in config.methods:
+        report, evidence[method], error = _estimate(method, config, grids, caught)
+        if error is not None:
+            diagnostics["method_errors"][method] = f"{type(error).__name__}: {error}"
+            continue
+        reports.append(report)
+        _, name, check = _STEPS[method]
+        flags, error = _step(method, caught, check, config, grids[0], evidence[method])
+        if error is not None:
+            flags = {"flag": "unavailable", "detail": f"{type(error).__name__}: {error}"}
+        diagnostics[name] = flags
+
     result = ComparisonReport(
-        config=config,
-        edof_reports=tuple(reports),
-        spectrum=evidence["spectrum"],
-        bandwidth=evidence["bandwidth"],
-        response=evidence["response"],
-        diagnostics=_jsonable(diagnostics),
-        status=status,
-        tool_version=__version__,
-    )
+        config=config, edof_reports=tuple(reports), spectrum=evidence.get("svd"),
+        bandwidth=evidence.get("cutset"), response=evidence.get("landau"),
+        diagnostics=diagnostics, tool_version=__version__,
+        status="partial" if diagnostics["method_errors"] else "complete")
     if not write:
         return result
 
@@ -385,12 +389,12 @@ def run_sweep(config: ExperimentConfig, axis: str, values,
               out_dir: str | None = None,
               write: bool = True,
               max_matrix_entries: int = DEFAULT_MATRIX_BUDGET) -> SweepResult:
-    """One run per axis value, aggregated into a single table.
+    """Each selected method's estimate per axis value, in one table.
 
-    Row failures are recorded (n_edof None, "nan" in the CSV) and the sweep
-    continues.  The scale_r axis recomputes the spectrum at fixed points
-    per wavelength instead of rerunning every method, so its rows are
-    svd-only.  Rows follow the input value order.
+    No cross-check runs.  Failures are recorded (n_edof None, "nan" in the
+    CSV) and the sweep continues.  The scale_r axis recomputes the spectrum
+    at fixed points per wavelength instead of rerunning every method, so
+    its rows are svd-only.  Rows follow the input value order.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -406,22 +410,19 @@ def run_sweep(config: ExperimentConfig, axis: str, values,
         for value in values:
             try:
                 shifted = config_from_mapping(_shifted_mapping(config, axis, value))
-                report = run_experiment(shifted, write=False,
-                                        max_matrix_entries=max_matrix_entries)
+                grids = _grids(shifted, max_matrix_entries)
             except Exception as exc:
                 failures.append(f"{axis}={value:g}: {type(exc).__name__}: {exc}")
                 rows.extend({"axis_value": value, "method": m, "n_edof": None}
                             for m in config.methods)
                 continue
-            done = {rep.method: rep.n_edof for rep in report.edof_reports}
             for method in config.methods:
-                if method in done:
-                    rows.append({"axis_value": value, "method": method,
-                                 "n_edof": done[method]})
-                else:
-                    detail = report.diagnostics["method_errors"][method]
-                    failures.append(f"{axis}={value:g} {method}: {detail}")
-                    rows.append({"axis_value": value, "method": method, "n_edof": None})
+                report, _, error = _estimate(method, shifted, grids, [])
+                if error is not None:
+                    failures.append(
+                        f"{axis}={value:g} {method}: {type(error).__name__}: {error}")
+                rows.append({"axis_value": value, "method": method,
+                             "n_edof": None if report is None else report.n_edof})
 
     result = SweepResult(rows=tuple(rows), failures=tuple(failures))
     if not write:

@@ -343,23 +343,19 @@ def lattice_orbits(axis_u, axis_v, symmetry) -> LatticeFold:
              "swap": equal(axis_u, axis_v)}
     holds["point"] = holds["u"] and holds["v"]
     kept = tuple(name for name in symmetry if holds[name])
-    n_u, n_v = axis_u.size, axis_v.size
-    index = np.arange(n_u * n_v).reshape(n_u, n_v)
-    perms = [{"u": index[::-1, :], "v": index[:, ::-1], "swap": index.T,
-              "point": index[::-1, ::-1]}[name].ravel() for name in kept]
+    views = {"u": lambda a: a[::-1, :], "v": lambda a: a[:, ::-1],
+             "swap": lambda a: a.T, "point": lambda a: a[::-1, ::-1]}
     # each generator is an involution, so the fixed point holds each orbit's
     # smallest index on all of its nodes
-    rep = np.arange(n_u * n_v)
+    rep = np.arange(axis_u.size * axis_v.size).reshape(axis_u.size, axis_v.size)
     while True:
         low = rep
-        for perm in perms:
-            low = np.minimum(low, low[perm])
+        for name in kept:
+            low = np.minimum(low, views[name](low))
         if np.array_equal(low, rep):
             break
         rep = low
-    # free the index maps first: the results then reuse their heap memory
-    # instead of leaving it resident beneath them
-    del index, perms, low
+    rep = rep.ravel()
     nodes = np.flatnonzero(rep == np.arange(rep.size))
     return LatticeFold(symmetry=kept, nodes=nodes,
                        gather=np.searchsorted(nodes, rep))

@@ -23,6 +23,19 @@ PARAXIAL_BANDWIDTH = (2.0 * np.pi / WAVELENGTH * APERTURE / DISTANCE) ** 2
 PARAXIAL_EDOF = APERTURE ** 2 * PARAXIAL_BANDWIDTH / (4.0 * np.pi ** 2)
 
 
+@pytest.fixture
+def perpendicular_scene():
+    """A receiver turned edge-on whose corner sits 0.5 mm (0.05 wavelengths)
+    above a transmit node, while its center stays clear of the aperture."""
+    return {
+        "wave": {"wavelength_m": 0.01},
+        "tx": {"center_m": [0, 0, 0], "size_m": [0.5, 0.5], "grid": [16, 16]},
+        "rx": {"center_m": [0.234375, 0, 0.2505], "size_m": [0.5, 0.46875],
+               "grid": [8, 8],
+               "rotation": {"axis": [0, 1, 0], "angle_rad": 1.5707963267948966}},
+    }
+
+
 @pytest.fixture(scope="session")
 def wave():
     return WaveConfig(wavelength=WAVELENGTH)

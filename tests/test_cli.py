@@ -107,6 +107,21 @@ def test_run_partial_failure_exits_2(tmp_path, capsys):
     assert "cutset: n_edof =" in captured.out
 
 
+def test_run_failed_cross_check_exits_0(tmp_path, capsys, perpendicular_scene):
+    path = tmp_path / "perpendicular.json"
+    path.write_text(json.dumps(perpendicular_scene))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "FAILED" not in captured.out + captured.err
+    assert "landau: n_edof =" in captured.out
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "complete"
+    assert report["diagnostics"]["stationarity"]["flag"] == "unavailable"
+    assert [line.split(",")[0] for line in (out / "edof.csv").read_text().splitlines()] \
+        == ["method", "svd", "cutset", "landau"]
+
+
 def test_run_lag_lattice_over_the_budget_exits_2(tmp_path, capsys):
     path = _config_file(tmp_path, name="far.json", methods=["cutset", "landau"],
                         rx={"center_m": [0.0, 0.0, 5000.0], "size_m": [0.5, 0.5],

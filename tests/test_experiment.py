@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import edof.experiment
 import edof.landau
 from edof.config import config_from_mapping
 from edof.errors import ConfigError, ResourceError
@@ -197,6 +198,57 @@ def test_method_failure_yields_partial_status():
     assert "SingularKernelError" in report.diagnostics["method_errors"]["svd"]
 
 
+def test_failed_cross_check_leaves_its_method_complete(perpendicular_scene):
+    # the stationarity probes at the receive corner come within 0.05
+    # wavelengths of a transmit node; the lags around the center do not
+    report = run_experiment(config_from_mapping(perpendicular_scene), write=False)
+    assert report.status == "complete"
+    assert [r.method for r in report.edof_reports] == ["svd", "cutset", "landau"]
+    assert report.diagnostics["method_errors"] == {}
+    stationarity = report.diagnostics["stationarity"]
+    assert stationarity["flag"] == "unavailable"
+    assert stationarity["detail"].startswith("SingularKernelError: evaluation points")
+    assert report.diagnostics["convergence"]["flag"] == "drifting"
+    assert report.diagnostics["injectivity"]["flag"] == "divergent"
+
+
+def _raise(*args):
+    raise RuntimeError("cross-check broke")
+
+
+@pytest.mark.parametrize("method, check", [
+    ("svd", "convergence"), ("cutset", "injectivity"), ("landau", "stationarity")])
+def test_each_cross_check_fails_on_its_own(monkeypatch, method, check):
+    estimate, name, _ = edof.experiment._STEPS[method]
+    monkeypatch.setitem(edof.experiment._STEPS, method, (estimate, name, _raise))
+    cfg = config_from_mapping(_scene_mapping(grid=8))
+    report = run_experiment(cfg, write=False)
+    assert report.status == "complete"
+    assert report.diagnostics["method_errors"] == {}
+    assert [r.method for r in report.edof_reports] == ["svd", "cutset", "landau"]
+    assert report.diagnostics[check] == {"flag": "unavailable",
+                                         "detail": "RuntimeError: cross-check broke"}
+    others = {"convergence", "injectivity", "stationarity"} - {check}
+    assert all(report.diagnostics[o]["flag"] not in ("unavailable", "not-applicable")
+               for o in others)
+
+
+def test_cross_checks_flag_divergent_and_non_stationary_scenes():
+    # the receiver 0.6 m off axis and 0.4 m out sees a folded wavenumber map
+    # and a correlation that changes across its aperture
+    mapping = _scene_mapping(methods=["cutset", "landau"], landau_options={})
+    mapping["rx"]["center_m"] = [0.6, 0.0, 0.4]
+    report = run_experiment(config_from_mapping(mapping), write=False)
+    assert report.status == "complete"
+    injectivity = report.diagnostics["injectivity"]
+    assert injectivity["flag"] == "divergent"
+    assert injectivity["relative_difference"] == pytest.approx(0.080, abs=5e-4)
+    stationarity = report.diagnostics["stationarity"]
+    assert stationarity["flag"] == "non-stationary"
+    assert stationarity["max_modulus_deviation"] == pytest.approx(0.473, abs=5e-4)
+    assert report.diagnostics["convergence"] == {"flag": "not-applicable"}
+
+
 def test_non_finite_count_is_a_method_error():
     # past the config checks: distances to a center at 1e308 overflow when squared
     cfg = config_from_mapping(_scene_mapping(grid=8, methods=["cutset", "landau"]))
@@ -295,6 +347,29 @@ def test_sweep_records_methods_that_fail_inside_a_run(tmp_path):
     cells = [line.split(",")[1:] for line in lines[4:]]
     assert cells[0] == ["svd", "nan"] and cells[2] == ["landau", "nan"]
     assert cells[1][0] == "cutset" and float(cells[1][1]) == values[4][2]
+
+
+def _counting(monkeypatch, name, calls):
+    real = getattr(edof.experiment, name)
+
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(edof.experiment, name, spy)
+
+
+def test_sweep_runs_the_estimates_only(monkeypatch):
+    names = ("stationarity_check", "set_measure_bandwidth", "coupling_spectrum")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        _counting(monkeypatch, name, calls)
+    cfg = config_from_mapping(_scene_mapping(grid=8))
+    result = run_sweep(cfg, "distance", [10.0, 20.0], write=False)
+    assert result.failures == ()
+    assert len(result.rows) == 6
+    assert calls == {"stationarity_check": 0, "set_measure_bandwidth": 0,
+                     "coupling_spectrum": 2}
 
 
 def test_size_and_wavelength_sweeps_shift_the_scene():
