@@ -1,7 +1,8 @@
 """Command-line entry points: run, sweep, and validate.
 
-Exit codes: 0 success, 1 validation failure, 2 partial method failure,
-3 resource limit.
+Exit codes: 0 success, 1 validation failure (a bad config or argument, or an
+output directory that cannot be written), 2 partial method failure, 3 resource
+limit.  ``python -m edof.cli`` runs the same entry point as ``edof``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ EXIT_VALIDATION = 1
 EXIT_PARTIAL = 2
 EXIT_RESOURCE = 3
 
-_VALIDATION_ERRORS = (ConfigError, GeometryError, DimensionError)
+# OSError: --out and output.directory are user input as well
+_VALIDATION_ERRORS = (ConfigError, GeometryError, DimensionError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,3 +142,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

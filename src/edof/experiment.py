@@ -70,22 +70,25 @@ class SweepResult:
 
 
 def _fmt(x) -> str:
-    """CSV cell: 17 significant digits round-trips doubles exactly."""
+    """CSV cell: text as is, None empty, numbers to 17 digits (exact for doubles)."""
     if x is None:
         return ""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return f"{float(x):.17g}"
+    return x if isinstance(x, str) else f"{x:.17g}"
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    return value
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+
+
+def _write_files(directory: str, texts: dict[str, str]) -> tuple[str, ...]:
+    """Write each ``{file name: text}`` into ``directory``, which is created
+    if missing; the paths written, in the order given."""
+    os.makedirs(directory, exist_ok=True)
+    paths = tuple(os.path.join(directory, name) for name in texts)
+    for path, text in zip(paths, texts.values()):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return paths
 
 
 def _svd_estimate(config: ExperimentConfig, tx_grid, rx_grid):
@@ -243,7 +246,7 @@ def _response_summary(response: WavenumberResponse | None):
 def report_mapping(report: ComparisonReport) -> dict:
     """JSON-ready view of the report; everything but the timestamp."""
     by_method = {rep.method: rep for rep in report.edof_reports}
-    return _jsonable({
+    return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": report.tool_version,
         "status": report.status,
@@ -257,29 +260,7 @@ def report_mapping(report: ComparisonReport) -> dict:
         "bandwidth": _bandwidth_summary(report.bandwidth, by_method.get("cutset")),
         "wavenumber_response": _response_summary(report.response),
         "diagnostics": report.diagnostics,
-    })
-
-
-def _write_spectrum_csv(path: str, spectrum: CouplingSpectrum) -> None:
-    s0 = float(spectrum.values[0])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,s_squared,s_squared_normalized\n")
-        for i, value in enumerate(spectrum.values):
-            fh.write(f"{i},{_fmt(float(value))},{_fmt(float(value) / s0)}\n")
-
-
-def _write_edof_csv(path: str, reports) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,n_edof,gamma_mode,gamma_value\n")
-        for rep in reports:
-            mode = rep.gamma_mode if rep.gamma_mode is not None else ""
-            fh.write(f"{rep.method},{_fmt(rep.n_edof)},{mode},{_fmt(rep.gamma_value)}\n")
-
-
-def _write_json(path: str, mapping: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(mapping, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }
 
 
 def run_experiment(config: ExperimentConfig,
@@ -325,24 +306,20 @@ def run_experiment(config: ExperimentConfig,
     if not write:
         return result
 
-    directory = out_dir if out_dir is not None else config.output_directory
-    os.makedirs(directory, exist_ok=True)
-    written: list[str] = []
+    texts: dict[str, str] = {}
     if "csv" in config.output_formats:
         if result.spectrum is not None:
-            path = os.path.join(directory, "spectrum.csv")
-            _write_spectrum_csv(path, result.spectrum)
-            written.append(path)
-        path = os.path.join(directory, "edof.csv")
-        _write_edof_csv(path, result.edof_reports)
-        written.append(path)
+            values = result.spectrum.values.tolist()
+            texts["spectrum.csv"] = _csv("index,s_squared,s_squared_normalized",
+                                         ((i, v, v / values[0]) for i, v in enumerate(values)))
+        texts["edof.csv"] = _csv("method,n_edof,gamma_mode,gamma_value",
+                                 ((rep.method, rep.n_edof, rep.gamma_mode, rep.gamma_value)
+                                  for rep in result.edof_reports))
     if "json" in config.output_formats:
-        mapping = report_mapping(result)
-        mapping["generated_at"] = datetime.now(timezone.utc).isoformat()
-        path = os.path.join(directory, "report.json")
-        _write_json(path, mapping)
-        written.append(path)
-    return dataclasses.replace(result, output_files=tuple(written))
+        mapping = {**report_mapping(result), "generated_at": datetime.now(timezone.utc).isoformat()}
+        texts["report.json"] = json.dumps(mapping, indent=2, sort_keys=True) + "\n"
+    files = _write_files(out_dir if out_dir is not None else config.output_directory, texts)
+    return dataclasses.replace(result, output_files=files)
 
 
 def _shifted_mapping(config: ExperimentConfig, axis: str, value: float) -> dict:
@@ -427,13 +404,8 @@ def run_sweep(config: ExperimentConfig, axis: str, values,
     result = SweepResult(rows=tuple(rows), failures=tuple(failures))
     if not write:
         return result
-    directory = out_dir if out_dir is not None else config.output_directory
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("axis_value,method,n_edof\n")
-        for row in rows:
-            n = row["n_edof"]
-            cell = "nan" if n is None else _fmt(n)
-            fh.write(f"{_fmt(row['axis_value'])},{row['method']},{cell}\n")
-    return dataclasses.replace(result, output_files=(path,))
+    cells = ((row["axis_value"], row["method"], "nan" if row["n_edof"] is None else row["n_edof"])
+             for row in rows)
+    files = _write_files(out_dir if out_dir is not None else config.output_directory,
+                         {"sweep.csv": _csv("axis_value,method,n_edof", cells)})
+    return dataclasses.replace(result, output_files=files)

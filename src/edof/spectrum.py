@@ -52,6 +52,8 @@ class CouplingSpectrum:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size == 0:
             raise NumericalError("spectrum must hold at least one value")
+        if not np.all(np.isfinite(self.values)):
+            raise NumericalError("spectrum values must be finite")
         if np.any(self.values < 0.0) or np.any(np.diff(self.values) > 0.0):
             raise NumericalError("spectrum values must be nonnegative and descending")
 

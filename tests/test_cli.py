@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, overrides, and exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -153,6 +157,18 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert "distance=5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "distance", "--values", "10"]])
+def test_unwritable_output_directory_exits_1(tmp_path, capsys, command):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    path = _config_file(tmp_path)
+    assert main([command[0], path, *command[1:], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_bad_values(tmp_path, capsys):
     path = _config_file(tmp_path)
     assert main(["sweep", path, "--axis", "distance", "--values", "5,abc"]) == 1
@@ -219,3 +235,18 @@ def test_entry_wraps_main(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as info:
         entry()
     assert info.value.code == 0
+
+
+def test_module_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "edof.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    path = _config_file(tmp_path)
+    done = cli("validate", path)
+    assert (done.returncode, done.stdout) == (0, f"{path}: ok\n")
+    done = cli("run", path, "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "edof.csv").exists()

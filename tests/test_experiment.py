@@ -151,6 +151,52 @@ def test_json_only_format_filter(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
+def _csv_rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+def test_written_files_read_back_to_the_report(tmp_path):
+    cfg = config_from_mapping(_scene_mapping(grid=8, methods=["svd", "cutset"]))
+    report = run_experiment(cfg, out_dir=str(tmp_path))
+    assert [p.split("/")[-1] for p in report.output_files] == [
+        "spectrum.csv", "edof.csv", "report.json"]
+
+    header, rows = _csv_rows(tmp_path / "spectrum.csv")
+    assert header == "index,s_squared,s_squared_normalized"
+    values = report.spectrum.values
+    assert [int(r[0]) for r in rows] == list(range(len(values)))
+    assert np.array_equal(np.array([float(r[1]) for r in rows]), values)
+    assert np.array_equal(np.array([float(r[2]) for r in rows]), values / values[0])
+
+    header, rows = _csv_rows(tmp_path / "edof.csv")
+    assert header == "method,n_edof,gamma_mode,gamma_value"
+    svd, cutset = report.edof_reports
+    assert rows == [["svd", "4", "relative", "0.5"], ["cutset", rows[1][1], "", ""]]
+    assert (int(rows[0][1]), float(rows[1][1])) == (svd.n_edof, cutset.n_edof)
+
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload.pop("generated_at")
+    assert payload == json.loads(json.dumps(report_mapping(report)))
+
+    csv_only = config_from_mapping(_scene_mapping(
+        grid=8, methods=["cutset"], output={"directory": "unused", "formats": ["csv"]}))
+    report = run_experiment(csv_only, out_dir=str(tmp_path / "csv"))
+    assert [p.split("/")[-1] for p in report.output_files] == ["edof.csv"]
+    assert not (tmp_path / "csv" / "report.json").exists()
+
+    # 0.05 wavelengths of separation: the svd row fails, cutset still counts
+    result = run_sweep(cfg, "distance", [10.0, 0.0005], out_dir=str(tmp_path / "sweep"))
+    header, rows = _csv_rows(tmp_path / "sweep" / "sweep.csv")
+    assert header == "axis_value,method,n_edof"
+    assert rows[2][1:] == ["svd", "nan"]
+    assert len(rows) == len(result.rows) == 4
+    for cells, row in zip(rows, result.rows):
+        assert (float(cells[0]), cells[1]) == (row["axis_value"], row["method"])
+        assert (cells[2] == "nan") if row["n_edof"] is None else (
+            float(cells[2]) == row["n_edof"])
+
+
 def test_report_records_band_edge_outside_the_csv(tmp_path):
     cfg = config_from_mapping(_scene_mapping(grid=8, methods=["landau"]))
     report = run_experiment(cfg, out_dir=str(tmp_path))
@@ -272,6 +318,17 @@ def test_non_finite_response_is_a_method_error():
     assert report.diagnostics["method_errors"]["landau"].startswith(
         "NumericalError: wavenumber response is not finite")
     assert any(w.startswith("landau: overflow") for w in report.diagnostics["warnings"])
+
+
+def test_overflowing_spectrum_is_a_method_error():
+    # k0 = 2 pi / 1e-300 m overflows the SVD to a spectrum of inf, whose
+    # count would otherwise read 0
+    report = run_experiment(config_from_mapping(_scene_mapping(
+        grid=4, methods=["svd"], wave={"wavelength_m": 1e-300})), write=False)
+    assert report.status == "partial"
+    assert report.edof_reports == ()
+    assert report.diagnostics["method_errors"]["svd"] == (
+        "NumericalError: spectrum values must be finite")
 
 
 def _refuse_lattice(*args):

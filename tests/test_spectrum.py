@@ -75,6 +75,13 @@ def test_spectrum_container_enforces_order_and_sign():
         CouplingSpectrum(values=np.array([]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spectrum_container_rejects_non_finite_values(bad):
+    # both order comparisons are False for nan, and inf passes them
+    with pytest.raises(NumericalError, match="finite"):
+        CouplingSpectrum(values=np.array([bad, 1.0]))
+
+
 def test_spectrum_sum_equals_squared_frobenius(small_operator):
     spec = coupling_spectrum(small_operator)
     assert float(np.sum(spec.values)) == pytest.approx(
