@@ -154,8 +154,8 @@ def _parse_pair(value: Any, path: str, kind: str) -> Any:
 class ExperimentConfig:
     """Validated experiment description with derived geometry objects.
 
-    ``seed`` is a label of the run: it appears in the echo only, and no
-    computation reads it.
+    The ``seed`` key is a label of the run: it appears in the echo only, and
+    no computation reads it.
     """
 
     wave: WaveConfig
@@ -170,7 +170,6 @@ class ExperimentConfig:
     lag_grid: tuple[int, int] | None
     output_directory: str
     output_formats: tuple[str, ...]
-    seed: int
     resolved: dict = field(repr=False)
 
     def to_mapping(self) -> dict:
@@ -230,8 +229,6 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
     formats = _choices(output_raw.get("formats", _DEFAULTS["output"]["formats"]),
                        "output.formats", VALID_FORMATS, "format")
 
-    seed = _integer(data.get("seed", _DEFAULTS["seed"]), "seed")
-
     resolved = {
         "wave": {"wavelength_m": wavelength},
         "tx": tx_echo,
@@ -243,7 +240,7 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
             "lag_grid": list(lag_grid) if lag_grid is not None else None,
         },
         "output": {"directory": directory, "formats": formats},
-        "seed": seed,
+        "seed": _integer(data.get("seed", _DEFAULTS["seed"]), "seed"),
     }
     return ExperimentConfig(
         wave=wave,
@@ -258,7 +255,6 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
         lag_grid=lag_grid,
         output_directory=directory,
         output_formats=tuple(formats),
-        seed=seed,
         resolved=resolved,
     )
 

@@ -26,11 +26,10 @@ from .geometry import discretize
 from .kernel import assemble_operator
 from .landau import (
     DEFAULT_MATRIX_BUDGET,
-    DEFAULT_STUDY_GAMMAS,
     WavenumberResponse,
     landau_edof,
-    polarization_study,
     stationarity_check,
+    study_grid_counts,
     support_measure,
     wavenumber_response,
 )
@@ -56,7 +55,6 @@ class ComparisonReport:
     response: WavenumberResponse | None
     diagnostics: dict[str, Any]
     status: str                      # "complete" | "partial"
-    tool_version: str
     output_files: tuple[str, ...] = ()
 
 
@@ -214,7 +212,7 @@ def _spectrum_summary(spectrum: CouplingSpectrum | None):
         "n_values": len(spectrum.values),
         "s0_squared": float(spectrum.values[0]),
         "sum_s_squared": float(spectrum.values.sum()),
-        "solver": spectrum.solver,
+        "solver": "mirror-sectors" if spectrum.symmetry == ("u", "v") else "svd",
         "symmetry": list(spectrum.symmetry),
     }
 
@@ -232,23 +230,23 @@ def _bandwidth_summary(bw: LocalBandwidthField | None, report: EdofReport | None
 def _response_summary(response: WavenumberResponse | None):
     if response is None:
         return "not-applicable"
-    diag = dict(response.diagnostics)
-    diag.pop("zero_lag", None)
     return {
         "op_norm_estimate": response.op_norm_estimate,
         "cell_area": response.cell_area,
         "n_samples": len(response.H_values),
         "lag_shape": response.shape,
-        **diag,
+        **response.diagnostics,
     }
 
 
 def report_mapping(report: ComparisonReport) -> dict:
     """JSON-ready view of the report; everything but the timestamp."""
+    from . import __version__
+
     by_method = {rep.method: rep for rep in report.edof_reports}
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": report.tool_version,
+        "tool_version": __version__,
         "status": report.status,
         "config": report.config.to_mapping(),
         "edof": [
@@ -277,8 +275,6 @@ def run_experiment(config: ExperimentConfig,
     fixed config, and the config's seed is only a label; the report
     timestamp alone differs between reruns.
     """
-    from . import __version__
-
     grids = _grids(config, max_matrix_entries)
     reports: list[EdofReport] = []
     evidence: dict[str, Any] = {}
@@ -301,7 +297,7 @@ def run_experiment(config: ExperimentConfig,
     result = ComparisonReport(
         config=config, edof_reports=tuple(reports), spectrum=evidence.get("svd"),
         bandwidth=evidence.get("cutset"), response=evidence.get("landau"),
-        diagnostics=diagnostics, tool_version=__version__,
+        diagnostics=diagnostics,
         status="partial" if diagnostics["method_errors"] else "complete")
     if not write:
         return result
@@ -322,7 +318,8 @@ def run_experiment(config: ExperimentConfig,
     return dataclasses.replace(result, output_files=files)
 
 
-def _shifted_mapping(config: ExperimentConfig, axis: str, value: float) -> dict:
+def _shifted_mapping(config: ExperimentConfig, axis: str, value: float,
+                     max_matrix_entries: int) -> dict:
     mapping = config.to_mapping()
     if axis == "distance":
         tx_c = np.asarray(mapping["tx"]["center_m"], dtype=float)
@@ -337,29 +334,14 @@ def _shifted_mapping(config: ExperimentConfig, axis: str, value: float) -> dict:
         mapping[key]["size_m"] = [value, size[1] * factor]
     elif axis == "wavelength":
         mapping["wave"]["wavelength_m"] = value
+    elif axis == "scale_r":
+        counts = study_grid_counts(config.tx_surface, config.rx_surface, config.wave,
+                                   value, max_matrix_entries)
+        for key, grid in zip(("tx", "rx"), counts):
+            mapping[key]["size_m"] = [x * value for x in mapping[key]["size_m"]]
+            mapping[key]["grid"] = list(grid)
+        mapping["methods"] = ["svd"]
     return mapping
-
-
-def _sweep_scale_r(config: ExperimentConfig, values,
-                   max_matrix_entries: int) -> tuple[list[dict], list[str]]:
-    if config.gamma_mode != "relative":
-        raise ConfigError("scale_r sweeps report thresholds relative to the "
-                          "top mode; set gamma.mode to 'relative'")
-    if not all(1.0 <= r < np.inf for r in values):
-        raise ConfigError(f"scale_r values must be finite and >= 1, got {values}")
-    gammas = tuple(sorted(set(DEFAULT_STUDY_GAMMAS) | {config.gamma_value}))
-    rows, failures = [], []
-    for r in values:
-        try:
-            (row,) = polarization_study(config.tx_surface, config.rx_surface,
-                                        config.wave, scales=[r], gammas=gammas,
-                                        max_matrix_entries=max_matrix_entries)
-            n_edof = row.n_edof[config.gamma_value]
-        except Exception as exc:
-            failures.append(f"scale_r={r:g}: {type(exc).__name__}: {exc}")
-            n_edof = None
-        rows.append({"axis_value": r, "method": "svd", "n_edof": n_edof})
-    return rows, failures
 
 
 def run_sweep(config: ExperimentConfig, axis: str, values,
@@ -369,37 +351,41 @@ def run_sweep(config: ExperimentConfig, axis: str, values,
     """Each selected method's estimate per axis value, in one table.
 
     No cross-check runs.  Failures are recorded (n_edof None, "nan" in the
-    CSV) and the sweep continues.  The scale_r axis recomputes the spectrum
-    at fixed points per wavelength instead of rerunning every method, so
-    its rows are svd-only.  Rows follow the input value order.
+    CSV) and the sweep continues.  A scale_r point scales both apertures by
+    r on the grids of ``study_grid_counts`` and runs the svd estimate only.
+    Rows follow the input value order.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = [float(v) for v in values]
     if not values:
         raise ConfigError("sweep needs at least one axis value")
+    methods = config.methods
+    if axis == "scale_r":
+        if config.gamma_mode != "relative":
+            raise ConfigError("scale_r sweeps report thresholds relative to the "
+                              "top mode; set gamma.mode to 'relative'")
+        if not all(1.0 <= r < np.inf for r in values):
+            raise ConfigError(f"scale_r values must be finite and >= 1, got {values}")
+        methods = ("svd",)
 
     rows: list[dict] = []
     failures: list[str] = []
-    if axis == "scale_r":
-        rows, failures = _sweep_scale_r(config, values, max_matrix_entries)
-    else:
-        for value in values:
-            try:
-                shifted = config_from_mapping(_shifted_mapping(config, axis, value))
-                grids = _grids(shifted, max_matrix_entries)
-            except Exception as exc:
-                failures.append(f"{axis}={value:g}: {type(exc).__name__}: {exc}")
-                rows.extend({"axis_value": value, "method": m, "n_edof": None}
-                            for m in config.methods)
-                continue
-            for method in config.methods:
-                report, _, error = _estimate(method, shifted, grids, [])
-                if error is not None:
-                    failures.append(
-                        f"{axis}={value:g} {method}: {type(error).__name__}: {error}")
-                rows.append({"axis_value": value, "method": method,
-                             "n_edof": None if report is None else report.n_edof})
+    for value in values:
+        try:
+            shifted = config_from_mapping(
+                _shifted_mapping(config, axis, value, max_matrix_entries))
+            grids = _grids(shifted, max_matrix_entries)
+        except Exception as exc:
+            failures.append(f"{axis}={value:g}: {type(exc).__name__}: {exc}")
+            rows.extend({"axis_value": value, "method": m, "n_edof": None} for m in methods)
+            continue
+        for method in methods:
+            report, _, error = _estimate(method, shifted, grids, [])
+            if error is not None:
+                failures.append(f"{axis}={value:g} {method}: {type(error).__name__}: {error}")
+            rows.append({"axis_value": value, "method": method,
+                         "n_edof": None if report is None else report.n_edof})
 
     result = SweepResult(rows=tuple(rows), failures=tuple(failures))
     if not write:

@@ -59,7 +59,6 @@ class DiscreteOperator:
     matrix: np.ndarray  # complex, (N_rx, N_tx)
     tx_grid: QuadratureGrid
     rx_grid: QuadratureGrid
-    wave: WaveConfig
 
     @property
     def shape(self):
@@ -152,8 +151,7 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
         d = node_distances(rx_grid.points[rows], tx_grid.points, wave)
         matrix[rows] = (sq_w_rx[rows, None] * _kernel_of_distance(d, wave)
                         * sq_w_tx[None, :])
-    return DiscreteOperator(matrix=matrix, tx_grid=tx_grid, rx_grid=rx_grid,
-                            wave=wave)
+    return DiscreteOperator(matrix=matrix, tx_grid=tx_grid, rx_grid=rx_grid)
 
 
 def apply(operator: DiscreteOperator, coefficients) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from .cutset import wavenumber_component
-from .errors import NumericalError, ResourceError
+from .errors import GeometryError, NumericalError, ResourceError
 from .geometry import (
     MIRRORS,
     PlanarSurface,
@@ -195,7 +195,8 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     its value at grazing incidence (k_band >= k0).  Counts are forced odd
     so the lattice is centered and the transform is real.  A lattice of
     more than DEFAULT_MATRIX_BUDGET lags raises ResourceError before any
-    lag is placed.
+    lag is placed; an automatic one of fewer than 3 lags per axis raises
+    GeometryError.
 
     g is evaluated on one lag per orbit and gathered to the rest.  When the
     scene holds both receive mirrors of ``mirror_axes``, the orbits are
@@ -215,11 +216,16 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     if not (extent_u > 0.0 and extent_v > 0.0):
         raise ValueError("lag extents must be positive")
     k_band = _band_edge(rx_surface, tx_grid.surface, wave, (extent_u, extent_v))
-    # max(lambda/4, pi/(2 k_band)), written to be exactly lambda/4 at grazing
-    auto_counts = tuple(
-        np.ceil(e / (0.25 * wave.wavelength * max(1.0, wave.k0 / kb)))
-        for e, kb in zip((extent_u, extent_v), k_band))
-    counts = _normalize_pair(lag_grid, auto_counts, "lag_grid")
+    if lag_grid is None:
+        # max(lambda/4, pi/(2 k_band)), written to be exactly lambda/4 at grazing
+        spacing = tuple(0.25 * wave.wavelength * max(1.0, wave.k0 / kb) for kb in k_band)
+        lag_grid = tuple(np.ceil(e / s) for e, s in zip((extent_u, extent_v), spacing))
+        if not all(3 <= n < np.inf for n in lag_grid):
+            raise GeometryError(
+                f"automatic lag grid has {lag_grid[0]:g} x {lag_grid[1]:g} lags, fewer than 3 "
+                f"per axis: extent {extent_u:.3g} x {extent_v:.3g} m at spacing {spacing[0]:.3g}"
+                f" x {spacing[1]:.3g} m; set landau_options.lag_grid or lag_extent_m")
+    counts = _normalize_pair(lag_grid, None, "lag_grid")
     if not all(n.is_integer() for n in counts):
         raise ValueError(f"lag_grid counts must be whole numbers, got {counts}")
     counts = tuple(int(n) for n in counts)
@@ -238,7 +244,6 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
                                        mirror_axes(tx_grid, rx_surface),
                                        rx_surface.center, rx_surface, tx_grid, wave)
     g = g.reshape(n_u, n_v)
-    g_zero = float(np.real(g[(n_u - 1) // 2, (n_v - 1) // 2]))
 
     # Bartlett taper: Fejer smoothing keeps the estimate nonnegative.
     taper_u = 1.0 - np.abs(iu) / ((n_u + 1) / 2.0)
@@ -262,7 +267,6 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
         cell_area=cell_area,
         shape=(n_u, n_v),
         diagnostics={
-            "zero_lag": g_zero,
             "lag_spacing": (du, dv),
             "k_band": k_band,
             "lag_extent": (extent_u, extent_v),
@@ -297,9 +301,7 @@ def landau_edof(rx_surface: PlanarSurface, support: float,
         raise ValueError(f"support measure must be nonnegative, got {support}")
     n = rx_surface.area * support / (4.0 * np.pi ** 2)
     return EdofReport(method="landau", n_edof=float(n),
-                      gamma_mode=gamma_mode, gamma_value=gamma_value,
-                      diagnostics={"rx_area": rx_surface.area,
-                                   "support_measure": float(support)})
+                      gamma_mode=gamma_mode, gamma_value=gamma_value)
 
 
 def stationarity_check(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
@@ -325,8 +327,35 @@ def stationarity_check(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     return {"max_modulus_deviation": worst, "stationary": worst <= 0.1}
 
 
-def _study_counts(length, scale, wavelength):
-    return int(np.ceil(length * scale * DEFAULT_POINTS_PER_WAVELENGTH / wavelength))
+def study_grid_counts(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
+                      wave: WaveConfig, scale: float,
+                      max_matrix_entries: int = DEFAULT_MATRIX_BUDGET):
+    """Midpoint grid counts ``((tx n_u, n_v), (rx n_u, n_v))`` of the scene
+    with both aperture sides scaled by ``scale``: DEFAULT_POINTS_PER_WAVELENGTH,
+    reduced uniformly when the coupling matrix would exceed
+    ``max_matrix_entries``.  A ResourceError names the scale when the grid
+    cannot resolve twice the paraxial mode count k0 L_tx L_rx r^2 / (2 pi d)
+    per axis."""
+    counts = [tuple(int(np.ceil(length * scale * DEFAULT_POINTS_PER_WAVELENGTH
+                                / wave.wavelength))
+                    for length in (surf.length_u, surf.length_v))
+              for surf in (tx_surface, rx_surface)]
+    entries = counts[0][0] * counts[0][1] * counts[1][0] * counts[1][1]
+    if entries > max_matrix_entries:
+        shrink = (max_matrix_entries / entries) ** 0.25
+        counts = [(max(1, int(n_u * shrink)), max(1, int(n_v * shrink)))
+                  for n_u, n_v in counts]
+    d = float(np.linalg.norm(rx_surface.center - tx_surface.center))
+    for axis, (l_tx, l_rx) in enumerate(((tx_surface.length_u, rx_surface.length_u),
+                                          (tx_surface.length_v, rx_surface.length_v))):
+        predicted = wave.k0 * l_tx * l_rx * scale * scale / (2.0 * np.pi * d)
+        available = min(counts[0][axis], counts[1][axis])
+        if available < 2.0 * predicted:
+            raise ResourceError(
+                f"matrix budget {max_matrix_entries} caps the grid at "
+                f"{available} points per axis, below the ~{2 * predicted:.0f} "
+                f"needed to resolve the spectrum at scale r={scale}")
+    return tuple(counts)
 
 
 def polarization_study(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
@@ -334,11 +363,9 @@ def polarization_study(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
                        max_matrix_entries: int = DEFAULT_MATRIX_BUDGET) -> list[PolarizationScale]:
     """Spectra of the scene with both aperture side lengths scaled by r.
 
-    Midpoint grids are fixed at DEFAULT_POINTS_PER_WAVELENGTH so the runs
-    stay comparable across scales, then reduced uniformly when the coupling
-    matrix would exceed ``max_matrix_entries``.  If even the reduced grid
-    cannot resolve the predicted mode count at some scale, a ResourceError
-    naming that scale is raised.  Counts n_edof use relative thresholds;
+    Each scale takes the midpoint grids of ``study_grid_counts``, so the
+    runs stay comparable across scales, and a scale the budget cannot
+    resolve raises its ResourceError.  Counts n_edof use relative thresholds;
     ``spread`` is the transition width (n[gamma_min] - n[gamma_max]) /
     n[gamma_mid], the quantity that shrinks as the eigenvalues polarize.
     """
@@ -348,36 +375,12 @@ def polarization_study(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
     gammas = tuple(sorted(float(x) for x in gammas))
     if len(gammas) < 2:
         raise ValueError("need at least two relative thresholds")
-    d = float(np.linalg.norm(rx_surface.center - tx_surface.center))
     rows = []
     for r in scales:
-        counts = {}
-        for tag, surf in (("tx", tx_surface), ("rx", rx_surface)):
-            counts[tag] = (_study_counts(surf.length_u, r, wave.wavelength),
-                           _study_counts(surf.length_v, r, wave.wavelength))
-        entries = (counts["tx"][0] * counts["tx"][1]
-                   * counts["rx"][0] * counts["rx"][1])
-        if entries > max_matrix_entries:
-            shrink = (max_matrix_entries / entries) ** 0.25
-            counts = {tag: (max(1, int(n_u * shrink)), max(1, int(n_v * shrink)))
-                      for tag, (n_u, n_v) in counts.items()}
-        # paraxial per-axis mode estimate: the grid must stay ahead of it
-        for axis in (0, 1):
-            lengths = (tx_surface.length_u, tx_surface.length_v)[axis], \
-                      (rx_surface.length_u, rx_surface.length_v)[axis]
-            predicted = wave.k0 * lengths[0] * lengths[1] * r * r / (2.0 * np.pi * d)
-            available = min(counts["tx"][axis], counts["rx"][axis])
-            if available < 2.0 * predicted:
-                raise ResourceError(
-                    f"matrix budget {max_matrix_entries} caps the grid at "
-                    f"{available} points per axis, below the ~{2 * predicted:.0f} "
-                    f"needed to resolve the spectrum at scale r={r}")
-        tx_scaled = replace(tx_surface, length_u=tx_surface.length_u * r,
-                            length_v=tx_surface.length_v * r)
-        rx_scaled = replace(rx_surface, length_u=rx_surface.length_u * r,
-                            length_v=rx_surface.length_v * r)
-        tx_grid = discretize(tx_scaled, *counts["tx"])
-        rx_grid = discretize(rx_scaled, *counts["rx"])
+        counts = study_grid_counts(tx_surface, rx_surface, wave, r, max_matrix_entries)
+        tx_grid, rx_grid = (
+            discretize(replace(surf, length_u=surf.length_u * r, length_v=surf.length_v * r), *n)
+            for surf, n in zip((tx_surface, rx_surface), counts))
         spectrum = coupling_spectrum(assemble_operator(tx_grid, rx_grid, wave))
         n_edof = {g: count_edof(spectrum, g, "relative") for g in gammas}
         mid = gammas[len(gammas) // 2]

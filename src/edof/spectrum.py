@@ -45,8 +45,7 @@ class CouplingSpectrum:
     """Squared singular values of a discrete coupling operator, descending."""
 
     values: np.ndarray          # (N,) real, s_n^2 sorted descending
-    solver: str = "svd"         # "mirror-sectors" | "svd"
-    symmetry: tuple[str, ...] = ()  # receive mirrors the sectors used
+    symmetry: tuple[str, ...] = ()  # receive mirrors the sectors used; () on the full SVD
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -137,12 +136,12 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
     """Squared singular values of the operator matrix, descending.
 
     ``operator.matrix`` must be what ``assemble_operator`` built from the
-    operator's grids and ``wave``: the solver is chosen from the grids
-    alone.  When ``mirror_axes`` holds the receive u- and v-mirrors as flips
-    of the two transmit axes, in either order, and as flips of the receive
-    grid's own axes, nodes and weights, the values come from the four
-    parity-sector blocks, padded with zeros to min(N_rx, N_tx); otherwise
-    from one full SVD.
+    operator's grids: the solver is chosen from the grids alone.  When
+    ``mirror_axes`` holds the receive u- and v-mirrors as flips of the two
+    transmit axes, in either order, and as flips of the receive grid's own
+    axes, nodes and weights, the values come from the four parity-sector
+    blocks, padded with zeros to min(N_rx, N_tx); otherwise from one full
+    SVD.
 
     Error bound: every node then lies within about SYMMETRY_RTOL * L of a
     mirror image (L the largest aperture side) and weights match to
@@ -166,9 +165,7 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
             s[:merged.size] = merged
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return CouplingSpectrum(values=s * s,
-                            solver="mirror-sectors" if sectors else "svd",
-                            symmetry=("u", "v") if sectors else ())
+    return CouplingSpectrum(values=s * s, symmetry=("u", "v") if sectors else ())
 
 
 def resolve_threshold(gamma: float, mode: str, peak: float) -> float:

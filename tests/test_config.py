@@ -32,7 +32,7 @@ def test_minimal_mapping_fills_defaults():
     assert cfg.lag_extent is None and cfg.lag_grid is None
     assert cfg.output_directory == "edof_out"
     assert cfg.output_formats == ("csv", "json")
-    assert cfg.seed == 0
+    assert cfg.to_mapping()["seed"] == 0
     assert cfg.tx_grid_counts == (40, 40)
     assert cfg.wave.wavelength == 0.01
     # identity rotation is echoed explicitly
@@ -178,7 +178,7 @@ def test_round_trip_preserves_equality():
 def test_config_is_frozen():
     cfg = config_from_mapping(_mapping())
     with pytest.raises(AttributeError):
-        cfg.seed = 99
+        cfg.gamma_value = 0.9
 
 
 def test_load_config_reads_json_file(tmp_path):
@@ -186,7 +186,7 @@ def test_load_config_reads_json_file(tmp_path):
     path.write_text(json.dumps(_mapping(seed=7)))
     cfg = load_config(str(path))
     assert isinstance(cfg, ExperimentConfig)
-    assert cfg.seed == 7
+    assert cfg.to_mapping()["seed"] == 7
 
 
 def test_load_config_wraps_file_errors(tmp_path):

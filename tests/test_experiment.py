@@ -69,6 +69,7 @@ def test_report_mapping_is_json_ready(full_report):
     assert len(mapping["edof"]) == 3
     assert mapping["spectrum"]["n_values"] == 256
     assert config_from_mapping(mapping["config"]) == full_report.config
+    assert mapping["tool_version"] == edof.__version__
     assert "generated_at" not in text
 
 
@@ -398,12 +399,27 @@ def test_sweep_records_methods_that_fail_inside_a_run(tmp_path):
     assert [n is None for _, _, n in values] == [False] * 3 + [True, False, True]
     assert len(result.failures) == 2
     assert result.failures[0].startswith("distance=0.0005 svd: SingularKernelError:")
-    assert result.failures[1] == ("distance=0.0005 landau: ValueError: lag grid "
-                                  "needs at least 3 points per axis, got (1, 1)")
+    assert result.failures[1] == (
+        "distance=0.0005 landau: GeometryError: automatic lag grid has 1 x 1 lags, "
+        "fewer than 3 per axis: extent 8e-05 x 8e-05 m at spacing 0.0025 x 0.0025 m; "
+        "set landau_options.lag_grid or lag_extent_m")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     cells = [line.split(",")[1:] for line in lines[4:]]
     assert cells[0] == ["svd", "nan"] and cells[2] == ["landau", "nan"]
     assert cells[1][0] == "cutset" and float(cells[1][1]) == values[4][2]
+
+
+def test_automatic_lag_lattice_too_small_names_its_extent_and_spacing():
+    # 3 cm apart the automatic extent is 8 lambda d / L = 4.8 mm and the
+    # spacing lambda / 4 = 2.5 mm: two lags per axis, and no lag_grid was set
+    cfg = config_from_mapping(_scene_mapping(grid=12, distance=0.03, landau_options={}))
+    report = run_experiment(cfg, write=False)
+    assert report.status == "partial"
+    assert [rep.method for rep in report.edof_reports] == ["svd", "cutset"]
+    assert report.diagnostics["method_errors"] == {"landau": (
+        "GeometryError: automatic lag grid has 2 x 2 lags, fewer than 3 per axis: "
+        "extent 0.0048 x 0.0048 m at spacing 0.0025 x 0.0025 m; "
+        "set landau_options.lag_grid or lag_extent_m")}
 
 
 def _counting(monkeypatch, name, calls):

@@ -116,11 +116,21 @@ def test_response_leakage_is_bounded(anchor_response, wave):
     assert leakage <= 0.05
 
 
-def test_response_preserves_total_power(anchor_response):
+def test_response_preserves_total_power(anchor_response, anchor_surfaces, anchor_grids,
+                                        wave):
     resp = anchor_response
+    _, rx = anchor_surfaces
     total = float(resp.H_values.sum()) * resp.cell_area / (4.0 * np.pi ** 2)
-    g0 = resp.diagnostics["zero_lag"]
+    g0 = autocorrelation_kernel((0.0, 0.0), rx.center, anchor_grids[0], wave, rx).real
     assert abs(total - g0) <= 1e-6 * g0
+
+
+def test_explicit_lag_grid_below_three_is_a_value_error(anchor_surfaces, anchor_grids, wave):
+    _, rx = anchor_surfaces
+    with pytest.raises(ValueError, match=r"^lag grid needs at least 3 points per axis, "
+                                         r"got \(2, 5\)$") as caught:
+        wavenumber_response(rx, anchor_grids[0], wave, lag_grid=(2, 5), lag_extent=6.3)
+    assert caught.type is ValueError
 
 
 def test_response_nonnegative_by_construction(anchor_response):
@@ -461,7 +471,6 @@ def test_landau_edof_anchor_chain(anchor_surfaces, anchor_response):
                          gamma_mode="relative", gamma_value=0.5)
     assert report.n_edof == pytest.approx(6.0531620055429194, rel=1e-9)
     assert report.n_edof == pytest.approx(6.25, rel=0.10)
-    assert report.diagnostics["rx_area"] == pytest.approx(0.25, rel=1e-15)
 
 
 def test_landau_is_whole_cells_and_misses_paraxial_by_more_than_one(
