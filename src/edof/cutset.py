@@ -108,7 +108,7 @@ def _jacobian_dets(points, nodes, tx_surface, rx_surface, wave):
     np.abs(det, out=det)
     d2 *= d2
     det /= d2
-    det *= wave.k0 ** 2
+    det *= np.float64(wave.k0) ** 2   # inf, not OverflowError, past 1e154 rad/m
     return det
 
 
@@ -237,30 +237,14 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
                                symmetry=(), evaluated_nodes=len(rx_grid))
 
 
-def cutset_edof(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
-                wave: WaveConfig,
-                field: LocalBandwidthField | None = None) -> EdofReport:
+def cutset_edof(field: LocalBandwidthField) -> EdofReport:
     """Cut-set DoF: (2 pi)^-2 times the rx-aperture integral of W(r).
 
     Invariant under rigid motions of the whole scene; scales with both
-    aperture areas in the paraxial regime.  A precomputed bandwidth field
-    on the same receive grid may be passed to avoid resampling.
+    aperture areas in the paraxial regime.
     """
-    if field is None:
-        field = bandwidth_field(tx_grid, rx_grid, wave)
-    elif field.rx_grid is not rx_grid:
-        raise ValueError("precomputed bandwidth field belongs to a different receive grid")
-    n = float(field.values @ rx_grid.weights) / (4.0 * np.pi ** 2)
-    w_iso = isotropic_bandwidth(wave)
-    return EdofReport(
-        method="cutset", n_edof=n,
-        diagnostics={
-            "bandwidth_min": float(field.values.min()),
-            "bandwidth_max": float(field.values.max()),
-            "bandwidth_mean": float(field.values.mean()),
-            "isotropic_bound": w_iso,
-            "bandwidth_fraction_of_isotropic": float(field.values.max()) / w_iso,
-        })
+    n = float(field.values @ field.rx_grid.weights) / (4.0 * np.pi ** 2)
+    return EdofReport(method="cutset", n_edof=n)
 
 
 def isotropic_bandwidth(wave: WaveConfig) -> float:

@@ -17,6 +17,7 @@ from .cutset import (
     LocalBandwidthField,
     bandwidth_field,
     cutset_edof,
+    isotropic_bandwidth,
     local_bandwidth,
     set_measure_bandwidth,
     wavenumber_component,
@@ -98,7 +99,7 @@ def _svd_estimate(config: ExperimentConfig, tx_grid, rx_grid):
 
 def _cutset_estimate(config: ExperimentConfig, tx_grid, rx_grid):
     bw = bandwidth_field(tx_grid, rx_grid, config.wave)
-    return cutset_edof(tx_grid, rx_grid, config.wave, field=bw), bw
+    return cutset_edof(bw), bw
 
 
 def _landau_estimate(config: ExperimentConfig, tx_grid, rx_grid):
@@ -147,9 +148,10 @@ def _injectivity_check(config: ExperimentConfig, tx_grid, bw) -> dict:
         resolution = span / SET_MEASURE_CELLS_PER_AXIS
     w_set = set_measure_bandwidth(center, dense, config.rx_surface,
                                   config.wave, resolution)
-    diff = abs(w_jac - w_set) / w_set if w_set > 0 else float("inf")
+    diff = abs(w_jac - w_set) / w_set if w_set > 0 else None   # null, not Infinity
     return {
-        "flag": "consistent" if diff <= INJECTIVITY_DIVERGENCE_TOL else "divergent",
+        "flag": "consistent" if diff is not None and diff <= INJECTIVITY_DIVERGENCE_TOL
+        else "divergent",
         "jacobian_center": w_jac,
         "set_measure_center": w_set,
         "set_measure_resolution": resolution,
@@ -217,13 +219,18 @@ def _spectrum_summary(spectrum: CouplingSpectrum | None):
     }
 
 
-def _bandwidth_summary(bw: LocalBandwidthField | None, report: EdofReport | None):
+def _bandwidth_summary(report: ComparisonReport):
+    """The field, and its statistics once it gave the cut-set row; null fraction if pi k0^2 is 0."""
+    bw = report.bandwidth
     if bw is None:
         return "not-applicable"
     out = {"method": bw.method, "n_points": len(bw.values),
            "symmetry": list(bw.symmetry), "evaluated_nodes": bw.evaluated_nodes}
-    if report is not None:
-        out.update(report.diagnostics)
+    if any(rep.method == "cutset" for rep in report.edof_reports):
+        w_max, w_iso = float(bw.values.max()), isotropic_bandwidth(report.config.wave)
+        out.update(bandwidth_min=float(bw.values.min()), bandwidth_max=w_max,
+                   bandwidth_mean=float(bw.values.mean()), isotropic_bound=w_iso,
+                   bandwidth_fraction_of_isotropic=w_max / w_iso if w_iso > 0.0 else None)
     return out
 
 
@@ -243,7 +250,6 @@ def report_mapping(report: ComparisonReport) -> dict:
     """JSON-ready view of the report; everything but the timestamp."""
     from . import __version__
 
-    by_method = {rep.method: rep for rep in report.edof_reports}
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -255,7 +261,7 @@ def report_mapping(report: ComparisonReport) -> dict:
             for rep in report.edof_reports
         ],
         "spectrum": _spectrum_summary(report.spectrum),
-        "bandwidth": _bandwidth_summary(report.bandwidth, by_method.get("cutset")),
+        "bandwidth": _bandwidth_summary(report),
         "wavenumber_response": _response_summary(report.response),
         "diagnostics": report.diagnostics,
     }

@@ -103,7 +103,7 @@ def _lag_points(lags, reference, rx_surface):
 def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     """g(delta) for many lags at once; symmetric centering around reference."""
     p_plus, p_minus = _lag_points(lags, reference, rx_surface)
-    scale = kernel_scale(wave) ** 2
+    scale = np.float64(kernel_scale(wave)) ** 2   # inf, not OverflowError, at tiny lambda
     out = np.empty(lags.shape[0], dtype=complex)
     for rows in row_blocks(lags.shape[0], len(tx_grid)):
         d_plus = node_distances(p_plus[rows], tx_grid.points, wave)
@@ -333,13 +333,15 @@ def study_grid_counts(tx_surface: PlanarSurface, rx_surface: PlanarSurface,
     """Midpoint grid counts ``((tx n_u, n_v), (rx n_u, n_v))`` of the scene
     with both aperture sides scaled by ``scale``: DEFAULT_POINTS_PER_WAVELENGTH,
     reduced uniformly when the coupling matrix would exceed
-    ``max_matrix_entries``.  A ResourceError names the scale when the grid
-    cannot resolve twice the paraxial mode count k0 L_tx L_rx r^2 / (2 pi d)
-    per axis."""
-    counts = [tuple(int(np.ceil(length * scale * DEFAULT_POINTS_PER_WAVELENGTH
-                                / wave.wavelength))
-                    for length in (surf.length_u, surf.length_v))
-              for surf in (tx_surface, rx_surface)]
+    ``max_matrix_entries``.  A ResourceError names the scale when the counts
+    overflow or the grid cannot resolve twice the paraxial mode count
+    k0 L_tx L_rx r^2 / (2 pi d) per axis."""
+    sides = [[length * scale * DEFAULT_POINTS_PER_WAVELENGTH / wave.wavelength
+              for length in (surf.length_u, surf.length_v)] for surf in (tx_surface, rx_surface)]
+    if not np.isfinite(sides).all():
+        raise ResourceError(f"grid counts at {DEFAULT_POINTS_PER_WAVELENGTH} points per "
+                            f"wavelength overflow at scale r={scale}")
+    counts = [tuple(int(np.ceil(n)) for n in pair) for pair in sides]
     entries = counts[0][0] * counts[0][1] * counts[1][0] * counts[1][1]
     if entries > max_matrix_entries:
         shrink = (max_matrix_entries / entries) ** 0.25

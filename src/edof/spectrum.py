@@ -23,8 +23,7 @@ takes one full SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,13 +79,12 @@ class ModeBasis:
 
 @dataclass(frozen=True)
 class EdofReport:
-    """Effective-DoF estimate from one method, with its threshold context."""
+    """One edof.csv row: a method's effective-DoF estimate and its threshold."""
 
     method: str              # "svd" | "cutset" | "landau"
     n_edof: float            # integer-valued for "svd", real for the others
     gamma_mode: str | None = None
     gamma_value: float | None = None
-    diagnostics: dict[str, Any] = field(default_factory=dict)
 
 
 def _fold(x: np.ndarray, axis: int, odd: bool) -> np.ndarray:

@@ -133,7 +133,7 @@ def test_criterion_3_three_method_agreement(capsys):
         spec = coupling_spectrum(assemble_operator(tx_grid, rx_grid, WAVE))
         n_svd = count_edof(spec, 0.5, mode="relative")
 
-        n_cut = cutset_edof(tx_grid, rx_grid, WAVE).n_edof
+        n_cut = cutset_edof(bandwidth_field(tx_grid, rx_grid, WAVE)).n_edof
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

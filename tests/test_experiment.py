@@ -323,13 +323,44 @@ def test_non_finite_response_is_a_method_error():
 
 def test_overflowing_spectrum_is_a_method_error():
     # k0 = 2 pi / 1e-300 m overflows the SVD to a spectrum of inf, whose
-    # count would otherwise read 0
+    # count would otherwise read 0, and k0^2 and (eta / 2 lambda)^2 overflow
+    # the cut-set field and the Landau correlation to inf
     report = run_experiment(config_from_mapping(_scene_mapping(
-        grid=4, methods=["svd"], wave={"wavelength_m": 1e-300})), write=False)
+        grid=4, wave={"wavelength_m": 1e-300})), write=False)
     assert report.status == "partial"
     assert report.edof_reports == ()
-    assert report.diagnostics["method_errors"]["svd"] == (
-        "NumericalError: spectrum values must be finite")
+    assert report.diagnostics["method_errors"] == {
+        "svd": "NumericalError: spectrum values must be finite",
+        "cutset": "NumericalError: n_edof is inf, not a finite count",
+        "landau": "NumericalError: wavenumber response is not finite (max H = nan)"}
+    warned = report.diagnostics["warnings"]
+    assert "cutset: overflow encountered in scalar power" in warned
+    assert "landau: overflow encountered in scalar power" in warned
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_underflowing_field_counts_zero_and_writes_strict_json(tmp_path):
+    # at lambda = 1e300 m, W underflows to 0 (the paraxial count is ~6e-604)
+    # and so does the isotropic bound pi k0^2; the other two methods refuse
+    # points closer than 0.1 wavelengths
+    report = run_experiment(config_from_mapping(_scene_mapping(
+        grid=4, wave={"wavelength_m": 1e300})), out_dir=str(tmp_path))
+    assert [(rep.method, rep.n_edof) for rep in report.edof_reports] == [("cutset", 0.0)]
+    errors = report.diagnostics["method_errors"]
+    assert sorted(errors) == ["landau", "svd"]
+    assert all(e.startswith("SingularKernelError: ") for e in errors.values())
+    assert (tmp_path / "edof.csv").read_text().splitlines()[1] == "cutset,0,,"
+    mapping = json.loads((tmp_path / "report.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert mapping["bandwidth"]["bandwidth_max"] == 0.0
+    assert mapping["bandwidth"]["isotropic_bound"] == 0.0
+    assert mapping["bandwidth"]["bandwidth_fraction_of_isotropic"] is None
+    injectivity = mapping["diagnostics"]["injectivity"]
+    assert injectivity["flag"] == "divergent"
+    assert injectivity["relative_difference"] is None
 
 
 def _refuse_lattice(*args):
@@ -472,16 +503,21 @@ def test_scale_r_sweep_records_an_unresolvable_scale_and_goes_on(tmp_path):
     mapping["tx"]["size_m"] = [0.1, 0.1]
     mapping["rx"]["size_m"] = [0.1, 0.1]
     cfg = config_from_mapping(mapping)
-    # at r = 40 the default budget caps the grid below the predicted count
-    result = run_sweep(cfg, "scale_r", [1.0, 40.0], out_dir=str(tmp_path))
-    assert [row["axis_value"] for row in result.rows] == [1.0, 40.0]
+    # at r = 40 the default budget caps the grid below the predicted count;
+    # at r = 1e308 the grid counts themselves overflow
+    result = run_sweep(cfg, "scale_r", [1.0, 40.0, 1e308], out_dir=str(tmp_path))
+    assert [row["axis_value"] for row in result.rows] == [1.0, 40.0, 1e308]
     assert result.rows[0]["n_edof"] >= 1
     assert result.rows[1]["n_edof"] is None
-    assert len(result.failures) == 1
+    assert result.rows[2]["n_edof"] is None
+    assert len(result.failures) == 2
     assert result.failures[0].startswith("scale_r=40: ResourceError:")
+    assert result.failures[1] == ("scale_r=1e+308: ResourceError: grid counts at 2.5 points "
+                                  "per wavelength overflow at scale r=1e+308")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[1].startswith("1,svd,")
     assert lines[2] == "40,svd,nan"
+    assert lines[3] == "1e+308,svd,nan"
 
 
 def test_scale_r_sweep_requires_relative_threshold():
