@@ -15,7 +15,9 @@ they share a point.
 
 A scene's mirror symmetry is decided here, once, for all three estimators:
 ``mirror_axes`` names the reflections of the receive frame that map a grid
-onto itself and how each acts on its axes, and ``lattice_orbits`` folds the
+onto itself and how each acts on its axes, ``sector_axes`` decides from them
+whether the coupling matrix splits into mirror parity sectors (operator
+assembly and the spectrum both follow it), and ``lattice_orbits`` folds the
 tensor lattice of two coordinate axes to one node per orbit of those
 reflections, reading each reflection from the axes.
 """
@@ -307,6 +309,31 @@ def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> dict[str,
                            <= SYMMETRY_RTOL * tx_grid.weights):
             held[name] = mapped[0]
     return held
+
+
+# Transmit axes of the (rx_u, rx_v, tx_u, tx_v) coupling array that the
+# receive u- and v-mirrors flip, keyed by their mirror_axes actions: the
+# same-named axes, or the other ones behind a receiver turned by 90 degrees.
+_SECTOR_AXES = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}
+
+
+def sector_axes(tx_grid: QuadratureGrid,
+                rx_grid: QuadratureGrid) -> tuple[int, int] | None:
+    """(axis flipped by the u-mirror, axis flipped by the v-mirror) of the
+    (rx_u, rx_v, tx_u, tx_v) coupling array, or None.
+
+    Not None exactly when ``mirror_axes`` holds the receive u- and
+    v-mirrors as flips of the two transmit axes, in either order, and as
+    flips of the receive grid's own axes, nodes and weights.  Then row
+    (n_u-1-i, j) of the array is row (i, j) with the u-mirror's transmit
+    axis reversed, and likewise along v, so the first ceil(n/2) receive rows
+    per axis determine the rest.
+    """
+    on_rx = mirror_axes(rx_grid, rx_grid.surface)
+    if (on_rx.get("u"), on_rx.get("v")) != ("u", "v"):
+        return None
+    on_tx = mirror_axes(tx_grid, rx_grid.surface)
+    return _SECTOR_AXES.get((on_tx.get("u"), on_tx.get("v")))
 
 
 @dataclass(frozen=True)

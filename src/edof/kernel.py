@@ -13,6 +13,11 @@ quadrature grids on both apertures the operator becomes the matrix
 whose plain SVD approximates the singular system of the continuous operator:
 the square-root weighting makes Euclidean inner products of coefficient
 vectors equal the discrete weighted L2 inner products of the fields.
+
+On a mirror-symmetric link (geometry.sector_axes: two coaxial parallel
+apertures) the receive u- and v-mirrors keep every node distance, so the
+kernel is evaluated on about a quarter of the receive rows and the rest are
+copied from their mirror images.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GeometryError, SingularKernelError
-from .geometry import QuadratureGrid, surfaces_intersect
+from .geometry import QuadratureGrid, sector_axes, surfaces_intersect
 
 # Wave impedance of free space, ohms.
 VACUUM_IMPEDANCE_OHM = 376.730313668
@@ -141,16 +146,42 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
 
     Rejects intersecting apertures and apertures whose closest grid nodes
     are nearer than ``MIN_SEPARATION_WAVELENGTHS`` wavelengths.
+
+    When ``sector_axes`` holds, the kernel is evaluated only on the
+    fundamental receive rows, the first ceil(n/2) per receive axis, which
+    are the rows the parity sectors of ``coupling_spectrum`` read; the other
+    rows are their mirror images with the mirror's transmit axis reversed.
+    The mirrors keep every node distance, so the separation check on the
+    fundamental rows covers all of them.  Elsewhere every row is evaluated.
     """
     if surfaces_intersect(tx_grid.surface, rx_grid.surface):
         raise GeometryError("transmit and receive surfaces intersect")
+    axes = sector_axes(tx_grid, rx_grid)
+    n_u, n_v = rx_grid.shape
+    h_u, h_v = (n_u, n_v) if axes is None else (n_u - n_u // 2, n_v - n_v // 2)
+    evaluated = np.arange(len(rx_grid)).reshape(n_u, n_v)[:h_u, :h_v].ravel()
     sq_w_rx = np.sqrt(rx_grid.weights)
     sq_w_tx = np.sqrt(tx_grid.weights)
     matrix = np.empty((len(rx_grid), len(tx_grid)), dtype=complex)
-    for rows in row_blocks(len(rx_grid), len(tx_grid)):
+    for block in row_blocks(evaluated.size, len(tx_grid)):
+        rows = evaluated[block]
+        # No block temporary outlives the loop: one left alive would keep
+        # the allocator from returning the others while the mirror copies
+        # below fill the rest of the matrix.
         d = node_distances(rx_grid.points[rows], tx_grid.points, wave)
         matrix[rows] = (sq_w_rx[rows, None] * _kernel_of_distance(d, wave)
                         * sq_w_tx[None, :])
+        del d
+    if axes is not None:
+        # Row (n_u-1-i, j) is row (i, j) seen through the u-mirror, and row
+        # (i, n_v-1-j) is row (i, j) seen through the v-mirror.  Each copy
+        # reads rows that lie wholly before the rows it writes, so numpy
+        # needs no temporary for it.
+        a4 = matrix.reshape(rx_grid.shape + tx_grid.shape)
+        for i in range(n_u // 2):
+            a4[n_u - 1 - i, :h_v] = np.flip(a4[i, :h_v], axes[0] - 1)
+        for i in range(n_u):
+            a4[i, h_v:] = np.flip(a4[i, :n_v // 2], (0, axes[1] - 1))
     return DiscreteOperator(matrix=matrix, tx_grid=tx_grid, rx_grid=rx_grid)
 
 

@@ -14,7 +14,7 @@ i.e. the number of modes whose squared coupling strictly exceeds gamma.
 The width s_N also equals the Kolmogorov N-width of the set of receivable
 fields generated by unit-power transmit currents.
 
-When geometry.mirror_axes finds the receive u- and v-mirrors (two coaxial
+When geometry.sector_axes finds the receive u- and v-mirrors (two coaxial
 parallel apertures, the canonical holographic-MIMO link), each splits the
 matrix into an even and an odd half, so the spectrum is the merged spectra
 of four parity-sector blocks of about N/4 x N/4 each.  Any other scene
@@ -28,15 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .geometry import QuadratureGrid, mirror_axes
+from .geometry import QuadratureGrid, sector_axes
 from .kernel import DiscreteOperator
 
 GAMMA_MODES = ("absolute", "relative")
-
-# Transmit axes of the (rx_u, rx_v, tx_u, tx_v) matrix that the receive u-
-# and v-mirrors flip, keyed by their mirror_axes actions: the same-named
-# axes, or the other ones behind a receiver turned by 90 degrees.
-_SECTOR_AXES = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}
 
 
 @dataclass(frozen=True)
@@ -135,11 +130,10 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
 
     ``operator.matrix`` must be what ``assemble_operator`` built from the
     operator's grids: the solver is chosen from the grids alone.  When
-    ``mirror_axes`` holds the receive u- and v-mirrors as flips of the two
-    transmit axes, in either order, and as flips of the receive grid's own
-    axes, nodes and weights, the values come from the four parity-sector
-    blocks, padded with zeros to min(N_rx, N_tx); otherwise from one full
-    SVD.
+    ``sector_axes`` holds (the receive u- and v-mirrors flip both grids'
+    axes), the values come from the four parity-sector blocks, which read
+    only the fundamental receive rows that assembly evaluated, padded with
+    zeros to min(N_rx, N_tx); otherwise from one full SVD.
 
     Error bound: every node then lies within about SYMMETRY_RTOL * L of a
     mirror image (L the largest aperture side) and weights match to
@@ -149,12 +143,9 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
     """
     a = operator.matrix
     tx_grid, rx_grid = operator.tx_grid, operator.rx_grid
-    on_tx = mirror_axes(tx_grid, rx_grid.surface)
-    on_rx = mirror_axes(rx_grid, rx_grid.surface)
-    axes = _SECTOR_AXES.get((on_tx.get("u"), on_tx.get("v")))
-    sectors = axes is not None and (on_rx.get("u"), on_rx.get("v")) == ("u", "v")
+    axes = sector_axes(tx_grid, rx_grid)
     try:
-        if not sectors:
+        if axes is None:
             s = np.linalg.svd(a, compute_uv=False)
         else:
             a4 = a.reshape(rx_grid.shape + tx_grid.shape).transpose(0, 1, *axes)
@@ -163,7 +154,8 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
             s[:merged.size] = merged
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return CouplingSpectrum(values=s * s, symmetry=("u", "v") if sectors else ())
+    return CouplingSpectrum(values=s * s,
+                            symmetry=() if axes is None else ("u", "v"))
 
 
 def resolve_threshold(gamma: float, mode: str, peak: float) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edof.errors import DimensionError, GeometryError, SingularKernelError
-from edof.geometry import discretize, make_surface, rotation_about
+from edof.geometry import discretize, make_surface, rotation_about, sector_axes
 import edof.kernel
 from edof.cutset import bandwidth_field
 from edof.kernel import (
@@ -102,15 +102,27 @@ def test_assembly_matches_direct_weighting(small_grids, small_operator, wave):
 def test_assembly_rejects_intersecting_surfaces():
     wave = WaveConfig(wavelength=0.01)
     s1 = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
-    s2 = make_surface((0.2, 0.0, 0.0), np.eye(3), 1.0, 1.0)
-    with pytest.raises(GeometryError):
-        assemble_operator(discretize(s1, 2, 2), discretize(s2, 2, 2), wave)
+    # overlapping, and coincident: the coincident grids hold both receive
+    # mirrors and share every node, and the intersection is still reported
+    # before any kernel is evaluated
+    for rx_center in ((0.2, 0.0, 0.0), (0.0, 0.0, 0.0)):
+        s2 = make_surface(rx_center, np.eye(3), 1.0, 1.0)
+        with pytest.raises(GeometryError):
+            assemble_operator(discretize(s1, 2, 2), discretize(s2, 2, 2), wave)
 
 
 def test_assembly_rejects_sub_wavelength_separation():
-    g_tx, g_rx, wave = _point_system(0.0005)  # 0.05 wavelengths
-    with pytest.raises(SingularKernelError):
-        assemble_operator(g_tx, g_rx, wave)
+    # 0.05 wavelengths apart; the 6 x 5 grids hold both receive mirrors, so
+    # only their fundamental rows are evaluated, and the mirrors keep every
+    # distance
+    wave = WaveConfig(wavelength=0.01)
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
+    rx = make_surface((0.0, 0.0, 0.0005), np.eye(3), 1.0, 1.0)
+    for counts in ((1, 1), (6, 5)):
+        g_tx, g_rx = discretize(tx, *counts), discretize(rx, *counts)
+        assert sector_axes(g_tx, g_rx) == (2, 3)
+        with pytest.raises(SingularKernelError):
+            assemble_operator(g_tx, g_rx, wave)
 
 
 def test_swapped_operator_is_transpose_with_equal_spectrum(small_grids, small_operator, wave):
@@ -303,7 +315,8 @@ def test_green_kernel_shares_the_assembly_distance():
 def test_block_budget_changes_no_result(monkeypatch):
     """Block sizes change memory use, not values.
 
-    Assembly is elementwise, so every entry is bitwise equal.  The bandwidth
+    Assembly is elementwise, so every entry is bitwise equal; on the coaxial
+    scene the mirrored rows are copies of those entries.  The bandwidth
     field and the lag correlation end each block with a BLAS matrix-vector
     product, whose accumulation order for a row depends on how many rows
     share the call; those agree to round-off.
@@ -312,10 +325,14 @@ def test_block_budget_changes_no_result(monkeypatch):
     tx = make_surface((0.0, 0.0, 0.0), np.eye(3), APERTURE, APERTURE)
     rx = make_surface((0.1, 0.05, 3.0), rotation_about((1.0, 1.0, 0.0), 0.3),
                       0.4, 0.3)
+    coaxial = make_surface((0.0, 0.0, 3.0), np.eye(3), 0.4, 0.3)
     g_tx, g_rx = discretize(tx, 13, 11), discretize(rx, 9, 7)
+    g_coaxial = discretize(coaxial, 9, 8)
+    assert sector_axes(g_tx, g_coaxial) is not None  # the folded assembly
 
     def results():
         return (assemble_operator(g_tx, g_rx, wave).matrix,
+                assemble_operator(g_tx, g_coaxial, wave).matrix,
                 bandwidth_field(g_tx, g_rx, wave).values,
                 wavenumber_response(rx, g_tx, wave, lag_grid=(21, 15),
                                     lag_extent=0.5).H_values)
@@ -325,6 +342,7 @@ def test_block_budget_changes_no_result(monkeypatch):
     assert list(row_blocks(3, 4)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
     tiny = results()
     assert np.array_equal(tiny[0], default[0])
-    for got, want in zip(tiny[1:], default[1:]):
+    assert np.array_equal(tiny[1], default[1])
+    for got, want in zip(tiny[2:], default[2:]):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-13 * np.abs(want).max())

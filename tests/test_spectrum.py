@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edof.errors import DimensionError, NumericalError
-from edof.geometry import discretize, make_surface, rotation_about
+from edof.geometry import SYMMETRY_RTOL, discretize, make_surface, rotation_about
 from edof.kernel import WaveConfig, assemble_operator, green_kernel, hilbert_schmidt_norm
 from edof.landau import polarization_study
 from edof.spectrum import (
@@ -259,8 +259,17 @@ def _coaxial_operator(tx_counts, rx_counts, tx_size=(0.5, 0.5), rx_size=(0.5, 0.
     return assemble_operator(discretize(tx, *tx_counts, rule=rule), rx_grid, wave)
 
 
-def _full_svd_squared(operator):
-    return np.linalg.svd(operator.matrix, compute_uv=False) ** 2
+def _direct_matrix(operator, wave=WaveConfig(wavelength=0.01)):
+    """The weighted kernel on every receive row, evaluated directly rather
+    than mirrored: the reference the folded assembly and the sectors are
+    held against."""
+    g_tx, g_rx = operator.tx_grid, operator.rx_grid
+    k = green_kernel(g_rx.points[:, None, :], g_tx.points[None, :, :], wave)
+    return np.sqrt(g_rx.weights)[:, None] * k * np.sqrt(g_tx.weights)[None, :]
+
+
+def _full_svd_squared(operator, wave=WaveConfig(wavelength=0.01)):
+    return np.linalg.svd(_direct_matrix(operator, wave), compute_uv=False) ** 2
 
 
 SECTOR_SCENES = {
@@ -296,7 +305,27 @@ def test_sector_spectrum_matches_full_svd(name):
 def test_sector_spectrum_keeps_parseval(name):
     op = _coaxial_operator(**SECTOR_SCENES[name])
     assert float(np.sum(coupling_spectrum(op).values)) == pytest.approx(
-        hilbert_schmidt_norm(op), rel=1e-12)
+        float(np.sum(np.abs(_direct_matrix(op)) ** 2)), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_SCENES))
+def test_folded_assembly_matches_the_direct_build(name):
+    """The fundamental receive rows are the direct kernel bit for bit; every
+    mirrored entry lies within the README's tau of it, relative to it."""
+    op = _coaxial_operator(**SECTOR_SCENES[name])
+    direct = _direct_matrix(op)
+    (n_u, n_v), n_tx = op.rx_grid.shape, len(op.tx_grid)
+    h_u, h_v = n_u - n_u // 2, n_v - n_v // 2
+    got, want = op.matrix.reshape(n_u, n_v, n_tx), direct.reshape(n_u, n_v, n_tx)
+    assert np.array_equal(got[:h_u, :h_v], want[:h_u, :h_v])
+
+    surfaces = (op.tx_grid.surface, op.rx_grid.surface)
+    side = max(max(s.length_u, s.length_v) for s in surfaces)
+    d_min = np.linalg.norm(op.rx_grid.points[:, None, :]
+                           - op.tx_grid.points[None, :, :], axis=-1).min()
+    k0 = WaveConfig(wavelength=0.01).k0
+    tau = SYMMETRY_RTOL * (1.0 + 4.0 * (k0 + 1.0 / d_min) * side)
+    assert np.all(np.abs(op.matrix - direct) <= tau * np.abs(direct))
 
 
 @pytest.mark.parametrize("breaker", [
@@ -312,6 +341,7 @@ def test_asymmetric_scene_takes_the_full_svd(breaker):
     op = _coaxial_operator((8, 8), (8, 8), **breaker)
     spec = coupling_spectrum(op)
     assert spec.symmetry == ()
+    assert np.array_equal(op.matrix, _direct_matrix(op))  # every row evaluated
     assert np.array_equal(spec.values, _full_svd_squared(op))
 
 
@@ -373,7 +403,7 @@ def test_coaxial_spectrum_properties(scene):
     op = _coaxial_operator(**scene, wave=wave)
     spec = coupling_spectrum(op)
     assert spec.symmetry == ("u", "v")
-    expected = _full_svd_squared(op)
+    expected = _full_svd_squared(op, wave)
     s0 = expected[0]
     assert len(spec) == expected.size
     assert np.max(np.abs(spec.values - expected)) <= 1e-12 * s0
