@@ -46,7 +46,6 @@ class LocalBandwidthField:
 
     rx_grid: QuadratureGrid
     values: np.ndarray   # (N_rx,) rad^2/m^2
-    method: str          # "jacobian-integral" | "set-measure"
     symmetry: tuple[str, ...]  # mirror_axes reflections the field was folded by
     evaluated_nodes: int       # receive nodes W was computed at
 
@@ -154,87 +153,61 @@ def local_bandwidth(r_rx, tx_grid: QuadratureGrid, rx_surface: PlanarSurface,
     return float(dets[0] @ tx_grid.weights)
 
 
-def _occupied_cells(r_rows, tx_grid: QuadratureGrid, rx_surface: PlanarSurface,
-                    wave: WaveConfig, resolution: float) -> np.ndarray:
-    """Distinct occupancy cells of the mapped wavenumber set, per rx point.
-
-    Sorts each row's (u, v) cell indices lexicographically and counts the
-    changes; warns once per point whose set of nonzero spread collapsed
-    into a single cell.
-    """
-    if not resolution > 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    k = wavenumber_component(np.asarray(r_rows, dtype=float)[:, None, :],
-                             tx_grid.points[None, :, :], rx_surface, wave)
-    cells = np.floor(k / resolution).astype(np.int64)
-    order = np.lexsort((cells[..., 1], cells[..., 0]), axis=-1)
-    ordered = np.take_along_axis(cells, order[..., None], axis=1)
-    changes = np.any(np.diff(ordered, axis=1) != 0, axis=-1)
-    occupied = 1 + np.count_nonzero(changes, axis=-1)
-    spread = np.ptp(k, axis=1)
-    for i in np.flatnonzero((occupied == 1) & np.any(spread > 0.0, axis=-1)):
-        warnings.warn(
-            f"wavenumber set of spread {tuple(spread[i])} rad/m collapsed into a "
-            f"single cell at resolution {resolution}; measure is unresolved",
-            DiagnosticWarning, stacklevel=3)
-    return occupied
-
-
 def set_measure_bandwidth(r_rx, tx_grid: QuadratureGrid,
                           rx_surface: PlanarSurface, wave: WaveConfig,
                           resolution: float) -> float:
     """W(r) as the rasterized outer measure of the mapped wavenumber set.
 
     Maps every transmit node to its wavenumber 2-vector, bins the points on
-    a square grid of the given cell size, and returns occupied_cells *
-    resolution^2.  Refining the resolution (with sampling dense enough to
-    keep covering the set) converges to the measure from above.
+    a square grid of the given cell size, counts the distinct cells by a
+    lexicographic sort, and returns occupied_cells * resolution^2.  Refining
+    the resolution (with sampling dense enough to keep covering the set)
+    converges to the measure from above.  Warns when a set of nonzero spread
+    collapses into a single cell.
+
+    Mirror-image receive points need not share a measure: floor(-x) !=
+    -floor(x), so a 1-ulp move can flip a cell.
     """
-    occupied = _occupied_cells(np.asarray(r_rx, dtype=float)[None, :], tx_grid,
-                               rx_surface, wave, resolution)
-    return float(occupied[0]) * resolution ** 2
+    side = float(resolution)   # a Python float square overflows to inf silently
+    if not (side > 0.0 and np.isfinite(side * side)):
+        raise ValueError(f"resolution must be positive with a finite square, "
+                         f"got {resolution}")
+    k = wavenumber_component(np.asarray(r_rx, dtype=float), tx_grid.points,
+                             rx_surface, wave)
+    cells = np.floor(k / resolution).astype(np.int64)
+    ordered = cells[np.lexsort((cells[:, 1], cells[:, 0]))]
+    occupied = 1 + np.count_nonzero(np.any(np.diff(ordered, axis=0) != 0, axis=-1))
+    spread = np.ptp(k, axis=0)
+    if occupied == 1 and np.any(spread > 0.0):
+        warnings.warn(
+            f"wavenumber set of spread {tuple(spread.tolist())} rad/m collapsed "
+            f"into a single cell at resolution {resolution}; measure is unresolved",
+            DiagnosticWarning, stacklevel=2)
+    return float(occupied) * resolution ** 2
 
 
 def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
-                    wave: WaveConfig, method: str = "jacobian-integral",
-                    resolution: float | None = None) -> LocalBandwidthField:
-    """Local bandwidth at every receive node, by either estimator.
+                    wave: WaveConfig) -> LocalBandwidthField:
+    """Local bandwidth at every receive node, by the Jacobian integral.
 
-    The Jacobian integral is folded by the scene's symmetry: every
-    ``mirror_axes`` reflection that the receive lattice also holds maps
-    receive nodes onto receive nodes and leaves W unchanged, so W is
-    computed at one node per orbit (820 of 6,400 on an 80 x 80 coaxial
-    square link) and gathered to the rest.  A scene without symmetry
-    evaluates every node, exactly as an unfolded sweep does.
-
-    The set measure is never folded.  It floors each wavenumber onto an
-    occupancy cell, and floor(-x) != -floor(x), so a mirrored node may fill
-    a different number of cells; a 1-ulp move can flip one.
+    The field is folded by the scene's symmetry: every ``mirror_axes``
+    reflection that the receive lattice also holds maps receive nodes onto
+    receive nodes and leaves W unchanged, so W is computed at one node per
+    orbit (820 of 6,400 on an 80 x 80 coaxial square link) and gathered to
+    the rest.  A scene without symmetry evaluates every node, exactly as an
+    unfolded sweep does.
     """
     rx_surface = rx_grid.surface
-    if method == "jacobian-integral":
-        fold = lattice_orbits(rx_grid.rule_u[0], rx_grid.rule_v[0],
-                              mirror_axes(tx_grid, rx_surface))
-        points = rx_grid.points[fold.nodes]
-        folded = np.empty(len(points))
-        for rows in row_blocks(len(points), len(tx_grid)):
-            dets = _jacobian_dets(points[rows], tx_grid.points,
-                                  tx_grid.surface, rx_surface, wave)
-            folded[rows] = dets @ tx_grid.weights
-        return LocalBandwidthField(rx_grid=rx_grid, values=folded[fold.gather],
-                                   method=method, symmetry=fold.symmetry,
-                                   evaluated_nodes=len(points))
-    if method != "set-measure":
-        raise ValueError(f"unknown bandwidth method {method!r}")
-    if resolution is None:
-        raise ValueError("set-measure bandwidth needs an explicit resolution")
-    values = np.empty(len(rx_grid))
-    for rows in row_blocks(len(rx_grid), len(tx_grid)):
-        values[rows] = _occupied_cells(rx_grid.points[rows], tx_grid,
-                                       rx_surface, wave, resolution) \
-            * resolution ** 2
-    return LocalBandwidthField(rx_grid=rx_grid, values=values, method=method,
-                               symmetry=(), evaluated_nodes=len(rx_grid))
+    fold = lattice_orbits(rx_grid.rule_u[0], rx_grid.rule_v[0],
+                          mirror_axes(tx_grid, rx_surface))
+    points = rx_grid.points[fold.nodes]
+    folded = np.empty(len(points))
+    for rows in row_blocks(len(points), len(tx_grid)):
+        dets = _jacobian_dets(points[rows], tx_grid.points,
+                              tx_grid.surface, rx_surface, wave)
+        folded[rows] = dets @ tx_grid.weights
+    return LocalBandwidthField(rx_grid=rx_grid, values=folded[fold.gather],
+                               symmetry=fold.symmetry, evaluated_nodes=len(points))
 
 
 def cutset_edof(field: LocalBandwidthField) -> EdofReport:
@@ -250,16 +223,6 @@ def cutset_edof(field: LocalBandwidthField) -> EdofReport:
 def isotropic_bandwidth(wave: WaveConfig) -> float:
     """Upper bound pi * k0^2: the full disk of propagating in-plane wavenumbers."""
     return float(np.pi * wave.k0 ** 2)
-
-
-def full_support():
-    """Wavenumber support covering the entire plane."""
-    return lambda ku, kv: np.ones(np.broadcast(ku, kv).shape, dtype=bool)
-
-
-def empty_support():
-    """Empty wavenumber support."""
-    return lambda ku, kv: np.zeros(np.broadcast(ku, kv).shape, dtype=bool)
 
 
 def box_support(ku_lo, ku_hi, kv_lo, kv_hi):

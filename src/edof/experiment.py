@@ -36,7 +36,7 @@ from .landau import (
 )
 from .spectrum import CouplingSpectrum, EdofReport, count_edof, coupling_spectrum
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 SWEEP_AXES = ("distance", "tx_size", "rx_size", "wavelength", "scale_r")
 
 # run-diagnostic thresholds; each flag stays informational, never fatal
@@ -224,8 +224,8 @@ def _bandwidth_summary(report: ComparisonReport):
     bw = report.bandwidth
     if bw is None:
         return "not-applicable"
-    out = {"method": bw.method, "n_points": len(bw.values),
-           "symmetry": list(bw.symmetry), "evaluated_nodes": bw.evaluated_nodes}
+    out = {"n_points": len(bw.values), "symmetry": list(bw.symmetry),
+           "evaluated_nodes": bw.evaluated_nodes}
     if any(rep.method == "cutset" for rep in report.edof_reports):
         w_max, w_iso = float(bw.values.max()), isotropic_bandwidth(report.config.wave)
         out.update(bandwidth_min=float(bw.values.min()), bandwidth_max=w_max,

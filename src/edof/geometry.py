@@ -63,7 +63,7 @@ def _as_unit(vec, name):
         raise GeometryError(f"{name} must be a 3-vector, got shape {v.shape}")
     n = np.linalg.norm(v)
     if abs(n - 1.0) > FRAME_TOL:
-        raise GeometryError(f"{name} is not unit length (|v| = {n!r})")
+        raise GeometryError(f"{name} is not unit length (|v| = {float(n)!r})")
     return v
 
 

@@ -1,5 +1,7 @@
 """Wavenumber map, local bandwidth, and the cut-set DoF estimate."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,9 +11,7 @@ from edof.cutset import (
     bandwidth_field,
     box_support,
     cutset_edof,
-    empty_support,
     filter_field,
-    full_support,
     isotropic_bandwidth,
     jacobian_det,
     local_bandwidth,
@@ -20,7 +20,6 @@ from edof.cutset import (
 )
 from edof.errors import DiagnosticWarning, DimensionError, GeometryError, SingularKernelError
 from edof.geometry import QuadratureGrid, discretize, make_surface, mirror_axes, rotation_about
-from edof import kernel
 from edof.kernel import WaveConfig, assemble_operator
 from edof.spectrum import count_edof, coupling_spectrum
 
@@ -166,9 +165,15 @@ def test_set_measure_agrees_with_jacobian_integral(anchor_surfaces, wave):
 def test_set_measure_warns_on_unresolved_collapse(wave):
     tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.01, 0.01)
     rx = make_surface((5.0, 5.0, 10.0), np.eye(3), 0.1, 0.1)
-    with pytest.warns(DiagnosticWarning):
+    with pytest.warns(DiagnosticWarning) as caught:
         set_measure_bandwidth(rx.center, discretize(tx, 2, 2), rx, wave,
                               resolution=1e6)
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+    # plain numbers, not numpy scalar reprs
+    assert re.fullmatch(r"wavenumber set of spread \(\d+\.\d+, \d+\.\d+\) rad/m "
+                        r"collapsed into a single cell at resolution 1000000\.0; "
+                        r"measure is unresolved", str(caught[0].message))
 
 
 def _unique_cell_measure(r_rx, tx_grid, rx_surface, wave, resolution):
@@ -178,24 +183,17 @@ def _unique_cell_measure(r_rx, tx_grid, rx_surface, wave, resolution):
     return float(np.unique(cells, axis=0).shape[0]) * resolution ** 2
 
 
-@pytest.mark.parametrize("block_pairs", [None, 3 * 63])
-def test_set_measure_field_equals_node_by_node(wave, monkeypatch, block_pairs):
-    if block_pairs is not None:   # two rx rows per block, last block short
-        monkeypatch.setattr(kernel, "BLOCK_PAIRS", block_pairs)
+def test_set_measure_node_by_node_equals_unique_cells(wave):
     def check(tx, rx, resolutions):
         tx_grid, rx_grid = discretize(tx, 9, 7), discretize(rx, 5, 3)
         for resolution in resolutions:
-            field = bandwidth_field(tx_grid, rx_grid, wave, method="set-measure",
-                                    resolution=resolution)
-            per_node = [set_measure_bandwidth(p, tx_grid, rx, wave, resolution)
-                        for p in rx_grid.points]
+            values = [set_measure_bandwidth(p, tx_grid, rx, wave, resolution)
+                      for p in rx_grid.points]
             reference = [_unique_cell_measure(p, tx_grid, rx, wave, resolution)
                          for p in rx_grid.points]
-            assert np.array_equal(field.values, per_node)
-            assert np.array_equal(field.values, reference)
-            assert field.symmetry == () and field.evaluated_nodes == len(rx_grid)
-        assert len(set(field.values)) > 1
-        return field
+            assert values == reference
+        assert len(set(values)) > 1
+        return np.array(values)
 
     check(make_surface((0.0, 0.0, 0.0), rotation_about((0.3, 1.0, 0.2), 0.4), 0.5, 0.4),
           make_surface((0.2, -0.1, 2.0), rotation_about((1.0, 0.1, 0.2), 0.2), 0.3, 0.3),
@@ -207,26 +205,18 @@ def test_set_measure_field_equals_node_by_node(wave, monkeypatch, block_pairs):
     tx_grid, rx_grid = discretize(tx, 9, 7), discretize(rx, 5, 3)
     k_u = wavenumber_component(rx_grid.points[:, None, :], tx_grid.points[None, :, :],
                                rx, wave)[..., 0]
-    field = check(tx, rx, (3.0, 20.0, 60.0, float(k_u.max())))
+    values = check(tx, rx, (3.0, 20.0, 60.0, float(k_u.max())))
     assert "u" in mirror_axes(tx_grid, rx)
-    assert not np.array_equal(field.values.reshape(5, 3), field.values.reshape(5, 3)[::-1])
-
-
-def test_set_measure_field_warns_once_per_collapsed_node(wave):
-    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.01, 0.01)
-    rx = make_surface((5.0, 5.0, 10.0), np.eye(3), 0.1, 0.1)
-    tx_grid, rx_grid = discretize(tx, 2, 2), discretize(rx, 2, 3)
-    with pytest.warns(DiagnosticWarning) as caught:
-        bandwidth_field(tx_grid, rx_grid, wave, method="set-measure", resolution=1e6)
-    assert len(caught) == len(rx_grid)
-    assert all(w.filename == __file__ for w in caught)
+    assert not np.array_equal(values.reshape(5, 3), values.reshape(5, 3)[::-1])
 
 
 def test_set_measure_rejects_non_positive_resolution(anchor_grids, wave):
     tx_grid, rx_grid = anchor_grids
-    with pytest.raises(ValueError):
-        set_measure_bandwidth(rx_grid.surface.center, tx_grid, rx_grid.surface,
-                              wave, resolution=0.0)
+    # inf would read W = inf, and 1e200 ** 2 overflows a Python float
+    for resolution in (0.0, -1.0, np.inf, np.nan, 1e200, np.float64(1e200)):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            set_measure_bandwidth(rx_grid.surface.center, tx_grid, rx_grid.surface,
+                                  wave, resolution=resolution)
 
 
 def test_bandwidth_below_isotropic_bound(anchor_grids, wave):
@@ -234,14 +224,6 @@ def test_bandwidth_below_isotropic_bound(anchor_grids, wave):
     field = bandwidth_field(tx_grid, rx_grid, wave)
     assert np.all(field.values <= isotropic_bandwidth(wave))
     assert np.all(field.values > 0.0)
-
-
-def test_bandwidth_field_input_validation(anchor_grids, wave):
-    tx_grid, rx_grid = anchor_grids
-    with pytest.raises(ValueError):
-        bandwidth_field(tx_grid, rx_grid, wave, method="set-measure")
-    with pytest.raises(ValueError):
-        bandwidth_field(tx_grid, rx_grid, wave, method="histogram")
 
 
 def test_bandwidth_field_rejects_coincident_nodes(wave):
@@ -347,14 +329,18 @@ def test_cutset_edof_tracks_svd_count_when_modes_are_plentiful(wave):
     assert abs(n_svd - n_cut) <= max(2.0, 0.2 * n_cut)
 
 
+WHOLE_PLANE = box_support(-np.inf, np.inf, -np.inf, np.inf)
+
+
 def test_filter_field_full_support_is_identity(wave):
     rx = make_surface((0.0, 0.0, DISTANCE), np.eye(3), APERTURE, APERTURE)
     grid = discretize(rx, 8, 8)
     rng = np.random.default_rng(2)
     f = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert np.allclose(filter_field(f, full_support(), grid), f, rtol=0.0,
+    assert np.allclose(filter_field(f, WHOLE_PLANE, grid), f, rtol=0.0,
                        atol=1e-12 * np.max(np.abs(f)))
-    assert np.allclose(filter_field(f, empty_support(), grid), 0.0, atol=1e-15)
+    nothing = box_support(1.0, 0.0, 1.0, 0.0)
+    assert np.allclose(filter_field(f, nothing, grid), 0.0, atol=1e-15)
 
 
 def test_filter_field_box_support_keeps_dc_component(wave):
@@ -370,7 +356,7 @@ def test_filter_field_requires_uniform_lattice(wave):
     rx = make_surface((0.0, 0.0, DISTANCE), np.eye(3), APERTURE, APERTURE)
     gauss = discretize(rx, 8, 8, rule="gauss-legendre")
     with pytest.raises(GeometryError):
-        filter_field(np.zeros(64), full_support(), gauss)
+        filter_field(np.zeros(64), WHOLE_PLANE, gauss)
 
 
 def test_filter_field_rejects_perturbed_or_misdeclared_lattice(wave):
@@ -381,14 +367,14 @@ def test_filter_field_rejects_perturbed_or_misdeclared_lattice(wave):
     nodes[1] += 1e-3 * APERTURE / 8
     perturbed = QuadratureGrid(rx, (nodes, weights), grid.rule_v)
     with pytest.raises(GeometryError):
-        filter_field(np.zeros(64), full_support(), perturbed)
+        filter_field(np.zeros(64), WHOLE_PLANE, perturbed)
 
 
 def test_filter_field_checks_sample_count(wave):
     rx = make_surface((0.0, 0.0, DISTANCE), np.eye(3), APERTURE, APERTURE)
     grid = discretize(rx, 8, 8)
     with pytest.raises(DimensionError):
-        filter_field(np.zeros(63), full_support(), grid)
+        filter_field(np.zeros(63), WHOLE_PLANE, grid)
 
 
 def _three_vector_jacobian_dets(r_rx, tx_points, tx_surface, rx_surface, wave):

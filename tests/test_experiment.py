@@ -64,10 +64,13 @@ def test_run_diagnostics_flags(full_report):
 def test_report_mapping_is_json_ready(full_report):
     mapping = report_mapping(full_report)
     text = json.dumps(mapping)  # must not hit numpy scalars
-    assert mapping["schema_version"] == "4"
+    assert mapping["schema_version"] == "5"
     assert mapping["status"] == "complete"
     assert len(mapping["edof"]) == 3
     assert mapping["spectrum"]["n_values"] == 256
+    assert set(mapping["bandwidth"]) == {
+        "n_points", "symmetry", "evaluated_nodes", "bandwidth_min", "bandwidth_max",
+        "bandwidth_mean", "isotropic_bound", "bandwidth_fraction_of_isotropic"}
     assert config_from_mapping(mapping["config"]) == full_report.config
     assert mapping["tool_version"] == edof.__version__
     assert "generated_at" not in text

@@ -139,7 +139,7 @@ BAD_GEOMETRY = {
     "tangent-shape": (lambda: PlanarSurface(ORIGIN, (1.0, 0.0), Y, 1.0, 1.0),
                       "tangent_u must be a 3-vector"),
     "tangent-norm": (lambda: PlanarSurface(ORIGIN, X, (0.0, 2.0, 0.0), 1.0, 1.0),
-                     "tangent_v is not unit length"),
+                     r"tangent_v is not unit length \(\|v\| = 2\.0\)$"),
     "center-shape": (lambda: PlanarSurface((0.0, 0.0), X, Y, 1.0, 1.0),
                      "center must be a 3-vector"),
     "tangents-not-orthogonal": (lambda: PlanarSurface(ORIGIN, X, DIAGONAL, 1.0, 1.0),
