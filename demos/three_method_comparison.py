@@ -22,7 +22,7 @@ SCENE = {
     "methods": ["svd", "cutset", "landau"],
     "gamma": {"mode": "relative", "value": 0.5},
     "landau_options": {"lag_grid": 141, "lag_extent_m": 6.3},
-    "output": {"directory": "comparison_out", "formats": ["csv", "json"]},
+    "output": {"directory": "comparison_out"},
     "seed": 7,
 }
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -21,12 +21,11 @@ from .kernel import WaveConfig
 from .spectrum import GAMMA_MODES as VALID_GAMMA_MODES
 
 VALID_METHODS = ("svd", "cutset", "landau")
-VALID_FORMATS = ("csv", "json")
 
 _DEFAULTS: dict[str, Any] = {
     "methods": list(VALID_METHODS),
     "gamma": {"mode": "relative", "value": 0.5},
-    "output": {"directory": "edof_out", "formats": ["csv", "json"]},
+    "output": {"directory": "edof_out"},
     "seed": 0,
 }
 
@@ -133,20 +132,16 @@ def _choices(value: Any, path: str, valid: tuple[str, ...], kind: str) -> list[s
     return out
 
 
-def _parse_pair(value: Any, path: str, kind: str) -> Any:
-    """Scalar or length-2 list of positive numbers/ints, or None for auto."""
+def _parse_pair(value: Any, path: str, item: Callable[[Any, str], Any]) -> Any:
+    """A scalar or length-2 list, each entry checked by ``item(value, path)``,
+    or None for auto."""
     if value is None:
         return None
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise _fail(path, "expected a scalar or 2 values")
-        if kind == "int":
-            return tuple(_integer(v, f"{path}[{i}]", minimum=3) for i, v in enumerate(value))
-        return tuple(_number(v, f"{path}[{i}]", positive=True) for i, v in enumerate(value))
-    if kind == "int":
-        n = _integer(value, path, minimum=3)
-        return (n, n)
-    x = _number(value, path, positive=True)
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+    x = item(value, path)
     return (x, x)
 
 
@@ -169,7 +164,6 @@ class ExperimentConfig:
     lag_extent: tuple[float, float] | None
     lag_grid: tuple[int, int] | None
     output_directory: str
-    output_formats: tuple[str, ...]
     resolved: dict = field(repr=False)
 
     def to_mapping(self) -> dict:
@@ -217,17 +211,15 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
     landau_raw = _require_mapping(
         data.get("landau_options", {}), "landau_options", ("lag_extent_m", "lag_grid")
     )
-    lag_extent = _parse_pair(landau_raw.get("lag_extent_m"), "landau_options.lag_extent_m", "float")
-    lag_grid = _parse_pair(landau_raw.get("lag_grid"), "landau_options.lag_grid", "int")
+    lag_extent = _parse_pair(landau_raw.get("lag_extent_m"), "landau_options.lag_extent_m",
+                             lambda x, path: _number(x, path, positive=True))
+    lag_grid = _parse_pair(landau_raw.get("lag_grid"), "landau_options.lag_grid",
+                           lambda x, path: _integer(x, path, minimum=3))
 
-    output_raw = _require_mapping(
-        data.get("output", _DEFAULTS["output"]), "output", ("directory", "formats")
-    )
+    output_raw = _require_mapping(data.get("output", _DEFAULTS["output"]), "output", ("directory",))
     directory = output_raw.get("directory", _DEFAULTS["output"]["directory"])
     if not isinstance(directory, str) or not directory:
         raise _fail("output.directory", "expected a nonempty string")
-    formats = _choices(output_raw.get("formats", _DEFAULTS["output"]["formats"]),
-                       "output.formats", VALID_FORMATS, "format")
 
     resolved = {
         "wave": {"wavelength_m": wavelength},
@@ -239,7 +231,7 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
             "lag_extent_m": list(lag_extent) if lag_extent is not None else None,
             "lag_grid": list(lag_grid) if lag_grid is not None else None,
         },
-        "output": {"directory": directory, "formats": formats},
+        "output": {"directory": directory},
         "seed": _integer(data.get("seed", _DEFAULTS["seed"]), "seed"),
     }
     return ExperimentConfig(
@@ -254,7 +246,6 @@ def config_from_mapping(data: Any) -> ExperimentConfig:
         lag_extent=lag_extent,
         lag_grid=lag_grid,
         output_directory=directory,
-        output_formats=tuple(formats),
         resolved=resolved,
     )
 

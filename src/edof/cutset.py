@@ -36,7 +36,7 @@ from .geometry import (
     mirror_axes,
     quadrature_rule,
 )
-from .kernel import WaveConfig, row_blocks
+from .kernel import WaveConfig, check_separation, row_blocks
 from .spectrum import EdofReport
 
 
@@ -97,8 +97,8 @@ def _jacobian_dets(points, nodes, tx_surface, rx_surface, wave):
     d2 = x1 * x1
     d2 += x2 * x2
     d2 += h * h
-    if np.any(d2 == 0.0):
-        raise SingularKernelError("receive point lies on the transmit surface")
+    # distances, not squares: (0.1 lambda)^2 underflows for tiny lambda
+    check_separation(np.sqrt(d2.min()), wave)
     z1 *= x1
     z2 *= x2
     z1 += z2

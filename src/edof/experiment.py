@@ -36,7 +36,7 @@ from .landau import (
 )
 from .spectrum import CouplingSpectrum, EdofReport, count_edof, coupling_spectrum
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 SWEEP_AXES = ("distance", "tx_size", "rx_size", "wavelength", "scale_r")
 
 # run-diagnostic thresholds; each flag stays informational, never fatal
@@ -309,17 +309,15 @@ def run_experiment(config: ExperimentConfig,
         return result
 
     texts: dict[str, str] = {}
-    if "csv" in config.output_formats:
-        if result.spectrum is not None:
-            values = result.spectrum.values.tolist()
-            texts["spectrum.csv"] = _csv("index,s_squared,s_squared_normalized",
-                                         ((i, v, v / values[0]) for i, v in enumerate(values)))
-        texts["edof.csv"] = _csv("method,n_edof,gamma_mode,gamma_value",
-                                 ((rep.method, rep.n_edof, rep.gamma_mode, rep.gamma_value)
-                                  for rep in result.edof_reports))
-    if "json" in config.output_formats:
-        mapping = {**report_mapping(result), "generated_at": datetime.now(timezone.utc).isoformat()}
-        texts["report.json"] = json.dumps(mapping, indent=2, sort_keys=True) + "\n"
+    if result.spectrum is not None:
+        values = result.spectrum.values.tolist()
+        texts["spectrum.csv"] = _csv("index,s_squared,s_squared_normalized",
+                                     ((i, v, v / values[0]) for i, v in enumerate(values)))
+    texts["edof.csv"] = _csv("method,n_edof,gamma_mode,gamma_value",
+                             ((rep.method, rep.n_edof, rep.gamma_mode, rep.gamma_value)
+                              for rep in result.edof_reports))
+    mapping = {**report_mapping(result), "generated_at": datetime.now(timezone.utc).isoformat()}
+    texts["report.json"] = json.dumps(mapping, indent=2, sort_keys=True) + "\n"
     files = _write_files(out_dir if out_dir is not None else config.output_directory, texts)
     return dataclasses.replace(result, output_files=files)
 

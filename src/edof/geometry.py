@@ -223,15 +223,6 @@ def global_point(surface: PlanarSurface, local) -> np.ndarray:
     return surface.center + a * surface.tangent_u + b * surface.tangent_v
 
 
-def local_point(surface: PlanarSurface, point) -> np.ndarray:
-    """Project a global point onto the surface's local (a, b) coordinates."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (3,):
-        raise GeometryError("point must be a 3-vector")
-    off = p - surface.center
-    return np.array([off @ surface.tangent_u, off @ surface.tangent_v])
-
-
 def corners(surface: PlanarSurface, half_u=None, half_v=None) -> np.ndarray:
     """(4, 3) corners of the centered 2 half_u x 2 half_v box on a surface's
     plane; the surface's own corners by default."""

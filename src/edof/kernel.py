@@ -89,20 +89,23 @@ def _distance(r, t):
     return np.sqrt((x * x + z * z) + y * y)
 
 
-def node_distances(points, nodes, wave: WaveConfig) -> np.ndarray:
-    """Distances |p_i - t_j| as an (N_points, N_nodes) array.
-
-    Raises SingularKernelError when any pair is nearer than
-    ``MIN_SEPARATION_WAVELENGTHS`` wavelengths, where the quadrature cannot
-    resolve the 1/d singularity of the kernel.
-    """
-    d = _distance(points[:, None, :], nodes[None, :, :])
+def check_separation(nearest: float, wave: WaveConfig) -> None:
+    """Raise SingularKernelError when the nearest point-node distance (m) is
+    below ``MIN_SEPARATION_WAVELENGTHS`` wavelengths, where the quadrature
+    cannot resolve the 1/d singularity of the kernel."""
     min_sep = MIN_SEPARATION_WAVELENGTHS * wave.wavelength
-    if d.min() < min_sep:
+    if nearest < min_sep:
         raise SingularKernelError(
-            f"evaluation points come within {d.min():.3e} m of the grid "
+            f"evaluation points come within {nearest:.3e} m of the grid "
             f"nodes, below {MIN_SEPARATION_WAVELENGTHS} wavelengths "
             f"({min_sep:.3e} m)")
+
+
+def node_distances(points, nodes, wave: WaveConfig) -> np.ndarray:
+    """Distances |p_i - t_j| as an (N_points, N_nodes) array; raises as
+    ``check_separation`` does."""
+    d = _distance(points[:, None, :], nodes[None, :, :])
+    check_separation(d.min(), wave)
     return d
 
 

@@ -100,14 +100,16 @@ def test_run_rejects_bad_overrides(tmp_path, capsys, args_tail):
 
 
 def test_run_partial_failure_exits_2(tmp_path, capsys):
+    # 3 cm apart the automatic lag grid has 2 x 2 lags and Landau refuses
     path = _config_file(tmp_path, name="close.json",
-                        methods=["svd", "cutset"],
-                        rx={"center_m": [0.0, 0.0, 0.0005],
+                        methods=["svd", "cutset", "landau"],
+                        rx={"center_m": [0.0, 0.0, 0.03],
                             "size_m": [0.5, 0.5], "grid": [16, 16]})
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "svd: FAILED" in captured.err
+    assert "landau: FAILED" in captured.err
+    assert "svd: n_edof =" in captured.out
     assert "cutset: n_edof =" in captured.out
 
 
@@ -212,7 +214,8 @@ def test_sweep_method_failure_inside_a_run_exits_2(tmp_path, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert "FAILED: distance=0.0005 svd: SingularKernelError" in captured.err
-    assert "distance=0.0005 cutset: n_edof = " in captured.out
+    assert "FAILED: distance=0.0005 cutset: SingularKernelError" in captured.err
+    assert "distance=0.0005 cutset: n_edof = nan" in captured.out
 
 
 @pytest.mark.parametrize("argv", [

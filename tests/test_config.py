@@ -31,7 +31,6 @@ def test_minimal_mapping_fills_defaults():
     assert cfg.gamma_value == 0.5
     assert cfg.lag_extent is None and cfg.lag_grid is None
     assert cfg.output_directory == "edof_out"
-    assert cfg.output_formats == ("csv", "json")
     assert cfg.to_mapping()["seed"] == 0
     assert cfg.tx_grid_counts == (40, 40)
     assert cfg.wave.wavelength == 0.01
@@ -76,10 +75,7 @@ def test_minimal_mapping_fills_defaults():
      "landau_options.lag_extent_m: must be positive"),
     (lambda d: d.update(output={"directory": ""}),
      "output.directory: expected a nonempty string"),
-    (lambda d: d.update(output={"formats": []}),
-     "output.formats: expected a nonempty list"),
-    (lambda d: d.update(output={"formats": ["csv", "yaml"]}),
-     "output.formats[1]: unknown format"),
+    (lambda d: d.update(output={"formats": ["csv"]}), "output.formats: unknown key"),
     (lambda d: d.update(seed=1.5), "seed: expected an integer"),
     (lambda d: d.update(seed=True), "seed: expected an integer"),
     (lambda d: d.update(comment="hi"), "comment: unknown key"),
@@ -146,11 +142,6 @@ def test_methods_deduplicated_in_order():
     assert cfg.methods == ("landau", "svd")
 
 
-def test_formats_deduplicated_in_order():
-    cfg = config_from_mapping(_mapping(output={"formats": ["json", "csv", "json"]}))
-    assert cfg.output_formats == ("json", "csv")
-
-
 def test_lag_options_scalar_and_pair_forms():
     cfg = config_from_mapping(_mapping(
         landau_options={"lag_grid": 141, "lag_extent_m": [6.3, 3.15]}))
@@ -166,7 +157,7 @@ def test_round_trip_preserves_equality():
         methods=["svd", "cutset"],
         gamma={"mode": "absolute", "value": 2.0},
         landau_options={"lag_grid": [15, 21]},
-        output={"directory": "out", "formats": ["json"]},
+        output={"directory": "out"},
         seed=42,
     ))
     again = config_from_mapping(cfg.to_mapping())
@@ -223,7 +214,7 @@ FULL = {
     "methods": ["svd", "cutset", "landau"],
     "gamma": {"mode": "relative", "value": 0.5},
     "landau_options": {"lag_extent_m": [6.3, 3.15], "lag_grid": [15, 21]},
-    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "output": {"directory": "out"},
     "seed": 3,
 }
 DELETE = object()

@@ -64,7 +64,7 @@ def test_run_diagnostics_flags(full_report):
 def test_report_mapping_is_json_ready(full_report):
     mapping = report_mapping(full_report)
     text = json.dumps(mapping)  # must not hit numpy scalars
-    assert mapping["schema_version"] == "5"
+    assert mapping["schema_version"] == "6"
     assert mapping["status"] == "complete"
     assert len(mapping["edof"]) == 3
     assert mapping["spectrum"]["n_values"] == 256
@@ -147,14 +147,6 @@ def test_cutset_only_run_skips_spectrum_output(tmp_path):
     assert report.status == "complete"
 
 
-def test_json_only_format_filter(tmp_path):
-    cfg = config_from_mapping(_scene_mapping(
-        methods=["cutset"], output={"directory": "unused", "formats": ["json"]}))
-    run_experiment(cfg, out_dir=str(tmp_path))
-    assert not (tmp_path / "edof.csv").exists()
-    assert (tmp_path / "report.json").exists()
-
-
 def _csv_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -183,17 +175,17 @@ def test_written_files_read_back_to_the_report(tmp_path):
     assert payload.pop("generated_at")
     assert payload == json.loads(json.dumps(report_mapping(report)))
 
-    csv_only = config_from_mapping(_scene_mapping(
-        grid=8, methods=["cutset"], output={"directory": "unused", "formats": ["csv"]}))
-    report = run_experiment(csv_only, out_dir=str(tmp_path / "csv"))
-    assert [p.split("/")[-1] for p in report.output_files] == ["edof.csv"]
-    assert not (tmp_path / "csv" / "report.json").exists()
+    # without svd there is no spectrum to write; the other two files stay
+    cutset_only = config_from_mapping(_scene_mapping(grid=8, methods=["cutset"]))
+    report = run_experiment(cutset_only, out_dir=str(tmp_path / "cutset"))
+    assert [p.split("/")[-1] for p in report.output_files] == ["edof.csv", "report.json"]
+    assert not (tmp_path / "cutset" / "spectrum.csv").exists()
 
-    # 0.05 wavelengths of separation: the svd row fails, cutset still counts
+    # 0.05 wavelengths of separation: both rows fail
     result = run_sweep(cfg, "distance", [10.0, 0.0005], out_dir=str(tmp_path / "sweep"))
     header, rows = _csv_rows(tmp_path / "sweep" / "sweep.csv")
     assert header == "axis_value,method,n_edof"
-    assert rows[2][1:] == ["svd", "nan"]
+    assert [r[1:] for r in rows[2:]] == [["svd", "nan"], ["cutset", "nan"]]
     assert len(rows) == len(result.rows) == 4
     for cells, row in zip(rows, result.rows):
         assert (float(cells[0]), cells[1]) == (row["axis_value"], row["method"])
@@ -238,14 +230,15 @@ def test_rerun_is_deterministic(tmp_path):
 
 
 def test_method_failure_yields_partial_status():
-    # 0.05 wavelengths of separation: assembly refuses, the others still run
-    cfg = config_from_mapping(_scene_mapping(distance=0.0005,
-                                             methods=["svd", "cutset"]))
+    # 3 cm apart the automatic lag grid is too coarse and Landau refuses;
+    # svd and the cut-set still run
+    cfg = config_from_mapping(_scene_mapping(distance=0.03, landau_options={}))
     report = run_experiment(cfg, write=False)
     assert report.status == "partial"
-    assert [r.method for r in report.edof_reports] == ["cutset"]
-    assert "svd" in report.diagnostics["method_errors"]
-    assert "SingularKernelError" in report.diagnostics["method_errors"]["svd"]
+    assert [r.method for r in report.edof_reports] == ["svd", "cutset"]
+    assert list(report.diagnostics["method_errors"]) == ["landau"]
+    assert report.diagnostics["method_errors"]["landau"].startswith(
+        "GeometryError: automatic lag grid has 2 x 2 lags")
 
 
 def test_failed_cross_check_leaves_its_method_complete(perpendicular_scene):
@@ -346,21 +339,25 @@ def _reject_constant(name):
 
 
 def test_underflowing_field_counts_zero_and_writes_strict_json(tmp_path):
-    # at lambda = 1e300 m, W underflows to 0 (the paraxial count is ~6e-604)
-    # and so does the isotropic bound pi k0^2; the other two methods refuse
-    # points closer than 0.1 wavelengths
+    # at lambda = 1e300 m, 0.1 wavelengths exceed the 10 m link: every
+    # method refuses, and the report stays strict JSON
     report = run_experiment(config_from_mapping(_scene_mapping(
-        grid=4, wave={"wavelength_m": 1e300})), out_dir=str(tmp_path))
-    assert [(rep.method, rep.n_edof) for rep in report.edof_reports] == [("cutset", 0.0)]
+        grid=4, wave={"wavelength_m": 1e300})), out_dir=str(tmp_path / "far"))
+    assert report.edof_reports == ()
     errors = report.diagnostics["method_errors"]
-    assert sorted(errors) == ["landau", "svd"]
+    assert sorted(errors) == ["cutset", "landau", "svd"]
     assert all(e.startswith("SingularKernelError: ") for e in errors.values())
+    json.loads((tmp_path / "far" / "report.json").read_text(), parse_constant=_reject_constant)
+    # at lambda = 1e100 m over a 1e100 m link, d^4 overflows and W reads 0
+    report = run_experiment(config_from_mapping(_scene_mapping(
+        grid=4, distance=1e100, methods=["cutset"], wave={"wavelength_m": 1e100})),
+        out_dir=str(tmp_path))
+    assert [(rep.method, rep.n_edof) for rep in report.edof_reports] == [("cutset", 0.0)]
     assert (tmp_path / "edof.csv").read_text().splitlines()[1] == "cutset,0,,"
     mapping = json.loads((tmp_path / "report.json").read_text(),
                          parse_constant=_reject_constant)
     assert mapping["bandwidth"]["bandwidth_max"] == 0.0
-    assert mapping["bandwidth"]["isotropic_bound"] == 0.0
-    assert mapping["bandwidth"]["bandwidth_fraction_of_isotropic"] is None
+    assert mapping["bandwidth"]["bandwidth_fraction_of_isotropic"] == 0.0
     injectivity = mapping["diagnostics"]["injectivity"]
     assert injectivity["flag"] == "divergent"
     assert injectivity["relative_difference"] is None
@@ -423,24 +420,27 @@ def test_sweep_records_failed_rows(tmp_path):
 
 
 def test_sweep_records_methods_that_fail_inside_a_run(tmp_path):
-    # at 0.5 mm assembly refuses the near-singular kernel and the automatic
-    # lag count is (1, 1); the cut-set field still runs
+    # at 0.5 mm, 0.05 wavelengths, svd and the cut-set refuse the
+    # near-singular kernel with one message, and the automatic lag count is
+    # (1, 1)
     cfg = config_from_mapping(_scene_mapping(grid=8, landau_options={}))
     result = run_sweep(cfg, "distance", [10.0, 0.0005], out_dir=str(tmp_path))
     values = [(row["axis_value"], row["method"], row["n_edof"]) for row in result.rows]
     assert [v[:2] for v in values] == [(d, m) for d in (10.0, 0.0005)
                                        for m in ("svd", "cutset", "landau")]
-    assert [n is None for _, _, n in values] == [False] * 3 + [True, False, True]
-    assert len(result.failures) == 2
-    assert result.failures[0].startswith("distance=0.0005 svd: SingularKernelError:")
-    assert result.failures[1] == (
+    assert [n is None for _, _, n in values] == [False] * 3 + [True] * 3
+    assert len(result.failures) == 3
+    singular = ("SingularKernelError: evaluation points come within 5.000e-04 m of the "
+                "grid nodes, below 0.1 wavelengths (1.000e-03 m)")
+    assert result.failures[:2] == (f"distance=0.0005 svd: {singular}",
+                                   f"distance=0.0005 cutset: {singular}")
+    assert result.failures[2] == (
         "distance=0.0005 landau: GeometryError: automatic lag grid has 1 x 1 lags, "
         "fewer than 3 per axis: extent 8e-05 x 8e-05 m at spacing 0.0025 x 0.0025 m; "
         "set landau_options.lag_grid or lag_extent_m")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     cells = [line.split(",")[1:] for line in lines[4:]]
-    assert cells[0] == ["svd", "nan"] and cells[2] == ["landau", "nan"]
-    assert cells[1][0] == "cutset" and float(cells[1][1]) == values[4][2]
+    assert cells == [["svd", "nan"], ["cutset", "nan"], ["landau", "nan"]]
 
 
 def test_automatic_lag_lattice_too_small_names_its_extent_and_spacing():
