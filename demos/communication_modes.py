@@ -31,7 +31,7 @@ def main():
     print(f"scene: {APERTURE} m apertures, {DISTANCE} m apart, "
           f"lambda {WAVELENGTH} m, {GRID}x{GRID} quadrature")
     operator = assemble_operator(tx_grid, rx_grid, wave)
-    print(f"operator matrix: {operator.shape[0]} x {operator.shape[1]}")
+    print(f"operator matrix: {operator.matrix.shape[0]} x {operator.matrix.shape[1]}")
 
     spectrum = coupling_spectrum(operator)
     s0 = spectrum.values[0]

@@ -50,7 +50,7 @@ def main():
     resp = wavenumber_response(rx, tx_grid, wave,
                                lag_grid=LAG_GRID, lag_extent=LAG_EXTENT)
     print(f"\nwavenumber response on a {resp.shape[0]}x{resp.shape[1]} grid, "
-          f"peak {resp.op_norm_estimate:.4g}")
+          f"peak {resp.H_values.max():.4g}")
 
     half = wave.k0 * APERTURE / (2.0 * DISTANCE)
     print(f"nominal passband half width k0 L / (2 d) = {half:.3f} rad/m")

@@ -41,7 +41,6 @@ from .kernel import (
     DiscreteOperator,
     WaveConfig,
     adjoint_identity_residual,
-    apply,
     assemble_operator,
     green_kernel,
     hilbert_schmidt_norm,
@@ -60,7 +59,6 @@ from .spectrum import (
     ModeBasis,
     count_edof,
     coupling_spectrum,
-    expand_field,
     extract_modes,
     kolmogorov_width,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "VACUUM_IMPEDANCE_OHM",
     "WaveConfig",
     "adjoint_identity_residual",
-    "apply",
     "assemble_operator",
     "autocorrelation_kernel",
     "bandwidth_field",
@@ -97,7 +94,6 @@ __all__ = [
     "coupling_spectrum",
     "cutset_edof",
     "discretize",
-    "expand_field",
     "extract_modes",
     "filter_field",
     "green_kernel",

@@ -238,7 +238,7 @@ def _response_summary(response: WavenumberResponse | None):
     if response is None:
         return "not-applicable"
     return {
-        "op_norm_estimate": response.op_norm_estimate,
+        "op_norm_estimate": float(response.H_values.max()),
         "cell_area": response.cell_area,
         "n_samples": len(response.H_values),
         "lag_shape": response.shape,

@@ -138,17 +138,15 @@ class QuadratureGrid:
     ``rule_u`` and ``rule_v`` are (nodes, weights) pairs along tangent_u and
     tangent_v: strictly increasing local coordinates from the center, within
     the side, and positive weights.  The u-major lattice (index = iu * n_v +
-    iv) is derived from them once: ``shape`` is (n_u, n_v), ``local_coords``
-    the (N, 2) (a, b) coordinates, ``points`` the global 3-space positions,
-    and ``weights`` the products w_u[iu] * w_v[iv], which sum to the surface
-    area.
+    iv) is derived from them once: ``shape`` is (n_u, n_v), ``points`` the
+    global 3-space positions, and ``weights`` the products w_u[iu] * w_v[iv],
+    which sum to the surface area.
     """
 
     surface: PlanarSurface
     rule_u: tuple[np.ndarray, np.ndarray]
     rule_v: tuple[np.ndarray, np.ndarray]
     shape: tuple[int, int] = field(init=False)
-    local_coords: np.ndarray = field(init=False)  # (N, 2)
     points: np.ndarray = field(init=False)        # (N, 3)
     weights: np.ndarray = field(init=False)       # (N,)
 
@@ -169,14 +167,12 @@ class QuadratureGrid:
         area = self.surface.area
         if abs(weights.sum() - area) > WEIGHT_SUM_RTOL * area:
             raise GeometryError("quadrature weights do not sum to the surface area")
-        A, B = np.meshgrid(xu, xv, indexing="ij")
-        local = np.column_stack([A.ravel(), B.ravel()])
+        a, b = (x.reshape(-1, 1) for x in np.meshgrid(xu, xv, indexing="ij"))
         s = self.surface
-        points = (s.center[None, :]
-                  + local[:, :1] * s.tangent_u[None, :]
-                  + local[:, 1:] * s.tangent_v[None, :])
-        for name, value in (("shape", (xu.size, xv.size)), ("local_coords", local),
-                            ("points", points), ("weights", weights)):
+        points = (s.center[None, :] + a * s.tangent_u[None, :]
+                  + b * s.tangent_v[None, :])
+        for name, value in (("shape", (xu.size, xv.size)), ("points", points),
+                            ("weights", weights)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:

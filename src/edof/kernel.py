@@ -65,10 +65,6 @@ class DiscreteOperator:
     tx_grid: QuadratureGrid
     rx_grid: QuadratureGrid
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def row_blocks(n_rows: int, n_cols: int):
     """Consecutive row slices covering range(n_rows), each of at most
@@ -186,21 +182,6 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
         for i in range(n_u):
             a4[i, h_v:] = np.flip(a4[i, :n_v // 2], (0, axes[1] - 1))
     return DiscreteOperator(matrix=matrix, tx_grid=tx_grid, rx_grid=rx_grid)
-
-
-def apply(operator: DiscreteOperator, coefficients) -> np.ndarray:
-    """Apply the discrete operator to a weighted transmit coefficient vector.
-
-    The input lives in the sqrt(w_tx)-scaled coordinate space (a physical
-    current sampled at the tx nodes times sqrt(w_tx)); the output is the
-    received field samples times sqrt(w_rx).
-    """
-    x = np.asarray(coefficients)
-    n_rx, n_tx = operator.matrix.shape
-    if x.shape != (n_tx,):
-        raise DimensionError(
-            f"coefficient vector has shape {x.shape}, operator expects ({n_tx},)")
-    return operator.matrix @ x
 
 
 def adjoint_identity_residual(operator: DiscreteOperator, f, g) -> float:

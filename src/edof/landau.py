@@ -76,8 +76,7 @@ class WavenumberResponse:
     on the u-major grid of its two wavenumber axes ``k_axes``."""
 
     k_axes: tuple               # (k_u, k_v) ascending, in the rx tangent frame, rad/m
-    H_values: np.ndarray        # (n_ku * n_kv,) real, clamped nonnegative
-    op_norm_estimate: float     # max of H
+    H_values: np.ndarray        # (n_ku * n_kv,) real, clamped nonnegative; max > 0
     cell_area: float            # dku * dkv of one dual-grid cell
     shape: tuple                # (n_ku, n_kv); arrays are u-major flattened
     diagnostics: dict[str, Any]
@@ -254,6 +253,8 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     h_max = float(h.max())
     if not np.isfinite(h_max):
         raise NumericalError(f"wavenumber response is not finite (max H = {h_max})")
+    if not h_max > 0.0:
+        raise NumericalError(f"wavenumber response peak is not positive (max H = {h_max})")
     min_ratio = float(h.min() / h_max)
     h = np.maximum(h, 0.0)
 
@@ -263,7 +264,6 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     return WavenumberResponse(
         k_axes=(ku, kv),
         H_values=h.ravel(),
-        op_norm_estimate=h_max,
         cell_area=cell_area,
         shape=(n_u, n_v),
         diagnostics={
@@ -284,7 +284,7 @@ def support_measure(response: WavenumberResponse, gamma: float,
     gamma; gamma = 0 returns the whole sampled plane, gamma above the peak
     returns zero.
     """
-    threshold = resolve_threshold(gamma, mode, response.op_norm_estimate)
+    threshold = resolve_threshold(gamma, mode, response.H_values.max())
     return float(np.count_nonzero(response.H_values >= threshold)
                  * response.cell_area)
 

@@ -49,6 +49,8 @@ class CouplingSpectrum:
             raise NumericalError("spectrum values must be finite")
         if np.any(self.values < 0.0) or np.any(np.diff(self.values) > 0.0):
             raise NumericalError("spectrum values must be nonnegative and descending")
+        if self.values[0] == 0.0:
+            raise NumericalError("spectrum peak is zero: no mode couples")
 
     def __len__(self) -> int:
         return self.values.size
@@ -220,21 +222,3 @@ def extract_modes(operator: DiscreteOperator, n_modes: int) -> ModeBasis:
     rx_modes = rx_modes * phases.conj()[None, :]
     return ModeBasis(tx_modes=tx_modes, rx_modes=rx_modes, couplings=s,
                      tx_grid=operator.tx_grid, rx_grid=operator.rx_grid)
-
-
-def expand_field(field_samples, basis: ModeBasis, side: str) -> np.ndarray:
-    """Weighted-inner-product coefficients of a sampled field in the basis.
-
-    coefficients[n] = sum_i w_i field[i] conj(mode_n[i]) for the chosen side.
-    """
-    if side == "tx":
-        modes, grid = basis.tx_modes, basis.tx_grid
-    elif side == "rx":
-        modes, grid = basis.rx_modes, basis.rx_grid
-    else:
-        raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
-    f = np.asarray(field_samples)
-    if f.shape != (modes.shape[0],):
-        raise DimensionError(
-            f"field has shape {f.shape}, expected ({modes.shape[0]},)")
-    return modes.conj().T @ (grid.weights * f)

@@ -287,11 +287,11 @@ def test_criterion_8_determinism_and_interfaces(capsys, tmp_path):
 def _synthesize_received_field(rx_grid, tx_grid):
     """Received samples for a fixed smooth transmit current, kernel built in
     row chunks so the full matrix never materializes."""
-    t_local = tx_grid.local_coords
+    t_a, t_b = (x.ravel() for x in np.meshgrid(tx_grid.rule_u[0], tx_grid.rule_v[0],
+                                                indexing="ij"))
     current = (1.0
-               + 0.5 * np.exp(1j * WAVE.k0 * 0.01 * t_local[:, 0])
-               + 0.25 * np.exp(-1j * WAVE.k0 * 0.015
-                               * (t_local[:, 0] - t_local[:, 1])))
+               + 0.5 * np.exp(1j * WAVE.k0 * 0.01 * t_a)
+               + 0.25 * np.exp(-1j * WAVE.k0 * 0.015 * (t_a - t_b)))
     weighted = current * tx_grid.weights
     out = np.empty(len(rx_grid), dtype=complex)
     chunk = 512

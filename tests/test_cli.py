@@ -240,16 +240,47 @@ def test_entry_wraps_main(tmp_path, monkeypatch, capsys):
     assert info.value.code == 0
 
 
-def test_module_runs_the_cli(tmp_path):
+def _cli(*args):
     env = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).parent.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "edof.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
-    def cli(*args):
-        return subprocess.run([sys.executable, "-m", "edof.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=300)
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _extreme_scene(wavelength, distance, grid, lags):
+    square = {"size_m": [0.5, 0.5], "grid": [grid, grid]}
+    return {"wave": {"wavelength_m": wavelength},
+            "tx": {"center_m": [0.0, 0.0, 0.0], **square},
+            "rx": {"center_m": [0.0, 0.0, distance], **square},
+            "methods": ["svd", "cutset", "landau"],
+            "landau_options": {"lag_grid": lags, "lag_extent_m": 6.3}}
+
+
+@pytest.mark.parametrize("scene", [
+    *(_extreme_scene(lam, d, 4, 41) for lam in (1e-300, 1e-100, 1e100, 1e300)
+      for d in (10.0, lam)),
+    _extreme_scene(0.01, 0.0005, 12, 141),
+], ids=lambda s: f"lambda={s['wave']['wavelength_m']:g},d={s['rx']['center_m'][2]:g}")
+def test_extreme_scenes_exit_cleanly_with_strict_json(tmp_path, scene):
+    # at lambda = 1e100 m over 1e100 m every coupling underflows to 0: svd and
+    # Landau refuse the zero peak instead of counting it
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    done = _cli("run", str(path), "--out", str(tmp_path / "out"))
+    assert done.returncode in (0, 1, 2), done.stderr
+    assert "Traceback" not in done.stderr
+    report = tmp_path / "out" / "report.json"
+    if report.exists():
+        json.loads(report.read_text(), parse_constant=_reject_constant)
+
+
+def test_module_runs_the_cli(tmp_path):
     path = _config_file(tmp_path)
-    done = cli("validate", path)
+    done = _cli("validate", path)
     assert (done.returncode, done.stdout) == (0, f"{path}: ok\n")
-    done = cli("run", path, "--out", str(tmp_path / "out"))
+    done = _cli("run", path, "--out", str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "edof.csv").exists()

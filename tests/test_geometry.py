@@ -74,7 +74,7 @@ def test_four_cell_weights():
 def test_gauss_rule_integrates_quartics_exactly():
     s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.4, 0.8)
     g = discretize(s, 3, 3, rule="gauss-legendre")
-    a, b = g.local_coords[:, 0], g.local_coords[:, 1]
+    a, b = (x.ravel() for x in np.meshgrid(g.rule_u[0], g.rule_v[0], indexing="ij"))
     estimate = float(np.sum(g.weights * a ** 2 * b ** 2))
     exact = (1.4 ** 3 / 12.0) * (0.8 ** 3 / 12.0)
     assert estimate == pytest.approx(exact, rel=1e-12)
@@ -113,7 +113,8 @@ def test_node_ordering_is_u_major():
     expected_b = np.array([-1.5, -0.5, 0.5, 1.5])
     for iu in range(3):
         for iv in range(4):
-            a, b = g.local_coords[iu * 4 + iv]
+            a, b = (g.points[iu * 4 + iv] - s.center) @ np.column_stack(
+                [s.tangent_u, s.tangent_v])
             assert a == pytest.approx(expected_a[iu], abs=1e-15)
             assert b == pytest.approx(expected_b[iv], abs=1e-15)
 
@@ -364,7 +365,6 @@ def test_grid_is_the_tensor_product_of_its_rules(rule, n_u, n_v):
     points = (s.center[None, :] + local[:, :1] * s.tangent_u[None, :]
               + local[:, 1:] * s.tangent_v[None, :])
     assert g.shape == (n_u, n_v) and len(g) == n_u * n_v
-    assert np.array_equal(g.local_coords, local)
     assert np.array_equal(g.weights, np.outer(wu, wv).ravel())
     assert np.array_equal(g.points, points)
     assert np.array_equal(discretize(s, n_u, n_v, rule=rule).points, points)

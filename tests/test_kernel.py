@@ -12,7 +12,6 @@ from edof.kernel import (
     VACUUM_IMPEDANCE_OHM,
     WaveConfig,
     adjoint_identity_residual,
-    apply,
     assemble_operator,
     green_kernel,
     hilbert_schmidt_norm,
@@ -134,36 +133,13 @@ def test_swapped_operator_is_transpose_with_equal_spectrum(small_grids, small_op
     assert np.allclose(s_fwd, s_bwd, rtol=1e-10)
 
 
-def test_apply_is_linear_and_acts_by_columns(small_operator):
-    n_tx = small_operator.shape[1]
-    assert np.all(apply(small_operator, np.zeros(n_tx)) == 0.0)
-    e3 = np.zeros(n_tx, dtype=complex)
-    e3[3] = 1.0
-    assert np.allclose(apply(small_operator, e3), small_operator.matrix[:, 3])
-
-
-def test_apply_then_adjoint_equals_gram_action(small_operator):
-    rng = np.random.default_rng(11)
-    n_tx = small_operator.shape[1]
-    f = rng.standard_normal(n_tx) + 1j * rng.standard_normal(n_tx)
-    a = small_operator.matrix
-    via_apply = a.conj().T @ apply(small_operator, f)
-    gram = (a.conj().T @ a) @ f
-    assert np.allclose(via_apply, gram, rtol=1e-10)
-
-
-def test_apply_rejects_wrong_length(small_operator):
-    with pytest.raises(DimensionError):
-        apply(small_operator, np.zeros(small_operator.shape[1] + 1))
-
-
 def test_adjoint_residual_zero_input(small_operator):
-    n_rx, n_tx = small_operator.shape
+    n_rx, n_tx = small_operator.matrix.shape
     assert adjoint_identity_residual(small_operator, np.zeros(n_tx), np.zeros(n_rx)) == 0.0
 
 
 def test_adjoint_residual_dimension_check(small_operator):
-    n_rx, n_tx = small_operator.shape
+    n_rx, n_tx = small_operator.matrix.shape
     with pytest.raises(DimensionError):
         adjoint_identity_residual(small_operator, np.zeros(n_rx + 1), np.zeros(n_rx))
 

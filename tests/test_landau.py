@@ -137,8 +137,7 @@ def test_response_nonnegative_by_construction(anchor_response):
     resp = anchor_response
     assert np.all(resp.H_values >= 0.0)
     assert resp.diagnostics["pre_clamp_min_ratio"] >= -1e-9
-    assert resp.op_norm_estimate == pytest.approx(float(resp.H_values.max()),
-                                                  rel=1e-15)
+    assert resp.H_values.max() > 0.0
 
 
 def test_response_k_axes_are_the_dft_frequencies(anchor_response):
@@ -375,10 +374,10 @@ def test_default_lag_grid_matches_quarter_wavelength_grid(name, wave):
         _k_points(new) * np.asarray(extent) / (2.0 * np.pi)).astype(int)])
     outside = np.ones(len(old.H_values), dtype=bool)
     outside[common] = False
-    h_new = new.H_values / new.op_norm_estimate
-    h_old = old.H_values[common] / old.op_norm_estimate
+    h_new = new.H_values / new.H_values.max()
+    h_old = old.H_values[common] / old.H_values.max()
     assert np.abs(h_new - h_old).max() <= SAMPLE_SHIFT
-    assert old.H_values[outside].max() <= SAMPLE_SHIFT * old.op_norm_estimate
+    assert old.H_values[outside].max() <= SAMPLE_SHIFT * old.H_values.max()
     for gamma in (0.25, 0.5, 0.75):
         # the counts agree unless a sample within SAMPLE_SHIFT of the
         # threshold changed side (offset-rx at 0.75: two samples 1e-3 below)
@@ -412,7 +411,7 @@ def test_support_measure_extremes_and_monotonicity(anchor_response):
     full_plane = resp.shape[0] * resp.shape[1] * resp.cell_area
     assert support_measure(resp, 0.0, mode="absolute") \
         == pytest.approx(full_plane, rel=1e-12)
-    assert support_measure(resp, 2.0 * resp.op_norm_estimate,
+    assert support_measure(resp, 2.0 * resp.H_values.max(),
                            mode="absolute") == 0.0
     gammas = [1e-6, 0.01, 0.3, 0.5, 0.9, 0.999]
     measures = [support_measure(resp, g) for g in gammas]
