@@ -39,6 +39,9 @@ from .geometry import (
 from .kernel import WaveConfig, check_separation, row_blocks
 from .spectrum import EdofReport
 
+# Step (m) of jacobian_det's central differences along each transmit axis.
+CENTRAL_DIFFERENCE_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class LocalBandwidthField:
@@ -113,13 +116,13 @@ def _jacobian_dets(points, nodes, tx_surface, rx_surface, wave):
 
 def jacobian_det(r_rx, tx_local, tx_surface: PlanarSurface,
                  rx_surface: PlanarSurface, wave: WaveConfig,
-                 method: str = "analytic", step: float = 1e-5) -> float:
+                 method: str = "analytic") -> float:
     """|Jacobian determinant| of the wavenumber map at one transmit point.
 
     ``method="analytic"`` uses the closed-form differential of the map;
     ``method="central-difference"`` differentiates wavenumber_component
-    numerically with the given step, falling back to one-sided differences
-    when a step would leave the surface.
+    numerically with steps of CENTRAL_DIFFERENCE_STEP meters, falling back
+    to one-sided differences when a step would leave the surface.
     """
     t_point = global_point(tx_surface, tx_local)
     if method == "analytic":
@@ -128,8 +131,6 @@ def jacobian_det(r_rx, tx_local, tx_surface: PlanarSurface,
                                     wave)[0, 0])
     if method != "central-difference":
         raise ValueError(f"method must be 'analytic' or 'central-difference', got {method!r}")
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
     a, b = np.asarray(tx_local, dtype=float)
     half_u, half_v = 0.5 * tx_surface.length_u, 0.5 * tx_surface.length_v
 
@@ -138,6 +139,7 @@ def jacobian_det(r_rx, tx_local, tx_surface: PlanarSurface,
                                     global_point(tx_surface, (aa, bb)),
                                     rx_surface, wave)
 
+    step = CENTRAL_DIFFERENCE_STEP
     a_hi, a_lo = min(a + step, half_u), max(a - step, -half_u)
     b_hi, b_lo = min(b + step, half_v), max(b - step, -half_v)
     dk_da = (k_at(a_hi, b) - k_at(a_lo, b)) / (a_hi - a_lo)

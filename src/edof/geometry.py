@@ -11,7 +11,7 @@ nodes and positive weights.  Their tensor product gives the 2-D nodes and
 weights, so sum(w_i * f(p_i)) approximates the surface integral of f.
 Supported rules are the midpoint (uniform cell) rule and Gauss-Legendre.
 ``surfaces_intersect`` decides from the two rectangles' ``corners`` whether
-they share a point.
+they share a point, and ``box_distances`` measures points against such a box.
 
 A scene's mirror symmetry is decided here, once, for all three estimators:
 ``mirror_axes`` names the reflections of the receive frame that map a grid
@@ -229,6 +229,13 @@ def corners(surface: PlanarSurface, half_u=None, half_v=None) -> np.ndarray:
                      for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
 
 
+def box_distances(surface: PlanarSurface, points, half_u, half_v) -> np.ndarray:
+    """Distances from (N, 3) points to the centered 2 half_u x 2 half_v box ``corners`` spans."""
+    frame = np.array([surface.tangent_u, surface.tangent_v, surface.normal])
+    gaps = np.abs((points - surface.center) @ frame.T) - (half_u, half_v, 0.0)
+    return np.linalg.norm(np.maximum(gaps, 0.0), axis=1)
+
+
 def surfaces_intersect(s1: PlanarSurface, s2: PlanarSurface) -> bool:
     """True when the two rectangles share at least one point (touching counts).
 
@@ -339,13 +346,12 @@ def lattice_orbits(axis_u, axis_v, symmetry) -> LatticeFold:
     """Fold the u-major tensor lattice of two coordinate axes to the first
     node of each orbit.
 
-    ``symmetry`` names the generators: the MIRRORS reflections "u" (node
-    (i, j) to (n_u-1-i, j)), "v" and "swap" ((i, j) to (j, i)), and "point"
-    ((a, b) to (-a, -b)).  Each is read from the axes, to SYMMETRY_RTOL of
-    the largest coordinate: "u" or "v" holds when that axis equals its own
-    reverse, negated, "point" when both do, and "swap" when the two axes are
-    equal.  Generators the lattice does not hold are dropped, and an empty
-    set folds nothing.
+    ``symmetry`` names the generators, the MIRRORS reflections: "u" (node
+    (i, j) to (n_u-1-i, j)), "v" and "swap" ((i, j) to (j, i)).  Each is
+    read from the axes, to SYMMETRY_RTOL of the largest coordinate: "u" or
+    "v" holds when that axis equals its own reverse, negated, and "swap"
+    when the two axes are equal.  Generators the lattice does not hold are
+    dropped, and an empty set folds nothing.
     """
     axis_u, axis_v = np.asarray(axis_u, dtype=float), np.asarray(axis_v, dtype=float)
     tol = SYMMETRY_RTOL * max(np.abs(axis_u).max(), np.abs(axis_v).max())
@@ -355,10 +361,8 @@ def lattice_orbits(axis_u, axis_v, symmetry) -> LatticeFold:
 
     holds = {"u": equal(-axis_u[::-1], axis_u), "v": equal(-axis_v[::-1], axis_v),
              "swap": equal(axis_u, axis_v)}
-    holds["point"] = holds["u"] and holds["v"]
     kept = tuple(name for name in symmetry if holds[name])
-    views = {"u": lambda a: a[::-1, :], "v": lambda a: a[:, ::-1],
-             "swap": lambda a: a.T, "point": lambda a: a[::-1, ::-1]}
+    views = {"u": lambda a: a[::-1, :], "v": lambda a: a[:, ::-1], "swap": lambda a: a.T}
     # each generator is an involution, so the fixed point holds each orbit's
     # smallest index on all of its nodes
     rep = np.arange(axis_u.size * axis_v.size).reshape(axis_u.size, axis_v.size)

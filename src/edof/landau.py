@@ -22,12 +22,15 @@ bare truncated transform rings negative by several percent (Dirichlet
 sidelobes), while the Bartlett estimate smooths with a nonnegative Fejer
 kernel, keeping H >= 0 up to round-off without biasing the zero-lag sum.
 
-g is sampled on a centered lag lattice and evaluated once per orbit of the
-lattice's symmetry.  g(-delta) = conj(g(delta)) holds on every scene, so at
-most half the lags are evaluated.  When the scene also holds the receive
-frame's u- and v-mirrors (geometry.mirror_axes), as on a coaxial link, g
-is even in both axes and therefore real, and one lag per mirror orbit is
-evaluated: a quarter of the lattice, or an eighth with the u <-> v swap.
+g is sampled on an odd, centered lag lattice, on which -delta is the flat
+u-major index read backwards.  g(-delta) = conj(g(delta)) holds on every
+scene, so the first half of the lattice is evaluated and the rest filled
+with exact conjugates.  When the scene also holds the receive frame's u-
+and v-mirrors (geometry.mirror_axes), as on a coaxial link, g is even in
+both axes and therefore real, and one lag per mirror orbit is evaluated: a
+quarter of the lattice, or an eighth with the u <-> v swap.  Transmit nodes
+within 0.1 wavelengths of the receive-plane box that holds every lag point
+refuse the scene before any lag is placed, as svd and the cut-set refuse it.
 """
 
 from __future__ import annotations
@@ -40,15 +43,22 @@ import numpy as np
 from .cutset import wavenumber_component
 from .errors import GeometryError, NumericalError, ResourceError
 from .geometry import (
-    MIRRORS,
     PlanarSurface,
     QuadratureGrid,
+    box_distances,
     corners,
     discretize,
     lattice_orbits,
     mirror_axes,
 )
-from .kernel import WaveConfig, assemble_operator, kernel_scale, node_distances, row_blocks
+from .kernel import (
+    WaveConfig,
+    assemble_operator,
+    check_separation,
+    kernel_scale,
+    node_distances,
+    row_blocks,
+)
 from .spectrum import (
     CouplingSpectrum,
     EdofReport,
@@ -92,11 +102,16 @@ class PolarizationScale:
     spread: float               # (n[min gamma] - n[max gamma]) / n[mid gamma]
 
 
+def _coherence_scales(rx_surface, tx_surface, wave):
+    """lambda * d / L_tx per transmit axis, d the center-to-center distance."""
+    d = float(np.linalg.norm(rx_surface.center - tx_surface.center))
+    return tuple(wave.wavelength * d / side for side in (tx_surface.length_u, tx_surface.length_v))
+
+
 def _lag_points(lags, reference, rx_surface):
-    """Global points c +/- delta/2 for an (M, 2) array of tangent-frame lags."""
-    offset = 0.5 * (lags[:, :1] * rx_surface.tangent_u[None, :]
-                    + lags[:, 1:] * rx_surface.tangent_v[None, :])
-    return reference[None, :] + offset, reference[None, :] - offset
+    """Global points c +/- delta/2 for (M, 2) tangent-frame lags; c is one point or (M, 3)."""
+    offset = 0.5 * (lags[:, :1] * rx_surface.tangent_u + lags[:, 1:] * rx_surface.tangent_v)
+    return reference + offset, reference - offset
 
 
 def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
@@ -113,39 +128,37 @@ def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     return out
 
 
-def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid,
-                             wave):
-    """g on the u-major lattice of two lag axes, one lag per orbit.
+def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave):
+    """g on the odd, centered u-major lattice of two lag axes.
 
-    Every scene has g(-delta) = conj(g(delta)).  When ``mirrors`` (from
-    mirror_axes) holds both the u- and the v-mirror, g is also even in each
-    axis, hence real: it is folded by the mirrors (and the swap, when held)
-    and its real part gathered.  Otherwise it is folded by the point
-    reflection, and the mirrored half is filled with exact conjugates.
-    Returns g and the fold.
+    Every scene has g(-delta) = conj(g(delta)), and -delta is the flat index
+    read backwards: the first half is evaluated, the rest is its conjugate.
+    When ``mirrors`` (from mirror_axes) holds the u- and the v-mirror, g is
+    also even in each axis, hence real: one lag per orbit of the mirrors
+    (and the swap, when the lattice holds it) is evaluated and its real part
+    gathered.  Returns g, the mirrors folded by and the lags evaluated.
     """
-    fold = lattice_orbits(*axes, mirrors if {"u", "v"} <= set(mirrors) else ("point",))
-    iu, iv = np.divmod(fold.nodes, len(axes[1]))
-    g = _autocorrelation_many(np.column_stack([axes[0][iu], axes[1][iv]]),
-                              reference, rx_surface, tx_grid, wave)
-    if {"u", "v"} <= set(fold.symmetry):
-        return np.real(g)[fold.gather], fold
-    g = g[fold.gather]
-    mirrored = fold.nodes[fold.gather] != np.arange(len(fold.gather))
-    g[mirrored] = np.conj(g[mirrored])
-    return g, fold
+    def at(flat):
+        iu, iv = np.divmod(flat, len(axes[1]))
+        return _autocorrelation_many(np.column_stack([axes[0][iu], axes[1][iv]]),
+                                     reference, rx_surface, tx_grid, wave)
+
+    if {"u", "v"} <= set(mirrors):
+        fold = lattice_orbits(*axes, mirrors)
+        return np.real(at(fold.nodes))[fold.gather], fold.symmetry, len(fold.nodes)
+    half = at(np.arange((len(axes[0]) * len(axes[1]) + 1) // 2))
+    return np.concatenate([half, np.conj(half[-2::-1])]), (), len(half)
 
 
-def _band_edge(rx_surface, tx_surface, wave, extent):
+def _band_edge(rx_surface, tx_surface, wave, half, extent):
     """Padded per-axis in-plane wavenumber band of the correlation, rad/m.
 
     The largest |k_u| and |k_v| over rays from the transmit corners to the
-    corners of a receive-plane box that covers the aperture and every lag
-    point c +/- delta/2, each padded by BAND_PAD_LOBES Fejer half widths.
+    corners of the receive-plane box of half sides ``half``, each padded by
+    BAND_PAD_LOBES Fejer half widths.
     """
-    box = corners(rx_surface, max(0.5 * rx_surface.length_u, 0.25 * extent[0]),
-                  max(0.5 * rx_surface.length_v, 0.25 * extent[1]))
-    k = wavenumber_component(box[:, None, :], corners(tx_surface)[None, :, :],
+    k = wavenumber_component(corners(rx_surface, *half)[:, None, :],
+                             corners(tx_surface)[None, :, :],
                              rx_surface, wave)
     k_max = np.abs(k).max(axis=(0, 1))
     return tuple(float(km + BAND_PAD_LOBES * 4.0 * np.pi / e)
@@ -192,29 +205,27 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     aperture and the lag points, padded by two Fejer main-lobe half widths
     (4 pi / extent each).  The spacing is capped at a quarter wavelength,
     its value at grazing incidence (k_band >= k0).  Counts are forced odd
-    so the lattice is centered and the transform is real.  A lattice of
-    more than DEFAULT_MATRIX_BUDGET lags raises ResourceError before any
-    lag is placed; an automatic one of fewer than 3 lags per axis raises
-    GeometryError.
+    so the lattice is centered and the transform is real.  Before any lag
+    is placed, a transmit node within 0.1 wavelengths of that receive box
+    raises SingularKernelError, a lattice over DEFAULT_MATRIX_BUDGET lags
+    ResourceError, and an automatic one under 3 lags per axis GeometryError.
 
-    g is evaluated on one lag per orbit and gathered to the rest.  When the
-    scene holds both receive mirrors of ``mirror_axes``, the orbits are
-    those of the mirrors, plus the swap when the lattice has equal counts
-    and spacings, and g is real: 2,556 of the 19,881 lags of a 141 x 141
-    lattice on a coaxial square link.  Otherwise they are the pairs
-    {delta, -delta}, and conj(g(delta)) fills in -delta.  The diagnostics
-    record the mirrors used (``symmetry``) and ``evaluated_lags``.
+    When the scene holds both receive mirrors of ``mirror_axes``, g is real
+    and evaluated on one lag per orbit of the mirrors, plus the swap when
+    the lattice has equal counts and spacings: 2,556 of the 19,881 lags of
+    a 141 x 141 lattice on a coaxial square link.  Otherwise the first half
+    of the lattice is evaluated, and conj(g(delta)) fills in -delta.  The
+    diagnostics record the mirrors used (``symmetry``) and ``evaluated_lags``.
     """
-    center_distance = float(np.linalg.norm(
-        rx_surface.center - tx_grid.surface.center))
-    coherence = (wave.wavelength * center_distance / tx_grid.surface.length_u,
-                 wave.wavelength * center_distance / tx_grid.surface.length_v)
+    coherence = _coherence_scales(rx_surface, tx_grid.surface, wave)
     extent_u, extent_v = _normalize_pair(
-        lag_extent, tuple(DEFAULT_EXTENT_COHERENCE_UNITS * c for c in coherence),
-        "lag_extent")
-    if not (extent_u > 0.0 and extent_v > 0.0):
-        raise ValueError("lag extents must be positive")
-    k_band = _band_edge(rx_surface, tx_grid.surface, wave, (extent_u, extent_v))
+        lag_extent, tuple(DEFAULT_EXTENT_COHERENCE_UNITS * c for c in coherence), "lag_extent")
+    if not (0.0 < extent_u < np.inf and 0.0 < extent_v < np.inf):
+        raise ValueError("lag extents must be positive and finite")
+    box_half = (max(0.5 * rx_surface.length_u, 0.25 * extent_u),
+                max(0.5 * rx_surface.length_v, 0.25 * extent_v))
+    check_separation(box_distances(rx_surface, tx_grid.points, *box_half).min(), wave)
+    k_band = _band_edge(rx_surface, tx_grid.surface, wave, box_half, (extent_u, extent_v))
     if lag_grid is None:
         # max(lambda/4, pi/(2 k_band)), written to be exactly lambda/4 at grazing
         spacing = tuple(0.25 * wave.wavelength * max(1.0, wave.k0 / kb) for kb in k_band)
@@ -239,9 +250,9 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
 
     iu = np.arange(n_u) - (n_u - 1) / 2.0
     iv = np.arange(n_v) - (n_v - 1) / 2.0
-    g, fold = _autocorrelation_lattice((iu * du, iv * dv),
-                                       mirror_axes(tx_grid, rx_surface),
-                                       rx_surface.center, rx_surface, tx_grid, wave)
+    g, folded_by, evaluated = _autocorrelation_lattice(
+        (iu * du, iv * dv), mirror_axes(tx_grid, rx_surface), rx_surface.center,
+        rx_surface, tx_grid, wave)
     g = g.reshape(n_u, n_v)
 
     # Bartlett taper: Fejer smoothing keeps the estimate nonnegative.
@@ -271,8 +282,8 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
             "k_band": k_band,
             "lag_extent": (extent_u, extent_v),
             "pre_clamp_min_ratio": min_ratio,
-            "symmetry": [name for name in fold.symmetry if name in MIRRORS],
-            "evaluated_lags": len(fold.nodes),
+            "symmetry": list(folded_by),
+            "evaluated_lags": evaluated,
         })
 
 
@@ -310,20 +321,15 @@ def stationarity_check(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
 
     The Landau construction treats the correlation as shift-invariant over
     the receive aperture; corner-to-center modulus drift beyond 10% flags
-    the configuration as non-stationary.
+    the configuration as non-stationary.  The probes about all five points
+    are one sweep.
     """
-    center_distance = float(np.linalg.norm(
-        rx_surface.center - tx_grid.surface.center))
-    coh = wave.wavelength * center_distance / max(tx_grid.surface.length_u,
-                                                  tx_grid.surface.length_v)
+    coh = min(_coherence_scales(rx_surface, tx_grid.surface, wave))
     probes = np.array([[0.0, 0.0], [0.5 * coh, 0.0], [0.0, 0.5 * coh]])
-    ref = np.abs(_autocorrelation_many(probes, rx_surface.center, rx_surface,
-                                       tx_grid, wave))
-    worst = 0.0
-    for corner in corners(rx_surface):
-        mod = np.abs(_autocorrelation_many(probes, corner, rx_surface,
-                                           tx_grid, wave))
-        worst = max(worst, float(np.max(np.abs(mod - ref) / ref)))
+    references = np.vstack([rx_surface.center, corners(rx_surface)])
+    mod = np.abs(_autocorrelation_many(np.tile(probes, (5, 1)), np.repeat(references, 3, axis=0),
+                                       rx_surface, tx_grid, wave)).reshape(5, 3)
+    worst = float(np.max(np.abs(mod[1:] - mod[0]) / mod[0]))
     return {"max_modulus_deviation": worst, "stationary": worst <= 0.1}
 
 

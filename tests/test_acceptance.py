@@ -176,7 +176,7 @@ def test_criterion_4_jacobian_against_central_differences(capsys):
                                      rng.uniform(-0.2, 0.2)))
             analytic = jacobian_det(r_rx, local, tx, rx, WAVE)
             numeric = jacobian_det(r_rx, local, tx, rx, WAVE,
-                                   method="central-difference", step=1e-5)
+                                   method="central-difference")
             worst = max(worst, abs(numeric - analytic) / analytic)
         assert worst <= 1e-6
         elapsed = time.perf_counter() - t0

@@ -420,9 +420,8 @@ def test_sweep_records_failed_rows(tmp_path):
 
 
 def test_sweep_records_methods_that_fail_inside_a_run(tmp_path):
-    # at 0.5 mm, 0.05 wavelengths, svd and the cut-set refuse the
-    # near-singular kernel with one message, and the automatic lag count is
-    # (1, 1)
+    # at 0.5 mm, 0.05 wavelengths, all three methods refuse the
+    # near-singular kernel with one message: Landau before it sizes its lags
     cfg = config_from_mapping(_scene_mapping(grid=8, landau_options={}))
     result = run_sweep(cfg, "distance", [10.0, 0.0005], out_dir=str(tmp_path))
     values = [(row["axis_value"], row["method"], row["n_edof"]) for row in result.rows]
@@ -432,15 +431,26 @@ def test_sweep_records_methods_that_fail_inside_a_run(tmp_path):
     assert len(result.failures) == 3
     singular = ("SingularKernelError: evaluation points come within 5.000e-04 m of the "
                 "grid nodes, below 0.1 wavelengths (1.000e-03 m)")
-    assert result.failures[:2] == (f"distance=0.0005 svd: {singular}",
-                                   f"distance=0.0005 cutset: {singular}")
-    assert result.failures[2] == (
-        "distance=0.0005 landau: GeometryError: automatic lag grid has 1 x 1 lags, "
-        "fewer than 3 per axis: extent 8e-05 x 8e-05 m at spacing 0.0025 x 0.0025 m; "
-        "set landau_options.lag_grid or lag_extent_m")
+    assert result.failures == tuple(f"distance=0.0005 {method}: {singular}"
+                                    for method in ("svd", "cutset", "landau"))
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     cells = [line.split(",")[1:] for line in lines[4:]]
     assert cells == [["svd", "nan"], ["cutset", "nan"], ["landau", "nan"]]
+
+
+def test_near_field_scene_fails_landau_as_it_fails_svd_and_the_cutset():
+    # 12^2 grids 0.5 mm apart with 141^2 lags over 6.3 m: every lag point
+    # stays over 0.1 wavelengths from the transmit nodes, but the receive
+    # plane that holds them passes 0.05 wavelengths above them
+    cfg = config_from_mapping(_scene_mapping(
+        grid=12, distance=0.0005, landau_options={"lag_grid": 141, "lag_extent_m": 6.3}))
+    report = run_experiment(cfg, write=False)
+    assert report.edof_reports == ()
+    errors = report.diagnostics["method_errors"]
+    assert list(errors) == ["svd", "cutset", "landau"]
+    assert errors["landau"] == errors["svd"] == errors["cutset"] == (
+        "SingularKernelError: evaluation points come within 5.000e-04 m of the "
+        "grid nodes, below 0.1 wavelengths (1.000e-03 m)")
 
 
 def test_automatic_lag_lattice_too_small_names_its_extent_and_spacing():

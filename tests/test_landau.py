@@ -170,6 +170,9 @@ def test_response_validates_lag_arguments(anchor_surfaces, anchor_grids, wave):
         wavenumber_response(rx, tx_grid, wave, lag_grid=2, lag_extent=1.0)
     with pytest.raises(ValueError):
         wavenumber_response(rx, tx_grid, wave, lag_grid=11, lag_extent=0.0)
+    for extent in (np.inf, (1.0, np.inf)):
+        with pytest.raises(ValueError, match="positive"):
+            wavenumber_response(rx, tx_grid, wave, lag_grid=11, lag_extent=extent)
     with pytest.raises(ValueError):
         wavenumber_response(rx, tx_grid, wave, lag_grid=(5, 5, 5), lag_extent=1.0)
     with pytest.raises(ValueError):
@@ -229,30 +232,28 @@ def test_response_emits_no_warning(scene, anchor_surfaces, anchor_grids, wave):
 
 
 @pytest.mark.parametrize("scene,fold", [("reference", ("u", "v", "swap")),
-                                        ("criterion-2-tilted", ("point",))])
+                                        ("criterion-2-tilted", ())])
 def test_lattice_evaluates_the_full_lattice_lags_of_its_fold(
         scene, fold, anchor_surfaces, anchor_grids, wave, monkeypatch):
+    """The mirror orbits' first lags, or the first half of the flat lattice."""
     rx, tx_grid, lags = _response_scene(scene, anchor_surfaces, anchor_grids)
-    folds, evaluated = [], []
-
-    def orbits_spy(*args):
-        folds.append(lattice_orbits(*args))
-        return folds[-1]
+    evaluated = []
 
     def many_spy(lags, *args):
         evaluated.append(lags)
         return _autocorrelation_many(lags, *args)
 
-    monkeypatch.setattr(edof.landau, "lattice_orbits", orbits_spy)
     monkeypatch.setattr(edof.landau, "_autocorrelation_many", many_spy)
     resp = wavenumber_response(rx, tx_grid, wave, **lags)
-    (got,), (fold_used,) = evaluated, folds
-    assert fold_used.symmetry == fold
+    (got,) = evaluated
+    assert tuple(resp.diagnostics["symmetry"]) == fold
     axes = [(np.arange(n) - (n - 1) / 2.0) * d
             for n, d in zip(resp.shape, resp.diagnostics["lag_spacing"])]
     lag_u, lag_v = np.meshgrid(*axes, indexing="ij")
     full = np.column_stack([lag_u.ravel(), lag_v.ravel()])
-    assert np.array_equal(got, full[fold_used.nodes])
+    nodes = lattice_orbits(*axes, fold).nodes if fold else np.arange((len(full) + 1) // 2)
+    assert resp.diagnostics["evaluated_lags"] == len(nodes)
+    assert np.array_equal(got, full[nodes])
 
 
 class _LatticeReached(Exception):
@@ -289,9 +290,13 @@ def rotated_scene(wave):
     return rx, discretize(tx, 13, 11)
 
 
-def _unfolded(axis_u, axis_v, symmetry):
-    """Stand-in for lattice_orbits that folds nothing: every lag is evaluated."""
-    return lattice_orbits(axis_u, axis_v, ())
+def _every_lag(axes, mirrors, reference, rx_surface, tx_grid, wave):
+    """Stand-in for _autocorrelation_lattice that folds nothing: every lag is
+    evaluated."""
+    lag_u, lag_v = np.meshgrid(*axes, indexing="ij")
+    g = _autocorrelation_many(np.column_stack([lag_u.ravel(), lag_v.ravel()]),
+                              reference, rx_surface, tx_grid, wave)
+    return g, (), len(g)
 
 
 def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch):
@@ -306,11 +311,11 @@ def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch)
         return _autocorrelation_many(lags, *args)
 
     monkeypatch.setattr(edof.landau, "_autocorrelation_many", spy)
-    g, fold = _autocorrelation_lattice(axes, mirror_axes(tx_grid, rx),
-                                       rx.center, rx, tx_grid, wave)
+    g, folded_by, n_evaluated = _autocorrelation_lattice(
+        axes, mirror_axes(tx_grid, rx), rx.center, rx, tx_grid, wave)
     monkeypatch.undo()
-    assert fold.symmetry == ("point",)
-    assert evaluated == [(len(lags) + 1) // 2]
+    assert folded_by == ()
+    assert evaluated == [n_evaluated] == [(len(lags) + 1) // 2]
     assert np.array_equal(g[::-1], np.conj(g))
     full = _autocorrelation_many(lags, rx.center, rx, tx_grid, wave)
     np.testing.assert_allclose(g, full, rtol=0.0, atol=1e-13 * np.abs(full).max())
@@ -321,7 +326,7 @@ def test_half_lattice_response_matches_full_lattice(rotated_scene, wave,
     rx, tx_grid = rotated_scene
     half = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
                                lag_extent=0.5)
-    monkeypatch.setattr(edof.landau, "lattice_orbits", _unfolded)
+    monkeypatch.setattr(edof.landau, "_autocorrelation_lattice", _every_lag)
     full = wavenumber_response(rx, tx_grid, wave, lag_grid=(21, 15),
                                lag_extent=0.5)
     np.testing.assert_allclose(half.H_values, full.H_values, rtol=0.0,

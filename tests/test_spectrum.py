@@ -104,6 +104,20 @@ def test_anchor_count_in_paraxial_band(anchor_spectrum):
     assert 4 <= n <= 9
 
 
+def test_reference_spectrum_values_are_pinned(anchor_spectrum):
+    # the reference scene's spectrum.csv; the fifth value sits at 0.4966 s0^2,
+    # 0.7 % under the relative 0.5 threshold, which is why svd counts 4.  The
+    # tolerance leaves room for other BLAS builds.
+    values = anchor_spectrum.values
+    assert len(values) == 1600
+    np.testing.assert_allclose(
+        values[:6], [35164.73721241482, 31922.072327641883, 31922.072327641872,
+                     28973.41575614731, 17461.72587499357, 17459.61844050844],
+        rtol=1e-12, atol=0.0)
+    assert float(values.sum()) == pytest.approx(221574.52924235666, rel=1e-12, abs=0.0)
+    assert count_edof(anchor_spectrum, 0.5, mode="relative") == 4
+
+
 def _fresnel_values(side, distance, wave, n=64):
     """Squared singular values, up to one factor, of the separable Fresnel
     model of two coaxial side x side squares, descending.

@@ -99,7 +99,7 @@ def _coords(axes):
     ((7, 4), ("u",), 16),
     ((5, 5), ("swap",), 15),
     ((1, 6), ("u", "v", "swap"), 3),
-    ((1, 1), ("u", "v", "swap", "point"), 1),
+    ((1, 1), ("u", "v", "swap"), 1),
     # u and swap generate the whole square group, v included
     ((5, 5), ("u", "swap"), 6),
 ])
@@ -132,14 +132,6 @@ def _invariant(coords, symmetry):
     return np.cos(a) + 2.0 * np.cos(b) + a * b ** 3
 
 
-def test_point_fold_is_the_hermitian_half():
-    fold = lattice_orbits(*_integer_lattice(21, 15, spacing=(0.3, 0.7)), ("point",))
-    m = 21 * 15
-    assert np.array_equal(fold.nodes, np.arange((m + 1) // 2))
-    assert np.array_equal(fold.nodes[fold.gather],
-                          np.minimum(np.arange(m), np.arange(m)[::-1]))
-
-
 def test_lattice_orbits_drops_what_the_lattice_does_not_hold():
     # swap needs equal spacings as well as equal counts
     fold = lattice_orbits(*_integer_lattice(9, 9, spacing=(1.0, 1.5)),
@@ -147,8 +139,7 @@ def test_lattice_orbits_drops_what_the_lattice_does_not_hold():
     assert fold.symmetry == ("u", "v")
     axis_u, axis_v = _integer_lattice(9, 9)
     axis_u[0] += 1e-6   # the first u-axis entry
-    # the point reflection needs both axes mirrored
-    fold = lattice_orbits(axis_u, axis_v, ("u", "v", "swap", "point"))
+    fold = lattice_orbits(axis_u, axis_v, ("u", "v", "swap"))
     assert fold.symmetry == ("v",)
     none = lattice_orbits(axis_u, axis_v, ())
     assert none.symmetry == ()
@@ -162,18 +153,20 @@ def _direct_field(tx_grid, rx_grid):
                           rx_grid.surface, WAVE) @ tx_grid.weights
 
 
-def _unfolded(axis_u, axis_v, symmetry):
-    """Stand-in for lattice_orbits that folds nothing: every lag is evaluated."""
-    return lattice_orbits(axis_u, axis_v, ())
+def _every_lag(axes, mirrors, reference, rx_surface, tx_grid, wave):
+    """Stand-in for _autocorrelation_lattice that folds nothing: every lag is
+    evaluated."""
+    g = _autocorrelation_many(_coords(axes), reference, rx_surface, tx_grid, wave)
+    return g, (), len(g)
 
 
 def _hermitian_half(axes, mirrors, reference, rx_surface, tx_grid, wave):
-    """g as an unfolded scene gets it: the first half of the lag list, and
-    exact conjugates for the rest."""
+    """g as a scene without both mirrors gets it: the first half of the lag
+    list, and exact conjugates for the rest."""
     lags = _coords(axes)
     half = _autocorrelation_many(lags[:(len(lags) + 1) // 2], reference,
                                  rx_surface, tx_grid, wave)
-    return np.concatenate([half, np.conj(half[-2::-1])]), _unfolded(*axes, ())
+    return np.concatenate([half, np.conj(half[-2::-1])]), (), len(half)
 
 
 def _response(tx_grid, rx_grid, lag_grid=(11, 11), lag_extent=0.4):
@@ -249,7 +242,7 @@ def test_folds_match_direct_evaluation(scene):
     assert np.max(np.abs(field.values - direct) / direct) <= 1e-12
 
     folded = _response(tx_grid, rx_grid, lag_grid)
-    with mock.patch.object(edof.landau, "lattice_orbits", _unfolded):
+    with mock.patch.object(edof.landau, "_autocorrelation_lattice", _every_lag):
         full = _response(tx_grid, rx_grid, lag_grid)
     assert full.diagnostics["evaluated_lags"] == np.prod(lag_grid)
     assert {"u", "v"} <= set(folded.diagnostics["symmetry"])
@@ -265,6 +258,6 @@ def test_folds_match_direct_evaluation(scene):
 
     # the folded correlation keeps g(-delta) = conj(g(delta)) exactly
     axes = _integer_lattice(*lag_grid, spacing=[0.4 / n for n in lag_grid])
-    g, _ = _autocorrelation_lattice(axes, mirrors, rx_grid.surface.center,
-                                    rx_grid.surface, tx_grid, WAVE)
+    g, _, _ = _autocorrelation_lattice(axes, mirrors, rx_grid.surface.center,
+                                       rx_grid.surface, tx_grid, WAVE)
     assert np.array_equal(g[::-1], np.conj(g))
