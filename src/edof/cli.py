@@ -1,8 +1,9 @@
 """Command-line entry points: run, sweep, and validate.
 
 Exit codes: 0 success, 1 validation failure (a bad config or argument, or an
-output directory that cannot be written), 2 partial method failure, 3 resource
-limit.  ``python -m edof.cli`` runs the same entry point as ``edof``.
+output directory that cannot be written), 2 at least one method (or sweep
+point) failed, 3 resource limit.  ``python -m edof.cli`` runs the same entry
+point as ``edof``.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ def _cmd_run(args) -> int:
         print(f"{method}: FAILED: {message}", file=sys.stderr)
     for path in report.output_files:
         print(f"wrote {path}")
+    # "partial" when at least one method failed, every method included
     return EXIT_PARTIAL if report.status == "partial" else EXIT_OK
 
 

@@ -16,6 +16,9 @@ the receive aperture:
 W(r) is computed two ways: integrating the |Jacobian| of the map t -> kvec
 over the transmit aperture (exact for injective maps), and rasterizing the
 mapped point set onto an occupancy grid (an outer measure, robust to folds).
+The Jacobian has a general closed form for any pair of planes; on parallel
+planes with aligned axes it is k0^2 |det G| H^2 / d^4 with d^2 a sum of two
+per-axis squared offsets, which the field reads from two small tables.
 The forward Fourier convention is exp(-j k . r); filtering a sampled field
 to a wavenumber support set uses that convention on the FFT dual grid.
 """
@@ -35,6 +38,7 @@ from .geometry import (
     lattice_orbits,
     mirror_axes,
     quadrature_rule,
+    separable_axes,
 )
 from .kernel import WaveConfig, check_separation, row_blocks
 from .spectrum import EdofReport
@@ -188,6 +192,36 @@ def set_measure_bandwidth(r_rx, tx_grid: QuadratureGrid,
     return float(occupied) * resolution ** 2
 
 
+def _offset_tables(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid, pairing):
+    """Squared pair offsets of a ``separable_axes`` scene, one table per
+    transmit axis, and the Jacobian's constant factor; None when the
+    largest squared distance overflows.
+
+    Table m holds, at [i, j], the squared offset along receive axis
+    pairing[m] between receive coordinate i on that axis and transmit
+    coordinate j on axis m; the first table also holds H^2, so a pair's
+    squared distance is one entry of each.  The constant is
+    k0^2 |det G| H^2.  Offsets are taken about the receive center, as in
+    ``_jacobian_dets``.
+    """
+    tx, rx = tx_grid.surface, rx_grid.surface
+    rx_axes = (rx.tangent_u, rx.tangent_v)
+    rx_nodes = (rx_grid.rule_u[0], rx_grid.rule_v[0])
+    offset = tx.center - rx.center
+    tables, det_g = [], 1.0
+    for tangent, (nodes, _), k in zip((tx.tangent_u, tx.tangent_v),
+                                      (tx_grid.rule_u, tx_grid.rule_v), pairing):
+        g = rx_axes[k] @ tangent
+        x = rx_nodes[k][:, None] - (offset @ rx_axes[k] + g * nodes[None, :])
+        tables.append(x * x)
+        det_g *= g
+    h2 = (offset @ rx.normal) ** 2
+    tables[0] += h2
+    if not np.isfinite(tables[0].max() + tables[1].max()):
+        return None
+    return tables, abs(det_g) * h2
+
+
 def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
                     wave: WaveConfig) -> LocalBandwidthField:
     """Local bandwidth at every receive node, by the Jacobian integral.
@@ -196,20 +230,45 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     reflection that the receive lattice also holds maps receive nodes onto
     receive nodes and leaves W unchanged, so W is computed at one node per
     orbit (820 of 6,400 on an 80 x 80 coaxial square link) and gathered to
-    the rest.  A scene without symmetry evaluates every node, exactly as an
-    unfolded sweep does.
+    the rest.
+
+    On parallel planes every transmit tangent lies in the receive plane, so
+    X . Z = det(G) |X|^2 and the Jacobian is exactly
+    k0^2 |det G| H^2 / (|X|^2 + H^2)^2 with H constant.  When the axes are
+    also aligned (``separable_axes``), each in-plane offset depends on one
+    receive and one transmit coordinate, so a block of squared distances is
+    the outer sum of two rows of ``_offset_tables``, contracted with the
+    transmit weights.  Offsets that overflow take the general path, which
+    reads NaN there.  Other scenes run ``_jacobian_dets`` on every pair of
+    the folded rows.
     """
     rx_surface = rx_grid.surface
     fold = lattice_orbits(rx_grid.rule_u[0], rx_grid.rule_v[0],
                           mirror_axes(tx_grid, rx_surface))
-    points = rx_grid.points[fold.nodes]
-    folded = np.empty(len(points))
-    for rows in row_blocks(len(points), len(tx_grid)):
-        dets = _jacobian_dets(points[rows], tx_grid.points,
-                              tx_grid.surface, rx_surface, wave)
-        folded[rows] = dets @ tx_grid.weights
+    folded = np.empty(len(fold.nodes))
+    blocks = row_blocks(len(fold.nodes), len(tx_grid))
+    pairing = separable_axes(tx_grid.surface, rx_surface)
+    tables = None if pairing is None else _offset_tables(tx_grid, rx_grid, pairing)
+    if tables is None:
+        points = rx_grid.points[fold.nodes]
+        for rows in blocks:
+            dets = _jacobian_dets(points[rows], tx_grid.points,
+                                  tx_grid.surface, rx_surface, wave)
+            folded[rows] = dets @ tx_grid.weights
+    else:
+        (a2, b2), scale = tables
+        # the sum of the minima is the nearest pair, exactly
+        check_separation(np.sqrt(a2.min() + b2.min()), wave)
+        rx_index = np.divmod(fold.nodes, rx_grid.shape[1])
+        a_rows, b_rows = rx_index[pairing[0]], rx_index[pairing[1]]
+        for rows in blocks:
+            inv = a2[a_rows[rows], :, None] + b2[b_rows[rows], None, :]
+            inv *= inv
+            np.reciprocal(inv, out=inv)
+            folded[rows] = inv.reshape(len(inv), -1) @ tx_grid.weights
+        folded *= np.float64(wave.k0) ** 2 * scale
     return LocalBandwidthField(rx_grid=rx_grid, values=folded[fold.gather],
-                               symmetry=fold.symmetry, evaluated_nodes=len(points))
+                               symmetry=fold.symmetry, evaluated_nodes=len(fold.nodes))
 
 
 def cutset_edof(field: LocalBandwidthField) -> EdofReport:

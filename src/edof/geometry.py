@@ -19,7 +19,9 @@ onto itself and how each acts on its axes, ``sector_axes`` decides from them
 whether the coupling matrix splits into mirror parity sectors (operator
 assembly and the spectrum both follow it), and ``lattice_orbits`` folds the
 tensor lattice of two coordinate axes to one node per orbit of those
-reflections, reading each reflection from the axes.
+reflections, reading each reflection from the axes.  ``separable_axes``
+decides whether two planes are parallel with aligned axes, so that pair
+offsets split into per-axis tables (the cut-set field follows it).
 """
 
 from __future__ import annotations
@@ -328,6 +330,27 @@ def sector_axes(tx_grid: QuadratureGrid,
         return None
     on_tx = mirror_axes(tx_grid, rx_grid.surface)
     return _SECTOR_AXES.get((on_tx.get("u"), on_tx.get("v")))
+
+
+def separable_axes(tx_surface: PlanarSurface,
+                   rx_surface: PlanarSurface) -> tuple[int, int] | None:
+    """(receive axis along transmit u, receive axis along transmit v), 0 for
+    u and 1 for v, or None.
+
+    Not None exactly when the planes are parallel and the frame overlap
+    G = [[ru.tu, ru.tv], [rv.tu, rv.tv]] is a signed permutation, both to
+    FRAME_TOL: frames aligned, or the receiver turned by a multiple of 90
+    degrees.  Then each in-plane offset of a node pair, along a receive
+    axis, depends on one receive and one transmit coordinate only.  The
+    pairing is its own inverse, so it also names the transmit axis along
+    each receive axis.
+    """
+    rx_frame = np.array([rx_surface.tangent_u, rx_surface.tangent_v, rx_surface.normal])
+    overlap = rx_frame @ np.column_stack([tx_surface.tangent_u, tx_surface.tangent_v])
+    signs = np.rint(overlap)
+    if np.max(np.abs(overlap - signs)) > FRAME_TOL or signs[2].any():
+        return None
+    return tuple(int(np.flatnonzero(column)[0]) for column in signs.T)
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,18 @@ def test_extreme_scenes_exit_cleanly_with_strict_json(tmp_path, scene):
         json.loads(report.read_text(), parse_constant=_reject_constant)
 
 
+def test_run_exits_2_when_every_method_fails(tmp_path, capsys):
+    # planes 0.05 wavelengths apart: svd, the cut-set and Landau all refuse
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_extreme_scene(0.01, 0.0005, 12, 141)))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"{m}: FAILED: SingularKernelError" in err for m in ("svd", "cutset", "landau"))
+    assert (out / "edof.csv").read_text().splitlines() == ["method,n_edof,gamma_mode,gamma_value"]
+    assert json.loads((out / "report.json").read_text())["status"] == "partial"
+
+
 def test_module_runs_the_cli(tmp_path):
     path = _config_file(tmp_path)
     done = _cli("validate", path)

@@ -1,13 +1,16 @@
 """Wavenumber map, local bandwidth, and the cut-set DoF estimate."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
+import edof.cutset
 from edof.cutset import (
+    _jacobian_dets,
     bandwidth_field,
     box_support,
     cutset_edof,
@@ -19,7 +22,14 @@ from edof.cutset import (
     wavenumber_component,
 )
 from edof.errors import DiagnosticWarning, DimensionError, GeometryError, SingularKernelError
-from edof.geometry import QuadratureGrid, discretize, make_surface, mirror_axes, rotation_about
+from edof.geometry import (
+    QuadratureGrid,
+    discretize,
+    make_surface,
+    mirror_axes,
+    rotation_about,
+    separable_axes,
+)
 from edof.kernel import WaveConfig, assemble_operator
 from edof.spectrum import count_edof, coupling_spectrum
 
@@ -435,3 +445,64 @@ def test_tilted_scene_field_and_rigid_motion(wave, scene):
     base = cutset_edof(bandwidth_field(tx_grid, rx_grid, wave)).n_edof
     motion = cutset_edof(bandwidth_field(moved(tx_grid), moved(rx_grid), wave)).n_edof
     assert motion == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+def _grid(surface, n_u, n_v, rule):
+    """``discretize``, or for "skewed" midpoint weights at nodes bent off
+    center, x + 0.2 (x^2 - L^2/4) / L, so that no mirror holds."""
+    if rule != "skewed":
+        return discretize(surface, n_u, n_v, rule=rule)
+    grid = discretize(surface, n_u, n_v)
+    return QuadratureGrid(surface, *[
+        (x + 0.2 * (x * x - 0.25 * length ** 2) / length, w)
+        for (x, w), length in ((grid.rule_u, surface.length_u),
+                               (grid.rule_v, surface.length_v))])
+
+
+@st.composite
+def parallel_scenes(draw):
+    """Parallel apertures under a rigid motion: the receiver offset in its
+    plane, turned about its normal by a multiple of 90 degrees and possibly
+    flipped to face back, each side with its own size, counts and rule."""
+    sizes, counts = st.floats(0.05, 0.6), st.integers(1, 10)
+    rules = st.sampled_from(["midpoint", "gauss-legendre", "skewed"])
+    turn = rotation_about((0.0, 0.0, 1.0), 0.5 * np.pi * draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        turn = rotation_about((1.0, 0.0, 0.0), np.pi) @ turn
+    polar, azimuth = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    axis = (np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+            np.cos(polar))
+    motion = rotation_about(axis, draw(st.floats(0.0, 2.0 * np.pi)))
+    shift = np.array(draw(st.tuples(*[st.floats(-10.0, 10.0)] * 3)))
+    rx_center = (*draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))),
+                 draw(st.floats(0.5, 5.0)))
+    tx = make_surface(shift, motion, draw(sizes), draw(sizes))
+    rx = make_surface(motion @ rx_center + shift, motion @ turn, draw(sizes), draw(sizes))
+    return (_grid(tx, draw(counts), draw(counts), draw(rules)),
+            _grid(rx, draw(counts), draw(counts), draw(rules)))
+
+
+def _refuse_general_path(*args):
+    raise AssertionError("_jacobian_dets called on a separable scene")
+
+
+@given(parallel_scenes())
+def test_separable_field_matches_the_general_path(wave, scene):
+    tx_grid, rx_grid = scene
+    pairing = separable_axes(tx_grid.surface, rx_grid.surface)
+    assert pairing is not None
+    event(f"pairing {pairing}")
+    direct = _jacobian_dets(rx_grid.points, tx_grid.points, tx_grid.surface,
+                            rx_grid.surface, wave) @ tx_grid.weights
+    with mock.patch.object(edof.cutset, "_jacobian_dets", _refuse_general_path):
+        field = bandwidth_field(tx_grid, rx_grid, wave).values
+        # a receiver tilted off the parallel plane still takes the general path
+        s = rx_grid.surface
+        frame = np.column_stack([s.tangent_u, s.tangent_v, s.normal])
+        tilted = make_surface(s.center, rotation_about(s.tangent_u, 0.01) @ frame,
+                              s.length_u, s.length_v)
+        assert separable_axes(tx_grid.surface, tilted) is None
+        with pytest.raises(AssertionError, match="separable scene"):
+            bandwidth_field(tx_grid, QuadratureGrid(tilted, rx_grid.rule_u,
+                                                    rx_grid.rule_v), wave)
+    assert np.max(np.abs(field - direct) / direct) <= 1e-12

@@ -15,6 +15,7 @@ from edof.geometry import (
     make_surface,
     quadrature_rule,
     rotation_about,
+    separable_axes,
     surfaces_intersect,
 )
 
@@ -384,3 +385,23 @@ def test_grid_rejects_shape_not_matching_point_count(shape):
     rule = (np.linspace(-0.4, 0.4, n_nodes), np.full(n_weights, 1.0 / max(n_weights, 1)))
     with pytest.raises(GeometryError, match="nodes and weights"):
         QuadratureGrid(s, rule, quadrature_rule(1.0, 2, "midpoint"))
+
+
+Z_TURN = (0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("rotation, pairing", [
+    (np.eye(3), (0, 1)),
+    (rotation_about(Z_TURN, np.pi / 2), (1, 0)),
+    (rotation_about(Z_TURN, np.pi), (0, 1)),
+    (rotation_about(Z_TURN, 1.5 * np.pi), (1, 0)),
+    # facing back: v and the normal reversed
+    (rotation_about((1.0, 0.0, 0.0), np.pi), (0, 1)),
+    (rotation_about(Z_TURN, np.pi / 4), None),
+    (rotation_about(Z_TURN, 1e-9), None),
+    (rotation_about((1.0, 0.0, 0.0), 1e-9), None),
+])
+def test_separable_axes_pairs_the_axes_of_aligned_parallel_planes(rotation, pairing):
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.5, 0.4)
+    rx = make_surface((0.3, -0.2, 2.0), rotation, 0.3, 0.2)
+    assert separable_axes(tx, rx) == pairing

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edof.errors import DimensionError, GeometryError, SingularKernelError
-from edof.geometry import discretize, make_surface, rotation_about, sector_axes
+from edof.geometry import discretize, make_surface, rotation_about, sector_axes, separable_axes
 import edof.kernel
 from edof.cutset import bandwidth_field
 from edof.kernel import (
@@ -293,7 +293,8 @@ def test_block_budget_changes_no_result(monkeypatch):
 
     Assembly is elementwise, so every entry is bitwise equal; on the coaxial
     scene the mirrored rows are copies of those entries.  The bandwidth
-    field and the lag correlation end each block with a BLAS matrix-vector
+    field, on the tilted scene and from the per-axis tables on the coaxial
+    one, and the lag correlation end each block with a BLAS matrix-vector
     product, whose accumulation order for a row depends on how many rows
     share the call; those agree to round-off.
     """
@@ -305,11 +306,13 @@ def test_block_budget_changes_no_result(monkeypatch):
     g_tx, g_rx = discretize(tx, 13, 11), discretize(rx, 9, 7)
     g_coaxial = discretize(coaxial, 9, 8)
     assert sector_axes(g_tx, g_coaxial) is not None  # the folded assembly
+    assert separable_axes(tx, coaxial) is not None   # the per-axis field
 
     def results():
         return (assemble_operator(g_tx, g_rx, wave).matrix,
                 assemble_operator(g_tx, g_coaxial, wave).matrix,
                 bandwidth_field(g_tx, g_rx, wave).values,
+                bandwidth_field(g_tx, g_coaxial, wave).values,
                 wavenumber_response(rx, g_tx, wave, lag_grid=(21, 15),
                                     lag_extent=0.5).H_values)
 
