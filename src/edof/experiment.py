@@ -214,7 +214,7 @@ def _spectrum_summary(spectrum: CouplingSpectrum | None):
         "n_values": len(spectrum.values),
         "s0_squared": float(spectrum.values[0]),
         "sum_s_squared": float(spectrum.values.sum()),
-        "solver": "mirror-sectors" if spectrum.symmetry == ("u", "v") else "svd",
+        "solver": "mirror-sectors" if spectrum.symmetry else "svd",
         "symmetry": list(spectrum.symmetry),
     }
 

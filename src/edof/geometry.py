@@ -17,11 +17,13 @@ A scene's mirror symmetry is decided here, once, for all three estimators:
 ``mirror_axes`` names the reflections of the receive frame that map a grid
 onto itself and how each acts on its axes, ``sector_axes`` decides from them
 whether the coupling matrix splits into mirror parity sectors (operator
-assembly and the spectrum both follow it), and ``lattice_orbits`` folds the
-tensor lattice of two coordinate axes to one node per orbit of those
-reflections, reading each reflection from the axes.  ``separable_axes``
-decides whether two planes are parallel with aligned axes, so that pair
-offsets split into per-axis tables (the cut-set field follows it).
+assembly and the spectrum both follow it) and whether the u <-> v swap
+splits those sectors further (the spectrum follows it), and
+``lattice_orbits`` folds the tensor lattice of two coordinate axes to one
+node per orbit of those reflections, reading each reflection from the axes.
+``separable_axes`` decides whether two planes are parallel with aligned
+axes, so that pair offsets split into per-axis tables (the cut-set field
+follows it).
 """
 
 from __future__ import annotations
@@ -314,22 +316,29 @@ _SECTOR_AXES = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}
 
 
 def sector_axes(tx_grid: QuadratureGrid,
-                rx_grid: QuadratureGrid) -> tuple[int, int] | None:
-    """(axis flipped by the u-mirror, axis flipped by the v-mirror) of the
-    (rx_u, rx_v, tx_u, tx_v) coupling array, or None.
+                rx_grid: QuadratureGrid) -> tuple[int, int, bool] | None:
+    """(axis flipped by the u-mirror, axis flipped by the v-mirror, swap) of
+    the (rx_u, rx_v, tx_u, tx_v) coupling array, or None.
 
     Not None exactly when ``mirror_axes`` holds the receive u- and
     v-mirrors as flips of the two transmit axes, in either order, and as
     flips of the receive grid's own axes, nodes and weights.  Then row
     (n_u-1-i, j) of the array is row (i, j) with the u-mirror's transmit
     axis reversed, and likewise along v, so the first ceil(n/2) receive rows
-    per axis determine the rest.
+    per axis determine the rest.  ``swap`` is True when the same two
+    ``mirror_axes`` dicts also hold the receive swap as a swap of both
+    grids' axes: both lattices are then square, and row (j, i) is row
+    (i, j) with the transmit axes exchanged, on the diagonal or the
+    anti-diagonal.
     """
     on_rx = mirror_axes(rx_grid, rx_grid.surface)
     if (on_rx.get("u"), on_rx.get("v")) != ("u", "v"):
         return None
     on_tx = mirror_axes(tx_grid, rx_grid.surface)
-    return _SECTOR_AXES.get((on_tx.get("u"), on_tx.get("v")))
+    axes = _SECTOR_AXES.get((on_tx.get("u"), on_tx.get("v")))
+    if axes is None:
+        return None
+    return axes + (on_rx.get("swap") == on_tx.get("swap") == "swap",)
 
 
 def separable_axes(tx_surface: PlanarSurface,

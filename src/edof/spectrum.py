@@ -17,8 +17,13 @@ fields generated by unit-power transmit currents.
 When geometry.sector_axes finds the receive u- and v-mirrors (two coaxial
 parallel apertures, the canonical holographic-MIMO link), each splits the
 matrix into an even and an odd half, so the spectrum is the merged spectra
-of four parity-sector blocks of about N/4 x N/4 each.  Any other scene
-takes one full SVD.
+of four parity-sector blocks of about N/4 x N/4 each, about 1/16 of a full
+SVD's flops.  When it also finds the u <-> v swap on both grids (square
+apertures with square grids, the group D4 of the square), the swap maps the
+even-odd sector onto the odd-even one, whose values are then equal, and
+splits the even-even and odd-odd sectors into a symmetric and an
+antisymmetric half each: one block of N/4 and four of about N/8, about
+3/128 of a full SVD.  Any other scene takes one full SVD.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ class CouplingSpectrum:
     """Squared singular values of a discrete coupling operator, descending."""
 
     values: np.ndarray          # (N,) real, s_n^2 sorted descending
-    symmetry: tuple[str, ...] = ()  # receive mirrors the sectors used; () on the full SVD
+    # receive reflections the sectors used, ("u", "v") or ("u", "v", "swap");
+    # () on the full SVD
+    symmetry: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -105,25 +112,61 @@ def _fold(x: np.ndarray, axis: int, odd: bool) -> np.ndarray:
     return out
 
 
-def _sector_values(a4: np.ndarray) -> np.ndarray:
-    """Singular values of the four parity-sector blocks, merged descending.
+def _swap_half(x: np.ndarray, axis: int, odd: bool) -> np.ndarray:
+    """Axes (axis, axis + 1) of x, of equal length, paired by the swap
+    (i, j) <-> (j, i) into one axis, as a new array.
+
+    The symmetric half (odd False) holds x(i, i) and, for i < j,
+    (x(i, j) + x(j, i)) / sqrt(2); the antisymmetric half holds
+    (x(i, j) - x(j, i)) / sqrt(2) for i < j.
+    """
+    i, j = np.triu_indices(x.shape[axis], 1 if odd else 0)
+    lead = (slice(None),) * axis
+    half = x[lead + (i, j)]
+    (np.subtract if odd else np.add)(half, x[lead + (j, i)], out=half)
+    scale = np.where(i == j, 0.5, np.sqrt(0.5))
+    half *= scale.reshape(scale.shape + (1,) * (x.ndim - axis - 2))
+    return half
+
+
+def _sector_values(a4: np.ndarray, swap: bool) -> np.ndarray:
+    """Singular values of the parity-sector blocks, merged descending.
 
     A sector block takes the rx rows of the fundamental domain (the first
     ceil(n/2) per axis for even parity, floor(n/2) for odd), folds its tx
-    axes with ``_fold`` and scales each paired rx row by sqrt(2).
+    axes with ``_fold`` and scales each paired rx row by sqrt(2).  With
+    ``swap`` the odd-even block is the even-odd one with its rows and
+    columns permuted (and, behind an anti-diagonal swap, negated), so the
+    even-odd values count twice; the even-even and odd-odd blocks split by
+    ``_swap_half`` on the rx and the tx side into a symmetric and an
+    antisymmetric half, which the swap does not couple.
     """
     n_u, n_v = a4.shape[:2]
     values = []
     for odd_u in (False, True):
         for odd_v in (False, True):
+            if swap and (odd_u, odd_v) == (True, False):
+                continue
             rows_u = n_u // 2 if odd_u else n_u - n_u // 2
             rows_v = n_v // 2 if odd_v else n_v - n_v // 2
             block = _fold(_fold(a4[:rows_u, :rows_v], 2, odd_u), 3, odd_v)
             block[:n_u // 2] *= np.sqrt(2.0)
             block[:, :n_v // 2] *= np.sqrt(2.0)
-            if block.size:
-                values.append(np.linalg.svd(block.reshape(rows_u * rows_v, -1),
-                                            compute_uv=False))
+            if not block.size:
+                continue
+            if swap and odd_u == odd_v:
+                halves = [_swap_half(_swap_half(block, 0, odd), 1, odd)
+                          for odd in (False, True)]
+            else:
+                halves = [block.reshape(rows_u * rows_v, -1)]
+            # one sector block and its halves alive at a time: the next
+            # sector is folded only after these are freed
+            del block
+            for half in halves:
+                if half.size:
+                    s = np.linalg.svd(half, compute_uv=False)
+                    values.extend([s, s] if swap and odd_u != odd_v else [s])
+            del halves, half
     return np.sort(np.concatenate(values))[::-1]
 
 
@@ -135,13 +178,17 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
     ``sector_axes`` holds (the receive u- and v-mirrors flip both grids'
     axes), the values come from the four parity-sector blocks, which read
     only the fundamental receive rows that assembly evaluated, padded with
-    zeros to min(N_rx, N_tx); otherwise from one full SVD.
+    zeros to min(N_rx, N_tx); otherwise from one full SVD.  When it also
+    holds the swap (the receive u <-> v swap exchanges both grids' axes),
+    the even-odd block's values count twice, for the odd-even block, and
+    the even-even and odd-odd blocks each split into a symmetric and an
+    antisymmetric half: about 3/128 of a full SVD's flops instead of 1/16.
 
-    Error bound: every node then lies within about SYMMETRY_RTOL * L of a
-    mirror image (L the largest aperture side) and weights match to
-    SYMMETRY_RTOL, so each s_n lies within 2 tau ||A||_F of the full SVD's
-    (Weyl), with tau = SYMMETRY_RTOL * (1 + 4 (k0 + 1/d_min) L) and d_min the
-    nearest node distance.
+    Error bound: every node then lies within about SYMMETRY_RTOL * L of its
+    image under each reflection used (L the largest aperture side) and
+    weights match to SYMMETRY_RTOL, so each s_n lies within 2 tau ||A||_F of
+    the full SVD's (Weyl), with tau = SYMMETRY_RTOL * (1 + 4 (k0 + 1/d_min) L)
+    and d_min the nearest node distance.  The swap adds no other tolerance.
     """
     a = operator.matrix
     tx_grid, rx_grid = operator.tx_grid, operator.rx_grid
@@ -150,14 +197,14 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
         if axes is None:
             s = np.linalg.svd(a, compute_uv=False)
         else:
-            a4 = a.reshape(rx_grid.shape + tx_grid.shape).transpose(0, 1, *axes)
+            a4 = a.reshape(rx_grid.shape + tx_grid.shape).transpose(0, 1, *axes[:2])
             s = np.zeros(min(a.shape))
-            merged = _sector_values(a4)
+            merged = _sector_values(a4, axes[2])
             s[:merged.size] = merged
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed to converge: {exc}") from exc
-    return CouplingSpectrum(values=s * s,
-                            symmetry=() if axes is None else ("u", "v"))
+    symmetry = () if axes is None else ("u", "v", "swap") if axes[2] else ("u", "v")
+    return CouplingSpectrum(values=s * s, symmetry=symmetry)
 
 
 def resolve_threshold(gamma: float, mode: str, peak: float) -> float:

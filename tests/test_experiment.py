@@ -79,7 +79,7 @@ def test_report_mapping_is_json_ready(full_report):
 def test_report_names_the_spectrum_solver(full_report):
     block = report_mapping(full_report)["spectrum"]
     assert block["solver"] == "mirror-sectors"
-    assert block["symmetry"] == ["u", "v"]
+    assert block["symmetry"] == ["u", "v", "swap"]
 
     # criterion 2's tilted and offset receiver breaks both mirrors
     tilted = _scene_mapping(methods=["svd"])

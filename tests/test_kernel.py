@@ -119,7 +119,7 @@ def test_assembly_rejects_sub_wavelength_separation():
     rx = make_surface((0.0, 0.0, 0.0005), np.eye(3), 1.0, 1.0)
     for counts in ((1, 1), (6, 5)):
         g_tx, g_rx = discretize(tx, *counts), discretize(rx, *counts)
-        assert sector_axes(g_tx, g_rx) == (2, 3)
+        assert sector_axes(g_tx, g_rx) == (2, 3, counts == (1, 1))
         with pytest.raises(SingularKernelError):
             assemble_operator(g_tx, g_rx, wave)
 

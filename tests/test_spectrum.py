@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from edof.errors import DimensionError, NumericalError
-from edof.geometry import SYMMETRY_RTOL, discretize, make_surface, rotation_about
+from edof.geometry import (
+    SYMMETRY_RTOL,
+    discretize,
+    make_surface,
+    mirror_axes,
+    rotation_about,
+)
 from edof.kernel import WaveConfig, assemble_operator, green_kernel, hilbert_schmidt_norm
 from edof.landau import polarization_study
 from edof.spectrum import (
@@ -287,6 +293,33 @@ SECTOR_SCENES = {
     # the receive mirrors flip the other-named transmit axes
     "rx-turned-90": dict(tx_counts=(9, 8), rx_counts=(8, 7),
                          rx_turn=rotation_about((0.0, 0.0, 1.0), np.pi / 2)),
+    # the swap holds on neither grid: square counts on a non-square
+    # aperture, and a square receiver against a non-square transmitter
+    "square-counts-on-rectangle": dict(tx_counts=(8, 8), rx_counts=(8, 8),
+                                       rx_size=(0.5, 0.4)),
+    "square-rx-rectangular-tx": dict(tx_counts=(8, 8), rx_counts=(8, 8),
+                                     tx_size=(0.5, 0.4)),
+    # square apertures with square grids: the u <-> v swap splits the sectors
+    "swap-even-counts": dict(tx_counts=(10, 10), rx_counts=(12, 12)),
+    "swap-odd-counts": dict(tx_counts=(9, 9), rx_counts=(11, 11)),
+    "swap-45-tx-44-rx": dict(tx_counts=(45, 45), rx_counts=(44, 44),
+                             tx_size=(0.45, 0.45), rx_size=(0.44, 0.44)),
+    "swap-gauss-legendre": dict(tx_counts=(8, 8), rx_counts=(7, 7),
+                                rule="gauss-legendre"),
+    "swap-rigid-motion": dict(tx_counts=(9, 9), rx_counts=(8, 8),
+                              motion=(rotation_about((0.3, -1.0, 0.6), 0.9),
+                                      np.array([0.4, -0.2, 0.7]))),
+    # the 90 and 270 degree turns swap the transmit axes on the anti-diagonal
+    "swap-rx-turned-90": dict(tx_counts=(9, 9), rx_counts=(8, 8),
+                              rx_turn=rotation_about((0.0, 0.0, 1.0), np.pi / 2)),
+    "swap-rx-turned-180": dict(tx_counts=(9, 9), rx_counts=(8, 8),
+                               rx_turn=rotation_about((0.0, 0.0, 1.0), np.pi)),
+    "swap-rx-turned-270": dict(tx_counts=(9, 9), rx_counts=(8, 8),
+                               rx_turn=rotation_about((0.0, 0.0, 1.0), 1.5 * np.pi)),
+    # no odd sector, and no antisymmetric half
+    "swap-one-point": dict(tx_counts=(1, 1), rx_counts=(1, 1)),
+    "swap-2-3": dict(tx_counts=(2, 2), rx_counts=(3, 3)),
+    "swap-3-2": dict(tx_counts=(3, 3), rx_counts=(2, 2)),
 }
 
 
@@ -295,7 +328,8 @@ def test_sector_spectrum_matches_full_svd(name):
     op = _coaxial_operator(**SECTOR_SCENES[name])
     spec = coupling_spectrum(op)
     expected = _full_svd_squared(op)
-    assert spec.symmetry == ("u", "v")
+    swap = ("swap",) if name.startswith("swap-") else ()
+    assert spec.symmetry == ("u", "v") + swap
     assert len(spec) == expected.size
     assert np.max(np.abs(spec.values - expected)) <= 1e-13 * expected[0]
 
@@ -371,7 +405,7 @@ def test_coaxial_scene_moved_10m_takes_the_sectors():
 
 
 def test_reference_scene_uses_sectors_and_tilted_scene_does_not(anchor_spectrum):
-    assert anchor_spectrum.symmetry == ("u", "v")
+    assert anchor_spectrum.symmetry == ("u", "v", "swap")
     wave = WaveConfig(wavelength=0.01)
     tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.4, 0.6)
     rx = make_surface((0.5, -0.3, 8.0), rotation_about((0.3, 1.0, 0.2), 0.7), 0.3, 0.3)
@@ -390,10 +424,15 @@ def coaxial_scenes(draw):
     motion = (rotation_about(axis, draw(st.floats(0.0, 2.0 * np.pi))),
               np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3))))
     turn = rotation_about((0.0, 0.0, 1.0), 0.5 * np.pi * draw(st.integers(0, 3)))
-    return dict(tx_counts=(draw(counts), draw(counts)),
-                rx_counts=(draw(counts), draw(counts)),
-                tx_size=(draw(sizes), draw(sizes)), rx_size=(draw(sizes), draw(sizes)),
-                distance=draw(st.floats(0.5, 5.0)), rx_turn=turn, motion=motion)
+    tx_counts, rx_counts = (draw(counts), draw(counts)), (draw(counts), draw(counts))
+    tx_size, rx_size = (draw(sizes), draw(sizes)), (draw(sizes), draw(sizes))
+    if draw(st.booleans()):
+        # square apertures with square grids, which hold the u <-> v swap
+        tx_counts, rx_counts = (tx_counts[0],) * 2, (rx_counts[0],) * 2
+        tx_size, rx_size = (tx_size[0],) * 2, (rx_size[0],) * 2
+    return dict(tx_counts=tx_counts, rx_counts=rx_counts, tx_size=tx_size,
+                rx_size=rx_size, distance=draw(st.floats(0.5, 5.0)), rx_turn=turn,
+                motion=motion)
 
 
 @given(coaxial_scenes())
@@ -401,7 +440,10 @@ def test_coaxial_spectrum_properties(scene):
     wave = WaveConfig(wavelength=0.01)
     op = _coaxial_operator(**scene, wave=wave)
     spec = coupling_spectrum(op)
-    assert spec.symmetry == ("u", "v")
+    on_rx = mirror_axes(op.rx_grid, op.rx_grid.surface)
+    on_tx = mirror_axes(op.tx_grid, op.rx_grid.surface)
+    swap = on_rx.get("swap") == on_tx.get("swap") == "swap"
+    assert spec.symmetry == ("u", "v") + (("swap",) if swap else ())
     expected = _full_svd_squared(op, wave)
     s0 = expected[0]
     assert len(spec) == expected.size
