@@ -36,9 +36,8 @@ from .geometry import (
     QuadratureGrid,
     global_point,
     lattice_orbits,
-    mirror_axes,
+    link_symmetry,
     quadrature_rule,
-    separable_axes,
 )
 from .kernel import WaveConfig, check_separation, row_blocks
 from .spectrum import EdofReport
@@ -53,7 +52,7 @@ class LocalBandwidthField:
 
     rx_grid: QuadratureGrid
     values: np.ndarray   # (N_rx,) rad^2/m^2
-    symmetry: tuple[str, ...]  # mirror_axes reflections the field was folded by
+    symmetry: tuple[str, ...]  # receive reflections the field was folded by
     evaluated_nodes: int       # receive nodes W was computed at
 
 
@@ -193,8 +192,8 @@ def set_measure_bandwidth(r_rx, tx_grid: QuadratureGrid,
 
 
 def _offset_tables(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid, pairing):
-    """Squared pair offsets of a ``separable_axes`` scene, one table per
-    transmit axis, and the Jacobian's constant factor; None when the
+    """Squared pair offsets of a link with a ``link_symmetry`` pairing, one
+    table per transmit axis, and the Jacobian's constant factor; None when the
     largest squared distance overflows.
 
     Table m holds, at [i, j], the squared offset along receive axis
@@ -226,28 +225,27 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
                     wave: WaveConfig) -> LocalBandwidthField:
     """Local bandwidth at every receive node, by the Jacobian integral.
 
-    The field is folded by the scene's symmetry: every ``mirror_axes``
-    reflection that the receive lattice also holds maps receive nodes onto
-    receive nodes and leaves W unchanged, so W is computed at one node per
-    orbit (820 of 6,400 on an 80 x 80 coaxial square link) and gathered to
-    the rest.
+    The field is folded by the ``link_symmetry`` fold: every reflection that
+    both grids hold maps receive nodes onto receive nodes and leaves W
+    unchanged, so W is computed at one node per orbit (820 of 6,400 on an
+    80 x 80 coaxial square link) and gathered to the rest.
 
     On parallel planes every transmit tangent lies in the receive plane, so
     X . Z = det(G) |X|^2 and the Jacobian is exactly
     k0^2 |det G| H^2 / (|X|^2 + H^2)^2 with H constant.  When the axes are
-    also aligned (``separable_axes``), each in-plane offset depends on one
-    receive and one transmit coordinate, so a block of squared distances is
-    the outer sum of two rows of ``_offset_tables``, contracted with the
-    transmit weights.  Offsets that overflow take the general path, which
+    also aligned (the ``link_symmetry`` pairing), each in-plane offset
+    depends on one receive and one transmit coordinate, so a block of
+    squared distances is the outer sum of two rows of ``_offset_tables``,
+    contracted with the transmit weights.  Offsets that overflow take the general path, which
     reads NaN there.  Other scenes run ``_jacobian_dets`` on every pair of
     the folded rows.
     """
     rx_surface = rx_grid.surface
-    fold = lattice_orbits(rx_grid.rule_u[0], rx_grid.rule_v[0],
-                          mirror_axes(tx_grid, rx_surface))
+    symmetry = link_symmetry(tx_grid, rx_grid)
+    fold = lattice_orbits(rx_grid.shape, symmetry.fold)
     folded = np.empty(len(fold.nodes))
     blocks = row_blocks(len(fold.nodes), len(tx_grid))
-    pairing = separable_axes(tx_grid.surface, rx_surface)
+    pairing = symmetry.pairing
     tables = None if pairing is None else _offset_tables(tx_grid, rx_grid, pairing)
     if tables is None:
         points = rx_grid.points[fold.nodes]
@@ -268,7 +266,7 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
             folded[rows] = inv.reshape(len(inv), -1) @ tx_grid.weights
         folded *= np.float64(wave.k0) ** 2 * scale
     return LocalBandwidthField(rx_grid=rx_grid, values=folded[fold.gather],
-                               symmetry=fold.symmetry, evaluated_nodes=len(fold.nodes))
+                               symmetry=symmetry.fold, evaluated_nodes=len(fold.nodes))
 
 
 def cutset_edof(field: LocalBandwidthField) -> EdofReport:

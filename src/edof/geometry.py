@@ -13,17 +13,15 @@ Supported rules are the midpoint (uniform cell) rule and Gauss-Legendre.
 ``surfaces_intersect`` decides from the two rectangles' ``corners`` whether
 they share a point, and ``box_distances`` measures points against such a box.
 
-A scene's mirror symmetry is decided here, once, for all three estimators:
+A link's symmetry is decided here, in one place, for all three estimators.
 ``mirror_axes`` names the reflections of the receive frame that map a grid
-onto itself and how each acts on its axes, ``sector_axes`` decides from them
-whether the coupling matrix splits into mirror parity sectors (operator
-assembly and the spectrum both follow it) and whether the u <-> v swap
-splits those sectors further (the spectrum follows it), and
-``lattice_orbits`` folds the tensor lattice of two coordinate axes to one
-node per orbit of those reflections, reading each reflection from the axes.
-``separable_axes`` decides whether two planes are parallel with aligned
-axes, so that pair offsets split into per-axis tables (the cut-set field
-follows it).
+onto itself, and ``link_symmetry`` keeps what the estimators read of a
+(transmit grid, receive grid) pair in one record: the reflections both
+grids hold (the cut-set field's fold), the parity-sector axes and the
+u <-> v swap (operator assembly and the spectrum), and the pairing of the
+axes of parallel, aligned planes (the cut-set field's per-axis tables).
+``lattice_orbits`` folds a u-major lattice by the reflections its caller
+says hold.
 """
 
 from __future__ import annotations
@@ -309,103 +307,101 @@ def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> dict[str,
     return held
 
 
-# Transmit axes of the (rx_u, rx_v, tx_u, tx_v) coupling array that the
-# receive u- and v-mirrors flip, keyed by their mirror_axes actions: the
-# same-named axes, or the other ones behind a receiver turned by 90 degrees.
-_SECTOR_AXES = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}
+def _own_reflections(grid: QuadratureGrid) -> tuple[str, ...]:
+    """``tuple(mirror_axes(grid, grid.surface))`` from the 1-D rules: "u" holds
+    when the u-nodes are their own reverse, negated, "v" likewise, and "swap"
+    when the node axes are equal, to SYMMETRY_RTOL of the longer side, each
+    with the product weights equal at the mapped nodes of the u-major index
+    (products: a lone node keeps the swap on a rectangle)."""
+    (xu, _), (xv, _) = grid.rule_u, grid.rule_v
+    tol = SYMMETRY_RTOL * max(grid.surface.length_u, grid.surface.length_v)
+    index, w = np.arange(len(grid)).reshape(grid.shape), grid.weights
+    candidates = (("u", xu, -xu[::-1], index[::-1, :]),
+                  ("v", xv, -xv[::-1], index[:, ::-1]), ("swap", xu, xv, index.T))
+    return tuple(name for name, nodes, image, mapped in candidates
+                 if nodes.shape == image.shape and np.max(np.abs(nodes - image)) <= tol
+                 and np.all(np.abs(w[mapped.ravel()] - w) <= SYMMETRY_RTOL * w))
 
 
-def sector_axes(tx_grid: QuadratureGrid,
-                rx_grid: QuadratureGrid) -> tuple[int, int, bool] | None:
-    """(axis flipped by the u-mirror, axis flipped by the v-mirror, swap) of
-    the (rx_u, rx_v, tx_u, tx_v) coupling array, or None.
+@dataclass(frozen=True)
+class LinkSymmetry:
+    """What the estimators read of a link's symmetry; see ``link_symmetry``."""
 
-    Not None exactly when ``mirror_axes`` holds the receive u- and
-    v-mirrors as flips of the two transmit axes, in either order, and as
-    flips of the receive grid's own axes, nodes and weights.  Then row
-    (n_u-1-i, j) of the array is row (i, j) with the u-mirror's transmit
-    axis reversed, and likewise along v, so the first ceil(n/2) receive rows
-    per axis determine the rest.  ``swap`` is True when the same two
-    ``mirror_axes`` dicts also hold the receive swap as a swap of both
-    grids' axes: both lattices are then square, and row (j, i) is row
-    (i, j) with the transmit axes exchanged, on the diagonal or the
-    anti-diagonal.
+    fold: tuple[str, ...]                  # receive reflections both grids hold
+    sectors: tuple[int, int, bool] | None  # (u-mirror's tx axis, v-mirror's, swap)
+    pairing: tuple[int, int] | None        # receive axis along tx u, along tx v
+
+
+def link_symmetry(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid) -> LinkSymmetry:
+    """The symmetry of the link between two grids, in one record.
+
+    ``fold`` names the MIRRORS reflections of the receive frame that map
+    both grids, nodes and weights, onto themselves: the transmit grid by
+    ``mirror_axes``, the receive grid by its own rules.  Each keeps every
+    point distance and maps receive nodes onto receive nodes.
+
+    ``sectors`` names the axes of the (rx_u, rx_v, tx_u, tx_v) coupling
+    array that the u- and the v-mirror flip, and the swap; it is not None
+    exactly when the fold holds both mirrors as flips of the two transmit
+    axes, in either order.  Row (n_u-1-i, j) is then row (i, j) with the
+    u-mirror's transmit axis reversed, and likewise along v, so the first
+    ceil(n/2) receive rows per axis determine the rest.  The swap is True
+    when the fold holds the swap as a swap of the transmit axes: row (j, i)
+    is then row (i, j) with the transmit axes exchanged, on the diagonal or
+    the anti-diagonal.
+
+    ``pairing`` (0 for u, 1 for v) is not None exactly when the planes are
+    parallel and the frame overlap G = [[ru.tu, ru.tv], [rv.tu, rv.tv]] is a
+    signed permutation, both to FRAME_TOL: frames aligned, or the receiver
+    turned by a multiple of 90 degrees.  Then each in-plane offset of a node
+    pair along a receive axis depends on one receive and one transmit
+    coordinate only.  The pairing is its own inverse.
     """
-    on_rx = mirror_axes(rx_grid, rx_grid.surface)
-    if (on_rx.get("u"), on_rx.get("v")) != ("u", "v"):
-        return None
-    on_tx = mirror_axes(tx_grid, rx_grid.surface)
-    axes = _SECTOR_AXES.get((on_tx.get("u"), on_tx.get("v")))
-    if axes is None:
-        return None
-    return axes + (on_rx.get("swap") == on_tx.get("swap") == "swap",)
-
-
-def separable_axes(tx_surface: PlanarSurface,
-                   rx_surface: PlanarSurface) -> tuple[int, int] | None:
-    """(receive axis along transmit u, receive axis along transmit v), 0 for
-    u and 1 for v, or None.
-
-    Not None exactly when the planes are parallel and the frame overlap
-    G = [[ru.tu, ru.tv], [rv.tu, rv.tv]] is a signed permutation, both to
-    FRAME_TOL: frames aligned, or the receiver turned by a multiple of 90
-    degrees.  Then each in-plane offset of a node pair, along a receive
-    axis, depends on one receive and one transmit coordinate only.  The
-    pairing is its own inverse, so it also names the transmit axis along
-    each receive axis.
-    """
-    rx_frame = np.array([rx_surface.tangent_u, rx_surface.tangent_v, rx_surface.normal])
-    overlap = rx_frame @ np.column_stack([tx_surface.tangent_u, tx_surface.tangent_v])
+    tx, rx = tx_grid.surface, rx_grid.surface
+    on_tx, on_rx = mirror_axes(tx_grid, rx), _own_reflections(rx_grid)
+    fold = tuple(name for name in on_tx if name in on_rx)
+    axes = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}.get((on_tx.get("u"), on_tx.get("v")))
+    swap = "swap" in fold and on_tx["swap"] == "swap"
+    overlap = np.array([rx.tangent_u, rx.tangent_v, rx.normal]) \
+        @ np.column_stack([tx.tangent_u, tx.tangent_v])
     signs = np.rint(overlap)
-    if np.max(np.abs(overlap - signs)) > FRAME_TOL or signs[2].any():
-        return None
-    return tuple(int(np.flatnonzero(column)[0]) for column in signs.T)
+    aligned = np.max(np.abs(overlap - signs)) <= FRAME_TOL and not signs[2].any()
+    return LinkSymmetry(
+        fold=fold,
+        sectors=axes + (swap,) if axes and {"u", "v"} <= set(fold) else None,
+        pairing=tuple(int(np.flatnonzero(c)[0]) for c in signs.T) if aligned else None)
 
 
 @dataclass(frozen=True)
 class LatticeFold:
     """One node per orbit of a lattice's symmetry group, and the way back.
 
-    Values invariant under ``symmetry`` satisfy values == values[nodes][gather].
+    Values invariant under the group satisfy values == values[nodes][gather].
     """
 
-    symmetry: tuple[str, ...]   # the asked-for symmetries the lattice holds
     nodes: np.ndarray           # flat indices of the orbit minima, ascending
     gather: np.ndarray          # (N,) position in nodes of each node's orbit
 
 
-def lattice_orbits(axis_u, axis_v, symmetry) -> LatticeFold:
-    """Fold the u-major tensor lattice of two coordinate axes to the first
-    node of each orbit.
+def lattice_orbits(shape, generators) -> LatticeFold:
+    """Fold the u-major lattice of ``shape`` (n_u, n_v) to the first node of
+    each orbit of the group ``generators`` generate.
 
-    ``symmetry`` names the generators, the MIRRORS reflections: "u" (node
-    (i, j) to (n_u-1-i, j)), "v" and "swap" ((i, j) to (j, i)).  Each is
-    read from the axes, to SYMMETRY_RTOL of the largest coordinate: "u" or
-    "v" holds when that axis equals its own reverse, negated, and "swap"
-    when the two axes are equal.  Generators the lattice does not hold are
-    dropped, and an empty set folds nothing.
+    The generators are named as the MIRRORS reflections: "u" (node (i, j) to
+    (n_u-1-i, j)), "v" and "swap" ((i, j) to (j, i), on a square lattice).
+    The caller decides that each holds; an empty set folds nothing.
     """
-    axis_u, axis_v = np.asarray(axis_u, dtype=float), np.asarray(axis_v, dtype=float)
-    tol = SYMMETRY_RTOL * max(np.abs(axis_u).max(), np.abs(axis_v).max())
-
-    def equal(x, y):
-        return x.shape == y.shape and np.max(np.abs(x - y)) <= tol
-
-    holds = {"u": equal(-axis_u[::-1], axis_u), "v": equal(-axis_v[::-1], axis_v),
-             "swap": equal(axis_u, axis_v)}
-    kept = tuple(name for name in symmetry if holds[name])
     views = {"u": lambda a: a[::-1, :], "v": lambda a: a[:, ::-1], "swap": lambda a: a.T}
     # each generator is an involution, so the fixed point holds each orbit's
     # smallest index on all of its nodes
-    rep = np.arange(axis_u.size * axis_v.size).reshape(axis_u.size, axis_v.size)
+    rep = np.arange(shape[0] * shape[1]).reshape(shape)
     while True:
         low = rep
-        for name in kept:
+        for name in generators:
             low = np.minimum(low, views[name](low))
         if np.array_equal(low, rep):
             break
         rep = low
     rep = rep.ravel()
     nodes = np.flatnonzero(rep == np.arange(rep.size))
-    return LatticeFold(symmetry=kept, nodes=nodes,
-                       gather=np.searchsorted(nodes, rep))
+    return LatticeFold(nodes=nodes, gather=np.searchsorted(nodes, rep))

@@ -14,10 +14,10 @@ whose plain SVD approximates the singular system of the continuous operator:
 the square-root weighting makes Euclidean inner products of coefficient
 vectors equal the discrete weighted L2 inner products of the fields.
 
-On a mirror-symmetric link (geometry.sector_axes: two coaxial parallel
-apertures) the receive u- and v-mirrors keep every node distance, so the
-kernel is evaluated on about a quarter of the receive rows and the rest are
-copied from their mirror images.
+On a mirror-symmetric link (the ``sectors`` of geometry.link_symmetry: two
+coaxial parallel apertures) the receive u- and v-mirrors keep every node
+distance, so the kernel is evaluated on about a quarter of the receive rows
+and the rest are copied from their mirror images.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GeometryError, SingularKernelError
-from .geometry import QuadratureGrid, sector_axes, surfaces_intersect
+from .geometry import QuadratureGrid, link_symmetry, surfaces_intersect
 
 # Wave impedance of free space, ohms.
 VACUUM_IMPEDANCE_OHM = 376.730313668
@@ -146,16 +146,17 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     Rejects intersecting apertures and apertures whose closest grid nodes
     are nearer than ``MIN_SEPARATION_WAVELENGTHS`` wavelengths.
 
-    When ``sector_axes`` holds, the kernel is evaluated only on the
-    fundamental receive rows, the first ceil(n/2) per receive axis, which
-    are the rows the parity sectors of ``coupling_spectrum`` read; the other
-    rows are their mirror images with the mirror's transmit axis reversed.
+    When the link has ``link_symmetry`` sectors, the kernel is evaluated
+    only on the fundamental receive rows, the first ceil(n/2) per receive
+    axis, which are the rows the parity sectors of ``coupling_spectrum``
+    read; the other rows are their mirror images with the mirror's transmit
+    axis reversed.
     The mirrors keep every node distance, so the separation check on the
     fundamental rows covers all of them.  Elsewhere every row is evaluated.
     """
     if surfaces_intersect(tx_grid.surface, rx_grid.surface):
         raise GeometryError("transmit and receive surfaces intersect")
-    axes = sector_axes(tx_grid, rx_grid)
+    axes = link_symmetry(tx_grid, rx_grid).sectors
     n_u, n_v = rx_grid.shape
     h_u, h_v = (n_u, n_v) if axes is None else (n_u - n_u // 2, n_v - n_v // 2)
     evaluated = np.arange(len(rx_grid)).reshape(n_u, n_v)[:h_u, :h_v].ravel()

@@ -28,7 +28,8 @@ scene, so the first half of the lattice is evaluated and the rest filled
 with exact conjugates.  When the scene also holds the receive frame's u-
 and v-mirrors (geometry.mirror_axes), as on a coaxial link, g is even in
 both axes and therefore real, and one lag per mirror orbit is evaluated: a
-quarter of the lattice, or an eighth with the u <-> v swap.  Transmit nodes
+quarter of the lattice, or an eighth with the u <-> v swap, which the
+lattice holds when its two axes are equal.  Transmit nodes
 within 0.1 wavelengths of the receive-plane box that holds every lag point
 refuse the scene before any lag is placed, as svd and the cut-set refuse it.
 """
@@ -134,9 +135,10 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave
     Every scene has g(-delta) = conj(g(delta)), and -delta is the flat index
     read backwards: the first half is evaluated, the rest is its conjugate.
     When ``mirrors`` (from mirror_axes) holds the u- and the v-mirror, g is
-    also even in each axis, hence real: one lag per orbit of the mirrors
-    (and the swap, when the lattice holds it) is evaluated and its real part
-    gathered.  Returns g, the mirrors folded by and the lags evaluated.
+    also even in each axis, hence real: one lag per orbit of the mirrors, and
+    of the swap when the two axes are equal (equal counts and spacings), is
+    evaluated and its real part gathered.  Returns g, the mirrors folded by
+    and the lags evaluated.
     """
     def at(flat):
         iu, iv = np.divmod(flat, len(axes[1]))
@@ -144,8 +146,9 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave
                                      reference, rx_surface, tx_grid, wave)
 
     if {"u", "v"} <= set(mirrors):
-        fold = lattice_orbits(*axes, mirrors)
-        return np.real(at(fold.nodes))[fold.gather], fold.symmetry, len(fold.nodes)
+        folded_by = tuple(m for m in mirrors if m != "swap" or np.array_equal(*axes))
+        fold = lattice_orbits((len(axes[0]), len(axes[1])), folded_by)
+        return np.real(at(fold.nodes))[fold.gather], folded_by, len(fold.nodes)
     half = at(np.arange((len(axes[0]) * len(axes[1]) + 1) // 2))
     return np.concatenate([half, np.conj(half[-2::-1])]), (), len(half)
 

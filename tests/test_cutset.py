@@ -25,10 +25,10 @@ from edof.errors import DiagnosticWarning, DimensionError, GeometryError, Singul
 from edof.geometry import (
     QuadratureGrid,
     discretize,
+    link_symmetry,
     make_surface,
     mirror_axes,
     rotation_about,
-    separable_axes,
 )
 from edof.kernel import WaveConfig, assemble_operator
 from edof.spectrum import count_edof, coupling_spectrum
@@ -489,7 +489,7 @@ def _refuse_general_path(*args):
 @given(parallel_scenes())
 def test_separable_field_matches_the_general_path(wave, scene):
     tx_grid, rx_grid = scene
-    pairing = separable_axes(tx_grid.surface, rx_grid.surface)
+    pairing = link_symmetry(tx_grid, rx_grid).pairing
     assert pairing is not None
     event(f"pairing {pairing}")
     direct = _jacobian_dets(rx_grid.points, tx_grid.points, tx_grid.surface,
@@ -501,8 +501,8 @@ def test_separable_field_matches_the_general_path(wave, scene):
         frame = np.column_stack([s.tangent_u, s.tangent_v, s.normal])
         tilted = make_surface(s.center, rotation_about(s.tangent_u, 0.01) @ frame,
                               s.length_u, s.length_v)
-        assert separable_axes(tx_grid.surface, tilted) is None
+        tilted_grid = QuadratureGrid(tilted, rx_grid.rule_u, rx_grid.rule_v)
+        assert link_symmetry(tx_grid, tilted_grid).pairing is None
         with pytest.raises(AssertionError, match="separable scene"):
-            bandwidth_field(tx_grid, QuadratureGrid(tilted, rx_grid.rule_u,
-                                                    rx_grid.rule_v), wave)
+            bandwidth_field(tx_grid, tilted_grid, wave)
     assert np.max(np.abs(field - direct) / direct) <= 1e-12

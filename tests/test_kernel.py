@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edof.errors import DimensionError, GeometryError, SingularKernelError
-from edof.geometry import discretize, make_surface, rotation_about, sector_axes, separable_axes
+from edof.geometry import discretize, link_symmetry, make_surface, rotation_about
 import edof.kernel
 from edof.cutset import bandwidth_field
 from edof.kernel import (
@@ -119,7 +119,7 @@ def test_assembly_rejects_sub_wavelength_separation():
     rx = make_surface((0.0, 0.0, 0.0005), np.eye(3), 1.0, 1.0)
     for counts in ((1, 1), (6, 5)):
         g_tx, g_rx = discretize(tx, *counts), discretize(rx, *counts)
-        assert sector_axes(g_tx, g_rx) == (2, 3, counts == (1, 1))
+        assert link_symmetry(g_tx, g_rx).sectors == (2, 3, counts == (1, 1))
         with pytest.raises(SingularKernelError):
             assemble_operator(g_tx, g_rx, wave)
 
@@ -305,8 +305,9 @@ def test_block_budget_changes_no_result(monkeypatch):
     coaxial = make_surface((0.0, 0.0, 3.0), np.eye(3), 0.4, 0.3)
     g_tx, g_rx = discretize(tx, 13, 11), discretize(rx, 9, 7)
     g_coaxial = discretize(coaxial, 9, 8)
-    assert sector_axes(g_tx, g_coaxial) is not None  # the folded assembly
-    assert separable_axes(tx, coaxial) is not None   # the per-axis field
+    symmetry = link_symmetry(g_tx, g_coaxial)
+    assert symmetry.sectors is not None  # the folded assembly
+    assert symmetry.pairing is not None  # the per-axis field
 
     def results():
         return (assemble_operator(g_tx, g_rx, wave).matrix,

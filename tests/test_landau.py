@@ -251,7 +251,7 @@ def test_lattice_evaluates_the_full_lattice_lags_of_its_fold(
             for n, d in zip(resp.shape, resp.diagnostics["lag_spacing"])]
     lag_u, lag_v = np.meshgrid(*axes, indexing="ij")
     full = np.column_stack([lag_u.ravel(), lag_v.ravel()])
-    nodes = lattice_orbits(*axes, fold).nodes if fold else np.arange((len(full) + 1) // 2)
+    nodes = lattice_orbits(resp.shape, fold).nodes if fold else np.arange((len(full) + 1) // 2)
     assert resp.diagnostics["evaluated_lags"] == len(nodes)
     assert np.array_equal(got, full[nodes])
 
@@ -297,6 +297,28 @@ def _every_lag(axes, mirrors, reference, rx_surface, tx_grid, wave):
     g = _autocorrelation_many(np.column_stack([lag_u.ravel(), lag_v.ravel()]),
                               reference, rx_surface, tx_grid, wave)
     return g, (), len(g)
+
+
+def test_lag_lattice_folds_by_the_swap_only_on_equal_axes(wave, monkeypatch):
+    """The coaxial square link holds the swap, and its lag lattice holds it
+    with equal counts and equal spacings only; each fold matches every lag
+    evaluated."""
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), APERTURE, APERTURE)
+    rx = make_surface((0.0, 0.0, DISTANCE), np.eye(3), APERTURE, APERTURE)
+    tx_grid = discretize(tx, 8, 8)
+    assert set(mirror_axes(tx_grid, rx)) == {"u", "v", "swap"}
+    for lag_grid, lag_extent, fold in [(21, (0.5, 0.5), ("u", "v", "swap")),
+                                       (21, (0.5, 0.6), ("u", "v")),
+                                       ((21, 23), (0.5, 0.5), ("u", "v"))]:
+        folded = wavenumber_response(rx, tx_grid, wave, lag_grid=lag_grid,
+                                     lag_extent=lag_extent)
+        with monkeypatch.context() as patch:
+            patch.setattr(edof.landau, "_autocorrelation_lattice", _every_lag)
+            full = wavenumber_response(rx, tx_grid, wave, lag_grid=lag_grid,
+                                       lag_extent=lag_extent)
+        assert tuple(folded.diagnostics["symmetry"]) == fold
+        np.testing.assert_allclose(folded.H_values, full.H_values, rtol=0.0,
+                                   atol=1e-13 * full.H_values.max())
 
 
 def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch):

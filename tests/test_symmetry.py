@@ -1,6 +1,8 @@
-"""Scene symmetry: the mirror predicate, the lattice fold, and the folded
-cut-set field and Landau response against direct evaluation."""
+"""Scene symmetry: the mirror predicate, the link's symmetry record, the
+lattice fold, and the folded cut-set field and Landau response against
+direct evaluation."""
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -12,12 +14,13 @@ import edof.landau
 from edof.cutset import _jacobian_dets, bandwidth_field
 from edof.geometry import (
     QuadratureGrid,
+    _own_reflections,
     discretize,
     lattice_orbits,
+    link_symmetry,
     make_surface,
     mirror_axes,
     rotation_about,
-    separable_axes,
 )
 from edof.kernel import WaveConfig
 from edof.landau import _autocorrelation_lattice, _autocorrelation_many, wavenumber_response
@@ -28,16 +31,22 @@ Z_AXIS = (0.0, 0.0, 1.0)
 
 def _scene(tx_size=(0.5, 0.5), tx_counts=(9, 9), rx_size=(0.3, 0.3),
            rx_counts=(7, 7), distance=2.0, rx_offset=(0.0, 0.0), rx_turn=np.eye(3),
-           motion=(np.eye(3), np.zeros(3)), rule="midpoint"):
+           motion=(np.eye(3), np.zeros(3)), rule="midpoint", rx_edge_weights=None):
     """tx at the origin, rx ``distance`` up its normal, both moved by the
     rigid motion (R, t); ``rx_turn`` and ``rx_offset`` keep or break the
-    mirrors of the coaxial link."""
+    mirrors of the coaxial link, and ``rx_edge_weights`` scales the weights
+    of the first and last receive u-nodes."""
     rot, shift = motion
     rx_center = np.array([rx_offset[0], rx_offset[1], distance])
     tx = make_surface(shift, rot, *tx_size)
     rx = make_surface(rot @ rx_center + shift, rot @ rx_turn, *rx_size)
-    return (discretize(tx, *tx_counts, rule=rule),
-            discretize(rx, *rx_counts, rule=rule))
+    rx_grid = discretize(rx, *rx_counts, rule=rule)
+    if rx_edge_weights is not None:
+        nodes, weights = rx_grid.rule_u
+        scale = np.ones(rx_counts[0])
+        scale[[0, -1]] = rx_edge_weights
+        rx_grid = dataclasses.replace(rx_grid, rule_u=(nodes, weights * scale))
+    return discretize(tx, *tx_counts, rule=rule), rx_grid
 
 
 COAXIAL = {"u": "u", "v": "v", "swap": "swap"}
@@ -63,7 +72,14 @@ MIRROR_CASES = {
     "tilt": ({"rx_turn": rotation_about((1.0, 1.0, 0.0), 0.01)}, {}),
     "tilt-offset": ({"rx_offset": (0.3, -0.2),
                      "rx_turn": rotation_about((1.0, 0.0, 0.0), 0.01)}, {}),
+    # receive grids that hold less than the transmit grid: a lone node on a
+    # rectangle keeps all three, and mirrored nodes whose first and last
+    # u-rows weigh 1.5 and 0.5 keep only v
+    "rx-one-node": ({"rx_size": (0.5, 0.25), "rx_counts": (1, 1)}, COAXIAL),
+    "rx-edge-weights": ({"rx_edge_weights": (1.5, 0.5)}, COAXIAL),
 }
+# MIRROR_CASES whose planes are not parallel with aligned axes
+UNPAIRED = {"rx-turned-30", "rx-turned-45", "tilt-about-u", "tilt", "tilt-offset"}
 
 
 @pytest.mark.parametrize("name", sorted(MIRROR_CASES))
@@ -101,22 +117,20 @@ def _coords(axes):
     ((7, 4), ("u", "v"), 8),
     ((7, 4), ("u",), 16),
     ((5, 5), ("swap",), 15),
-    ((1, 6), ("u", "v", "swap"), 3),
+    ((1, 6), ("u", "v"), 3),
     ((1, 1), ("u", "v", "swap"), 1),
     # u and swap generate the whole square group, v included
     ((5, 5), ("u", "swap"), 6),
 ])
 def test_lattice_orbits_counts_and_gathers(shape, symmetry, orbits):
     axes = _integer_lattice(*shape)
-    fold = lattice_orbits(*axes, symmetry)
-    assert fold.symmetry == tuple(s for s in symmetry
-                                  if s != "swap" or shape[0] == shape[1])
+    fold = lattice_orbits(shape, symmetry)
     assert len(fold.nodes) == orbits
     assert np.all(np.diff(fold.nodes) > 0)
     assert np.array_equal(fold.nodes[fold.gather[fold.nodes]], fold.nodes)
     # a function with the symmetry of the group the generators close to is
     # rebuilt from the orbit minima; the swap turns either mirror into the other
-    closure = set(fold.symmetry)
+    closure = set(symmetry)
     if "swap" in closure and closure & {"u", "v"}:
         closure |= {"u", "v"}
     invariant = _invariant(_coords(axes), closure)
@@ -133,21 +147,6 @@ def _invariant(coords, symmetry):
     if "swap" in symmetry:
         return np.cos(a) + np.cos(b) + (a * b) ** 2 + (a + b) ** 3
     return np.cos(a) + 2.0 * np.cos(b) + a * b ** 3
-
-
-def test_lattice_orbits_drops_what_the_lattice_does_not_hold():
-    # swap needs equal spacings as well as equal counts
-    fold = lattice_orbits(*_integer_lattice(9, 9, spacing=(1.0, 1.5)),
-                          ("u", "v", "swap"))
-    assert fold.symmetry == ("u", "v")
-    axis_u, axis_v = _integer_lattice(9, 9)
-    axis_u[0] += 1e-6   # the first u-axis entry
-    fold = lattice_orbits(axis_u, axis_v, ("u", "v", "swap"))
-    assert fold.symmetry == ("v",)
-    none = lattice_orbits(axis_u, axis_v, ())
-    assert none.symmetry == ()
-    assert np.array_equal(none.nodes, np.arange(81))
-    assert np.array_equal(none.gather, np.arange(81))
 
 
 def _direct_field(tx_grid, rx_grid):
@@ -181,17 +180,27 @@ def _response(tx_grid, rx_grid, lag_grid=(11, 11), lag_extent=0.4):
 def test_field_and_response_fold_only_by_what_holds(name, monkeypatch):
     kwargs, expected = MIRROR_CASES[name]
     tx_grid, rx_grid = _scene(**kwargs)
+    on_rx = tuple(mirror_axes(rx_grid, rx_grid.surface))
+    assert _own_reflections(rx_grid) == on_rx
+    symmetry = link_symmetry(tx_grid, rx_grid)
+    assert symmetry.fold == tuple(m for m in expected if m in on_rx)
+    # the sectors need both receive mirrors on both grids, as flips of the
+    # transmit axes, and the swap as a swap of them
+    flips = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}.get((expected.get("u"), expected.get("v")))
+    swap = expected.get("swap") == "swap" and "swap" in on_rx
+    assert symmetry.sectors == (flips + (swap,) if flips and {"u", "v"} <= set(on_rx) else None)
+    assert (symmetry.pairing is None) == (name in UNPAIRED)
     field = bandwidth_field(tx_grid, rx_grid, WAVE)
     direct = _direct_field(tx_grid, rx_grid)
     response = _response(tx_grid, rx_grid)
     mirrors = response.diagnostics["symmetry"]
-    assert field.symmetry == tuple(expected)
+    assert field.symmetry == symmetry.fold
     assert mirrors == (list(expected) if {"u", "v"} <= set(expected) else [])
 
     monkeypatch.setattr(edof.landau, "_autocorrelation_lattice", _hermitian_half)
     half = _response(tx_grid, rx_grid)
-    assert (field.evaluated_nodes < len(rx_grid)) == bool(expected)
-    if not expected and separable_axes(tx_grid.surface, rx_grid.surface) is None:
+    assert (field.evaluated_nodes < len(rx_grid)) == (bool(symmetry.fold) and len(rx_grid) > 1)
+    if not expected and symmetry.pairing is None:
         # a scene without symmetry or aligned parallel planes takes the
         # unfolded general path, bit for bit
         assert np.array_equal(field.values, direct)
@@ -237,6 +246,7 @@ def test_folds_match_direct_evaluation(scene):
     tx_grid, rx_grid = _scene(**kwargs)
     mirrors = mirror_axes(tx_grid, rx_grid.surface)
     assert {"u", "v"} <= set(mirrors)
+    assert _own_reflections(rx_grid) == tuple(mirror_axes(rx_grid, rx_grid.surface))
     event(f"mirrors {mirrors}")
 
     field = bandwidth_field(tx_grid, rx_grid, WAVE)
