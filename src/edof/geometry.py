@@ -307,22 +307,6 @@ def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> dict[str,
     return held
 
 
-def _own_reflections(grid: QuadratureGrid) -> tuple[str, ...]:
-    """``tuple(mirror_axes(grid, grid.surface))`` from the 1-D rules: "u" holds
-    when the u-nodes are their own reverse, negated, "v" likewise, and "swap"
-    when the node axes are equal, to SYMMETRY_RTOL of the longer side, each
-    with the product weights equal at the mapped nodes of the u-major index
-    (products: a lone node keeps the swap on a rectangle)."""
-    (xu, _), (xv, _) = grid.rule_u, grid.rule_v
-    tol = SYMMETRY_RTOL * max(grid.surface.length_u, grid.surface.length_v)
-    index, w = np.arange(len(grid)).reshape(grid.shape), grid.weights
-    candidates = (("u", xu, -xu[::-1], index[::-1, :]),
-                  ("v", xv, -xv[::-1], index[:, ::-1]), ("swap", xu, xv, index.T))
-    return tuple(name for name, nodes, image, mapped in candidates
-                 if nodes.shape == image.shape and np.max(np.abs(nodes - image)) <= tol
-                 and np.all(np.abs(w[mapped.ravel()] - w) <= SYMMETRY_RTOL * w))
-
-
 @dataclass(frozen=True)
 class LinkSymmetry:
     """What the estimators read of a link's symmetry; see ``link_symmetry``."""
@@ -336,9 +320,12 @@ def link_symmetry(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid) -> LinkSymme
     """The symmetry of the link between two grids, in one record.
 
     ``fold`` names the MIRRORS reflections of the receive frame that map
-    both grids, nodes and weights, onto themselves: the transmit grid by
-    ``mirror_axes``, the receive grid by its own rules.  Each keeps every
-    point distance and maps receive nodes onto receive nodes.
+    both grids, nodes and weights, onto themselves, each grid tested by
+    ``mirror_axes``.  Each keeps every point distance and maps receive
+    nodes onto receive nodes.  The receive weights must match for the
+    sectors' sake, whose rows carry sqrt(w_rx); the cut-set field, which
+    folds by ``fold`` too, reads only the receive nodes, so a receive grid
+    with mirrored nodes but uneven weights merely folds by less.
 
     ``sectors`` names the axes of the (rx_u, rx_v, tx_u, tx_v) coupling
     array that the u- and the v-mirror flip, and the swap; it is not None
@@ -358,7 +345,7 @@ def link_symmetry(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid) -> LinkSymme
     coordinate only.  The pairing is its own inverse.
     """
     tx, rx = tx_grid.surface, rx_grid.surface
-    on_tx, on_rx = mirror_axes(tx_grid, rx), _own_reflections(rx_grid)
+    on_tx, on_rx = mirror_axes(tx_grid, rx), mirror_axes(rx_grid, rx)
     fold = tuple(name for name in on_tx if name in on_rx)
     axes = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}.get((on_tx.get("u"), on_tx.get("v")))
     swap = "swap" in fold and on_tx["swap"] == "swap"

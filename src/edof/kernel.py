@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GeometryError, SingularKernelError
-from .geometry import QuadratureGrid, link_symmetry, surfaces_intersect
+from .geometry import LinkSymmetry, QuadratureGrid, link_symmetry, surfaces_intersect
 
 # Wave impedance of free space, ohms.
 VACUUM_IMPEDANCE_OHM = 376.730313668
@@ -64,6 +64,7 @@ class DiscreteOperator:
     matrix: np.ndarray  # complex, (N_rx, N_tx)
     tx_grid: QuadratureGrid
     rx_grid: QuadratureGrid
+    symmetry: LinkSymmetry  # link_symmetry(tx_grid, rx_grid); the spectrum reads its sectors
 
 
 def row_blocks(n_rows: int, n_cols: int):
@@ -156,7 +157,8 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     """
     if surfaces_intersect(tx_grid.surface, rx_grid.surface):
         raise GeometryError("transmit and receive surfaces intersect")
-    axes = link_symmetry(tx_grid, rx_grid).sectors
+    symmetry = link_symmetry(tx_grid, rx_grid)
+    axes = symmetry.sectors
     n_u, n_v = rx_grid.shape
     h_u, h_v = (n_u, n_v) if axes is None else (n_u - n_u // 2, n_v - n_v // 2)
     evaluated = np.arange(len(rx_grid)).reshape(n_u, n_v)[:h_u, :h_v].ravel()
@@ -182,7 +184,8 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
             a4[n_u - 1 - i, :h_v] = np.flip(a4[i, :h_v], axes[0] - 1)
         for i in range(n_u):
             a4[i, h_v:] = np.flip(a4[i, :n_v // 2], (0, axes[1] - 1))
-    return DiscreteOperator(matrix=matrix, tx_grid=tx_grid, rx_grid=rx_grid)
+    return DiscreteOperator(matrix=matrix, tx_grid=tx_grid, rx_grid=rx_grid,
+                            symmetry=symmetry)
 
 
 def adjoint_identity_residual(operator: DiscreteOperator, f, g) -> float:

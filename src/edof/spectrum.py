@@ -14,9 +14,9 @@ i.e. the number of modes whose squared coupling strictly exceeds gamma.
 The width s_N also equals the Kolmogorov N-width of the set of receivable
 fields generated by unit-power transmit currents.
 
-When the ``sectors`` of geometry.link_symmetry hold the receive u- and
-v-mirrors (two coaxial parallel apertures, the canonical holographic-MIMO
-link), each splits the matrix into an even and an odd half, so the spectrum
+When the ``sectors`` of the geometry.link_symmetry record, which assembly
+builds and the operator carries, hold the receive u- and v-mirrors (two
+coaxial parallel apertures, the canonical holographic-MIMO link), each splits the matrix into an even and an odd half, so the spectrum
 is the merged spectra of four parity-sector blocks of about N/4 x N/4 each,
 about 1/16 of a full SVD's flops.  When they also hold the u <-> v swap on
 both grids (square apertures with square grids, the group D4 of the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .geometry import QuadratureGrid, link_symmetry
+from .geometry import QuadratureGrid
 from .kernel import DiscreteOperator
 
 GAMMA_MODES = ("absolute", "relative")
@@ -173,13 +173,13 @@ def _sector_values(a4: np.ndarray, swap: bool) -> np.ndarray:
 def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
     """Squared singular values of the operator matrix, descending.
 
-    ``operator.matrix`` must be what ``assemble_operator`` built from the
-    operator's grids: the solver is chosen from the grids alone.  When the
-    link has ``link_symmetry`` sectors (the receive u- and v-mirrors flip
-    both grids' axes), the values come from the four parity-sector blocks,
-    which read only the fundamental receive rows that assembly evaluated,
-    padded with zeros to min(N_rx, N_tx); otherwise from one full SVD.  When they also
-    hold the swap (the receive u <-> v swap exchanges both grids' axes),
+    ``operator`` must be what ``assemble_operator`` built: the solver is
+    chosen from the ``link_symmetry`` record it carries.  When the record
+    has sectors (the receive u- and v-mirrors flip both grids' axes), the
+    values come from the four parity-sector blocks, which read only the
+    fundamental receive rows that assembly evaluated, padded with zeros to
+    min(N_rx, N_tx); otherwise from one full SVD.  When they also hold the
+    swap (the receive u <-> v swap exchanges both grids' axes),
     the even-odd block's values count twice, for the odd-even block, and
     the even-even and odd-odd blocks each split into a symmetric and an
     antisymmetric half: about 3/128 of a full SVD's flops instead of 1/16.
@@ -192,7 +192,7 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
     """
     a = operator.matrix
     tx_grid, rx_grid = operator.tx_grid, operator.rx_grid
-    axes = link_symmetry(tx_grid, rx_grid).sectors
+    axes = operator.symmetry.sectors
     try:
         if axes is None:
             s = np.linalg.svd(a, compute_uv=False)

@@ -308,6 +308,7 @@ def test_block_budget_changes_no_result(monkeypatch):
     symmetry = link_symmetry(g_tx, g_coaxial)
     assert symmetry.sectors is not None  # the folded assembly
     assert symmetry.pairing is not None  # the per-axis field
+    assert assemble_operator(g_tx, g_coaxial, wave).symmetry == symmetry
 
     def results():
         return (assemble_operator(g_tx, g_rx, wave).matrix,
