@@ -11,17 +11,18 @@ nodes and positive weights.  Their tensor product gives the 2-D nodes and
 weights, so sum(w_i * f(p_i)) approximates the surface integral of f.
 Supported rules are the midpoint (uniform cell) rule and Gauss-Legendre.
 ``surfaces_intersect`` decides from the two rectangles' ``corners`` whether
-they share a point, and ``box_distances`` measures points against such a box.
+they share a point, and ``box_distances`` measures points against one.
+Every rectangle is a surface, the Landau lag box included.
 
 A link's symmetry is decided here, in one place, for all three estimators.
 ``mirror_axes`` names the reflections of the receive frame that map a grid
 onto itself, and ``link_symmetry`` keeps what the estimators read of a
 (transmit grid, receive grid) pair in one record: the reflections both
-grids hold (the cut-set field's fold), the parity-sector axes and the
-u <-> v swap (operator assembly and the spectrum), and the pairing of the
-axes of parallel, aligned planes (the cut-set field's per-axis tables).
-``lattice_orbits`` folds a u-major lattice by the reflections its caller
-says hold.
+grids hold (the cut-set field's fold), the pairing of the axes of
+parallel, aligned planes (the cut-set field's per-axis tables), and the
+parity-sector axes and the u <-> v swap that the fold and the pairing give
+together (operator assembly and the spectrum).  ``lattice_orbits`` folds a
+u-major lattice by the reflections its caller says hold.
 """
 
 from __future__ import annotations
@@ -221,20 +222,18 @@ def global_point(surface: PlanarSurface, local) -> np.ndarray:
     return surface.center + a * surface.tangent_u + b * surface.tangent_v
 
 
-def corners(surface: PlanarSurface, half_u=None, half_v=None) -> np.ndarray:
-    """(4, 3) corners of the centered 2 half_u x 2 half_v box on a surface's
-    plane; the surface's own corners by default."""
-    half_u = 0.5 * surface.length_u if half_u is None else half_u
-    half_v = 0.5 * surface.length_v if half_v is None else half_v
-    return np.array([surface.center + su * half_u * surface.tangent_u
-                     + sv * half_v * surface.tangent_v
+def corners(surface: PlanarSurface) -> np.ndarray:
+    """(4, 3) corners of a surface."""
+    return np.array([surface.center + su * 0.5 * surface.length_u * surface.tangent_u
+                     + sv * 0.5 * surface.length_v * surface.tangent_v
                      for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
 
 
-def box_distances(surface: PlanarSurface, points, half_u, half_v) -> np.ndarray:
-    """Distances from (N, 3) points to the centered 2 half_u x 2 half_v box ``corners`` spans."""
+def box_distances(surface: PlanarSurface, points) -> np.ndarray:
+    """Distances from (N, 3) points to the rectangle of a surface."""
     frame = np.array([surface.tangent_u, surface.tangent_v, surface.normal])
-    gaps = np.abs((points - surface.center) @ frame.T) - (half_u, half_v, 0.0)
+    gaps = np.abs((points - surface.center) @ frame.T) \
+        - (0.5 * surface.length_u, 0.5 * surface.length_v, 0.0)
     return np.linalg.norm(np.maximum(gaps, 0.0), axis=1)
 
 
@@ -259,32 +258,29 @@ def surfaces_intersect(s1: PlanarSurface, s2: PlanarSurface) -> bool:
 
 
 def _signed_permutation(index, q):
-    """(action, flat node map) of a u-major lattice ``index`` under the
-    local-coordinate map (a, b) -> q (a, b), with q rounded to a signed
-    permutation; the action is "swap" or names the axes flipped.  None when q
-    rounds to none, or to a swap of the axes of a lattice that is not square."""
+    """Flat node map of a u-major lattice ``index`` under the local-coordinate
+    map (a, b) -> q (a, b), with q rounded to a signed permutation.  None when
+    q rounds to none, or to a swap of the axes of a lattice that is not square."""
     p = np.rint(q).astype(int)
     if p[0, 1] == p[1, 0] == 0 and abs(p[0, 0]) == abs(p[1, 1]) == 1:
-        flips = ("u" if p[0, 0] < 0 else "") + ("v" if p[1, 1] < 0 else "")
-        return flips, index[::p[0, 0], ::p[1, 1]].ravel()
+        return index[::p[0, 0], ::p[1, 1]].ravel()
     if p[0, 0] == p[1, 1] == 0 and abs(p[0, 1]) == abs(p[1, 0]) == 1 \
             and index.shape[0] == index.shape[1]:
         # node (i, j) goes to (j or n-1-j, i or n-1-i)
-        return "swap", index.T[::p[1, 0], ::p[0, 1]].ravel()
+        return index.T[::p[1, 0], ::p[0, 1]].ravel()
     return None
 
 
-def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> dict[str, str]:
-    """{name: action} of the receive-frame reflections in MIRRORS that map
+def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> tuple[str, ...]:
+    """The names, in MIRRORS order, of the receive-frame reflections that map
     the transmit grid, nodes and weights, onto itself.
 
     Each reflection is about the receive center and maps the receive plane
     onto itself, keeping every point distance and the cut-set Jacobian.  One
     is kept when every reflected transmit node lands on a node of equal
     weight, to SYMMETRY_RTOL of the largest aperture side; nothing else is
-    assumed.  Its action is the transmit axis it flips, "u" or "v" (the
-    other-named one behind a receiver turned by 90 degrees), or "swap" when
-    it exchanges them, as behind one turned by 45 degrees.
+    assumed, so a receiver turned by 45 degrees in front of a square
+    transmitter keeps all three.
     """
     tx = tx_grid.surface
     tol = SYMMETRY_RTOL * max(tx.length_u, tx.length_v,
@@ -292,7 +288,7 @@ def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> dict[str,
     tangents = np.column_stack([tx.tangent_u, tx.tangent_v])
     index = np.arange(len(tx_grid)).reshape(tx_grid.shape)
     offsets = tx_grid.points - rx_surface.center
-    held = {}
+    held = []
     for name, (cu, cv) in MIRRORS.items():
         e = cu * rx_surface.tangent_u + cv * rx_surface.tangent_v
         image = tx_grid.points - 2.0 * np.outer(offsets @ e, e)
@@ -300,11 +296,11 @@ def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> dict[str,
         mapped = _signed_permutation(index, tangents.T @ (
             tangents - 2.0 * np.outer(e, e @ tangents)))
         if mapped is not None \
-                and np.max(np.abs(image - tx_grid.points[mapped[1]])) <= tol \
-                and np.all(np.abs(tx_grid.weights[mapped[1]] - tx_grid.weights)
+                and np.max(np.abs(image - tx_grid.points[mapped])) <= tol \
+                and np.all(np.abs(tx_grid.weights[mapped] - tx_grid.weights)
                            <= SYMMETRY_RTOL * tx_grid.weights):
-            held[name] = mapped[0]
-    return held
+            held.append(name)
+    return tuple(held)
 
 
 @dataclass(frozen=True)
@@ -327,36 +323,37 @@ def link_symmetry(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid) -> LinkSymme
     folds by ``fold`` too, reads only the receive nodes, so a receive grid
     with mirrored nodes but uneven weights merely folds by less.
 
-    ``sectors`` names the axes of the (rx_u, rx_v, tx_u, tx_v) coupling
-    array that the u- and the v-mirror flip, and the swap; it is not None
-    exactly when the fold holds both mirrors as flips of the two transmit
-    axes, in either order.  Row (n_u-1-i, j) is then row (i, j) with the
-    u-mirror's transmit axis reversed, and likewise along v, so the first
-    ceil(n/2) receive rows per axis determine the rest.  The swap is True
-    when the fold holds the swap as a swap of the transmit axes: row (j, i)
-    is then row (i, j) with the transmit axes exchanged, on the diagonal or
-    the anti-diagonal.
-
     ``pairing`` (0 for u, 1 for v) is not None exactly when the planes are
     parallel and the frame overlap G = [[ru.tu, ru.tv], [rv.tu, rv.tv]] is a
     signed permutation, both to FRAME_TOL: frames aligned, or the receiver
     turned by a multiple of 90 degrees.  Then each in-plane offset of a node
     pair along a receive axis depends on one receive and one transmit
-    coordinate only.  The pairing is its own inverse.
+    coordinate only.  The pairing is its own inverse, so pairing[0] is also
+    the transmit axis along receive u.
+
+    ``sectors`` is not None exactly when the fold holds both mirrors and the
+    pairing is not None.  It names the axes of the (rx_u, rx_v, tx_u, tx_v)
+    coupling array that the u- and the v-mirror flip, 2 + pairing[0] and
+    2 + pairing[1]: row (n_u-1-i, j) is row (i, j) with the transmit axis
+    along receive u reversed, and likewise along v, so the first ceil(n/2)
+    receive rows per axis determine the rest.  Its swap is True when the fold also holds the swap,
+    which on aligned frames exchanges the transmit axes: row (j, i) is then
+    row (i, j) with the transmit axes exchanged, on the diagonal or the
+    anti-diagonal.
     """
     tx, rx = tx_grid.surface, rx_grid.surface
-    on_tx, on_rx = mirror_axes(tx_grid, rx), mirror_axes(rx_grid, rx)
-    fold = tuple(name for name in on_tx if name in on_rx)
-    axes = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}.get((on_tx.get("u"), on_tx.get("v")))
-    swap = "swap" in fold and on_tx["swap"] == "swap"
+    on_rx = mirror_axes(rx_grid, rx)
+    fold = tuple(name for name in mirror_axes(tx_grid, rx) if name in on_rx)
     overlap = np.array([rx.tangent_u, rx.tangent_v, rx.normal]) \
         @ np.column_stack([tx.tangent_u, tx.tangent_v])
     signs = np.rint(overlap)
     aligned = np.max(np.abs(overlap - signs)) <= FRAME_TOL and not signs[2].any()
+    pairing = tuple(int(np.flatnonzero(c)[0]) for c in signs.T) if aligned else None
     return LinkSymmetry(
         fold=fold,
-        sectors=axes + (swap,) if axes and {"u", "v"} <= set(fold) else None,
-        pairing=tuple(int(np.flatnonzero(c)[0]) for c in signs.T) if aligned else None)
+        sectors=(2 + pairing[0], 2 + pairing[1], "swap" in fold)
+        if pairing is not None and {"u", "v"} <= set(fold) else None,
+        pairing=pairing)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ with exact conjugates.  When the scene also holds the receive frame's u-
 and v-mirrors (geometry.mirror_axes), as on a coaxial link, g is even in
 both axes and therefore real, and one lag per mirror orbit is evaluated: a
 quarter of the lattice, or an eighth with the u <-> v swap, which the
-lattice holds when its two axes are equal.  Transmit nodes
-within 0.1 wavelengths of the receive-plane box that holds every lag point
-refuse the scene before any lag is placed, as svd and the cut-set refuse it.
+lattice holds when its two axes are equal.  Transmit nodes within 0.1
+wavelengths of the lag box, the receive surface grown to hold every lag
+point, refuse the scene before any lag is placed, as svd and the cut-set do.
 """
 
 from __future__ import annotations
@@ -153,16 +153,15 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave
     return np.concatenate([half, np.conj(half[-2::-1])]), (), len(half)
 
 
-def _band_edge(rx_surface, tx_surface, wave, half, extent):
+def _band_edge(box, tx_surface, wave, extent):
     """Padded per-axis in-plane wavenumber band of the correlation, rad/m.
 
     The largest |k_u| and |k_v| over rays from the transmit corners to the
-    corners of the receive-plane box of half sides ``half``, each padded by
-    BAND_PAD_LOBES Fejer half widths.
+    corners of the receive-plane ``box``, each padded by BAND_PAD_LOBES
+    Fejer half widths.
     """
-    k = wavenumber_component(corners(rx_surface, *half)[:, None, :],
-                             corners(tx_surface)[None, :, :],
-                             rx_surface, wave)
+    k = wavenumber_component(corners(box)[:, None, :], corners(tx_surface)[None, :, :],
+                             box, wave)
     k_max = np.abs(k).max(axis=(0, 1))
     return tuple(float(km + BAND_PAD_LOBES * 4.0 * np.pi / e)
                  for km, e in zip(k_max, extent))
@@ -204,14 +203,15 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     Defaults: per-axis extent of 8 coherence scales (lambda * d / L_tx_axis,
     d the center-to-center distance) and, per axis, a lag spacing of
     pi / (2 * k_band): k_band is the largest in-plane wavenumber of the
-    rays from the transmit corners to a receive-plane box covering the
-    aperture and the lag points, padded by two Fejer main-lobe half widths
-    (4 pi / extent each).  The spacing is capped at a quarter wavelength,
-    its value at grazing incidence (k_band >= k0).  Counts are forced odd
-    so the lattice is centered and the transform is real.  Before any lag
-    is placed, a transmit node within 0.1 wavelengths of that receive box
-    raises SingularKernelError, a lattice over DEFAULT_MATRIX_BUDGET lags
-    ResourceError, and an automatic one under 3 lags per axis GeometryError.
+    rays from the transmit corners to the corners of the lag box (the
+    receive surface grown to cover the lag points), padded by two Fejer
+    main-lobe half widths (4 pi / extent each).  The spacing is capped at a
+    quarter wavelength, its value at grazing incidence (k_band >= k0).
+    Counts are forced odd so the lattice is centered and the transform is
+    real.  Before any lag is placed, a transmit node within 0.1 wavelengths
+    of the lag box raises SingularKernelError, a lattice over
+    DEFAULT_MATRIX_BUDGET lags ResourceError, and an automatic one under 3
+    lags per axis GeometryError.
 
     When the scene holds both receive mirrors of ``mirror_axes``, g is real
     and evaluated on one lag per orbit of the mirrors, plus the swap when
@@ -225,10 +225,11 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
         lag_extent, tuple(DEFAULT_EXTENT_COHERENCE_UNITS * c for c in coherence), "lag_extent")
     if not (0.0 < extent_u < np.inf and 0.0 < extent_v < np.inf):
         raise ValueError("lag extents must be positive and finite")
-    box_half = (max(0.5 * rx_surface.length_u, 0.25 * extent_u),
-                max(0.5 * rx_surface.length_v, 0.25 * extent_v))
-    check_separation(box_distances(rx_surface, tx_grid.points, *box_half).min(), wave)
-    k_band = _band_edge(rx_surface, tx_grid.surface, wave, box_half, (extent_u, extent_v))
+    # the receive aperture grown to hold every lag point c +/- delta/2
+    box = replace(rx_surface, length_u=max(rx_surface.length_u, 0.5 * extent_u),
+                  length_v=max(rx_surface.length_v, 0.5 * extent_v))
+    check_separation(box_distances(box, tx_grid.points).min(), wave)
+    k_band = _band_edge(box, tx_grid.surface, wave, (extent_u, extent_v))
     if lag_grid is None:
         # max(lambda/4, pi/(2 k_band)), written to be exactly lambda/4 at grazing
         spacing = tuple(0.25 * wave.wavelength * max(1.0, wave.k0 / kb) for kb in k_band)

@@ -175,11 +175,11 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
 
     ``operator`` must be what ``assemble_operator`` built: the solver is
     chosen from the ``link_symmetry`` record it carries.  When the record
-    has sectors (the receive u- and v-mirrors flip both grids' axes), the
-    values come from the four parity-sector blocks, which read only the
-    fundamental receive rows that assembly evaluated, padded with zeros to
-    min(N_rx, N_tx); otherwise from one full SVD.  When they also hold the
-    swap (the receive u <-> v swap exchanges both grids' axes),
+    has sectors (both grids hold the receive u- and v-mirrors, on paired
+    frames), the values come from the four parity-sector blocks, which read
+    only the fundamental receive rows that assembly evaluated, padded with
+    zeros to min(N_rx, N_tx); otherwise from one full SVD.  When they also
+    hold the swap (the receive u <-> v swap exchanges both grids' axes),
     the even-odd block's values count twice, for the odd-even block, and
     the even-even and odd-odd blocks each split into a symmetric and an
     antisymmetric half: about 3/128 of a full SVD's flops instead of 1/16.

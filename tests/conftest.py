@@ -1,5 +1,7 @@
 """Shared fixtures: the broadside reference link at several grid densities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +19,17 @@ DISTANCE = 10.0
 settings.register_profile("edof", derandomize=True, deadline=None,
                           max_examples=100, database=None)
 settings.load_profile("edof")
+
+# On a failing property, hypothesis imports its patch writer, which imports
+# libcst where installed; libcst 1.0 imports a deprecated mypy_extensions
+# name, and the DeprecationWarning filter would then end the test run in an
+# INTERNALERROR that hides every other failure.  Import it once here.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # closed-form paraxial values for the reference link
 PARAXIAL_BANDWIDTH = (2.0 * np.pi / WAVELENGTH * APERTURE / DISTANCE) ** 2

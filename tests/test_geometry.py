@@ -9,6 +9,7 @@ from edof.errors import GeometryError
 from edof.geometry import (
     PlanarSurface,
     QuadratureGrid,
+    box_distances,
     corners,
     discretize,
     global_point,
@@ -313,8 +314,26 @@ def test_corners_default_to_the_surface_and_take_half_sides():
     s = make_surface((1.0, 2.0, 3.0), rotation_about((0.0, 0.0, 1.0), 0.5 * np.pi), 2.0, 4.0)
     assert np.allclose(corners(s), [[3.0, 1.0, 3.0], [-1.0, 1.0, 3.0],
                                     [3.0, 3.0, 3.0], [-1.0, 3.0, 3.0]])
-    assert np.allclose(corners(s, 0.5, 0.25), [[1.25, 1.5, 3.0], [0.75, 1.5, 3.0],
-                                               [1.25, 2.5, 3.0], [0.75, 2.5, 3.0]])
+    box = dataclasses.replace(s, length_u=1.0, length_v=0.5)
+    assert np.allclose(corners(box), [[1.25, 1.5, 3.0], [0.75, 1.5, 3.0],
+                                      [1.25, 2.5, 3.0], [0.75, 2.5, 3.0]])
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.5 * np.pi, 0.3])
+def test_box_distances_measure_to_the_rectangle(turn):
+    # a 2 x 1 m rectangle at (1, 2, 3), turned by ``turn`` about its normal;
+    # points are placed in its own frame (a, b, h)
+    s = make_surface((1.0, 2.0, 3.0), rotation_about((0.0, 0.0, 1.0), turn), 2.0, 1.0)
+    local = np.array([[0.3, -0.2, 0.0],     # inside: 0
+                      [-0.9, 0.4, 0.7],     # above an inner point: h
+                      [1.0, 0.5, 0.0],      # on a corner: 0
+                      [1.3, -0.9, 0.0],     # beyond a corner, in plane
+                      [-1.6, 0.9, -1.2],    # beyond a corner, below it
+                      [0.2, 0.8, 0.0]])     # beyond an edge
+    frame = np.array([s.tangent_u, s.tangent_v, s.normal])
+    expected = [0.0, 0.7, 0.0, np.hypot(0.3, 0.4), np.sqrt(0.6**2 + 0.4**2 + 1.2**2), 0.3]
+    np.testing.assert_allclose(box_distances(s, s.center + local @ frame), expected,
+                               rtol=0.0, atol=1e-14)
 
 
 def test_surface_is_immutable():

@@ -11,8 +11,8 @@ from edof.errors import DimensionError, NumericalError
 from edof.geometry import (
     SYMMETRY_RTOL,
     discretize,
+    link_symmetry,
     make_surface,
-    mirror_axes,
     rotation_about,
 )
 from edof.kernel import WaveConfig, assemble_operator, green_kernel, hilbert_schmidt_norm
@@ -364,12 +364,15 @@ def test_folded_assembly_matches_the_direct_build(name):
 @pytest.mark.parametrize("breaker", [
     dict(rx_offset=(1e-6, 0.0)),
     dict(rx_turn=rotation_about((1.0, 0.0, 0.0), 0.01)),
-    # mirror_axes holds u, v and swap, but the receive mirrors swap the
-    # transmit axes instead of flipping them
+    # both grids hold u, v and swap, but the frames are not paired: the
+    # receive mirrors swap the transmit axes instead of flipping them
     dict(rx_turn=rotation_about((0.0, 0.0, 1.0), np.pi / 4)),
     # mirrored nodes, but the first and last receive rows weigh 1.5 and 0.5
     dict(rx_edge_weights=(1.5, 0.5)),
-], ids=["lateral-1um", "tilt", "turn-45", "rx-edge-weights"])
+    # both grids hold u, v and swap to SYMMETRY_RTOL, but the frame overlap
+    # misses FRAME_TOL, so there is no pairing
+    dict(rx_turn=rotation_about((0.0, 0.0, 1.0), 3e-12)),
+], ids=["lateral-1um", "tilt", "turn-45", "rx-edge-weights", "turn-3e-12"])
 def test_asymmetric_scene_takes_the_full_svd(breaker):
     op = _coaxial_operator((8, 8), (8, 8), **breaker)
     spec = coupling_spectrum(op)
@@ -440,9 +443,7 @@ def test_coaxial_spectrum_properties(scene):
     wave = WaveConfig(wavelength=0.01)
     op = _coaxial_operator(**scene, wave=wave)
     spec = coupling_spectrum(op)
-    on_rx = mirror_axes(op.rx_grid, op.rx_grid.surface)
-    on_tx = mirror_axes(op.tx_grid, op.rx_grid.surface)
-    swap = on_rx.get("swap") == on_tx.get("swap") == "swap"
+    swap = "swap" in link_symmetry(op.tx_grid, op.rx_grid).fold
     assert spec.symmetry == ("u", "v") + (("swap",) if swap else ())
     expected = _full_svd_squared(op, wave)
     s0 = expected[0]

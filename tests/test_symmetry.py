@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import edof.landau
 from edof.cutset import _jacobian_dets, bandwidth_field
 from edof.geometry import (
+    SYMMETRY_RTOL,
     QuadratureGrid,
     discretize,
     lattice_orbits,
@@ -48,29 +49,30 @@ def _scene(tx_size=(0.5, 0.5), tx_counts=(9, 9), rx_size=(0.3, 0.3),
     return discretize(tx, *tx_counts, rule=rule), rx_grid
 
 
-COAXIAL = {"u": "u", "v": "v", "swap": "swap"}
+COAXIAL = ("u", "v", "swap")
 MIRROR_CASES = {
     "coaxial": ({}, COAXIAL),
     "gauss-legendre": ({"rule": "gauss-legendre"}, COAXIAL),
     # each receive mirror flips the other-named transmit axis
-    "rx-turned-90": ({"rx_turn": rotation_about(Z_AXIS, np.pi / 2)},
-                     {"u": "v", "v": "u", "swap": "swap"}),
+    "rx-turned-90": ({"rx_turn": rotation_about(Z_AXIS, np.pi / 2)}, COAXIAL),
     "rx-turned-180": ({"rx_turn": rotation_about(Z_AXIS, np.pi)}, COAXIAL),
     # the receive mirrors are then the transmit diagonals
-    "rx-turned-45": ({"rx_turn": rotation_about(Z_AXIS, np.pi / 4)},
-                     {"u": "swap", "v": "swap", "swap": "u"}),
-    "rx-turned-30": ({"rx_turn": rotation_about(Z_AXIS, np.pi / 6)}, {}),
-    "rectangular": ({"tx_size": (0.5, 0.3)}, {"u": "u", "v": "v"}),
-    "unequal-counts": ({"tx_counts": (9, 8)}, {"u": "u", "v": "v"}),
-    "one-point-axis": ({"tx_counts": (1, 6)}, {"u": "u", "v": "v"}),
-    "lateral-1um-u": ({"rx_offset": (1e-6, 0.0)}, {"v": "v"}),
-    "lateral-1um": ({"rx_offset": (0.8e-6, 0.6e-6)}, {}),
-    "diagonal-offset": ({"rx_offset": (0.1, 0.1)}, {"swap": "swap"}),
-    "offset": ({"rx_offset": (0.3, -0.2)}, {}),
-    "tilt-about-u": ({"rx_turn": rotation_about((1.0, 0.0, 0.0), 0.01)}, {"u": "u"}),
-    "tilt": ({"rx_turn": rotation_about((1.0, 1.0, 0.0), 0.01)}, {}),
+    "rx-turned-45": ({"rx_turn": rotation_about(Z_AXIS, np.pi / 4)}, COAXIAL),
+    "rx-turned-30": ({"rx_turn": rotation_about(Z_AXIS, np.pi / 6)}, ()),
+    # every node moves by under SYMMETRY_RTOL, but the frame overlap is off
+    # by more than FRAME_TOL: the reflections hold, the pairing does not
+    "rx-turned-3e-12": ({"rx_turn": rotation_about(Z_AXIS, 3e-12)}, COAXIAL),
+    "rectangular": ({"tx_size": (0.5, 0.3)}, ("u", "v")),
+    "unequal-counts": ({"tx_counts": (9, 8)}, ("u", "v")),
+    "one-point-axis": ({"tx_counts": (1, 6)}, ("u", "v")),
+    "lateral-1um-u": ({"rx_offset": (1e-6, 0.0)}, ("v",)),
+    "lateral-1um": ({"rx_offset": (0.8e-6, 0.6e-6)}, ()),
+    "diagonal-offset": ({"rx_offset": (0.1, 0.1)}, ("swap",)),
+    "offset": ({"rx_offset": (0.3, -0.2)}, ()),
+    "tilt-about-u": ({"rx_turn": rotation_about((1.0, 0.0, 0.0), 0.01)}, ("u",)),
+    "tilt": ({"rx_turn": rotation_about((1.0, 1.0, 0.0), 0.01)}, ()),
     "tilt-offset": ({"rx_offset": (0.3, -0.2),
-                     "rx_turn": rotation_about((1.0, 0.0, 0.0), 0.01)}, {}),
+                     "rx_turn": rotation_about((1.0, 0.0, 0.0), 0.01)}, ()),
     # receive grids that hold less than the transmit grid: a lone node on a
     # rectangle keeps all three, and mirrored nodes whose first and last
     # u-rows weigh 1.5 and 0.5 keep only v
@@ -78,7 +80,8 @@ MIRROR_CASES = {
     "rx-edge-weights": ({"rx_edge_weights": (1.5, 0.5)}, COAXIAL),
 }
 # MIRROR_CASES whose planes are not parallel with aligned axes
-UNPAIRED = {"rx-turned-30", "rx-turned-45", "tilt-about-u", "tilt", "tilt-offset"}
+UNPAIRED = {"rx-turned-30", "rx-turned-45", "rx-turned-3e-12", "tilt-about-u", "tilt",
+            "tilt-offset"}
 
 
 @pytest.mark.parametrize("name", sorted(MIRROR_CASES))
@@ -94,7 +97,7 @@ def test_mirror_axes_reads_the_weights():
     weights = w * (1.0 + a)
     weights *= w.sum() / weights.sum()
     tilted = QuadratureGrid(tx_grid.surface, (a, weights), tx_grid.rule_v)
-    assert mirror_axes(tilted, rx_grid.surface) == {"v": "v"}
+    assert mirror_axes(tilted, rx_grid.surface) == ("v",)
 
 
 def _integer_lattice(n_u, n_v, spacing=(1.0, 1.0)):
@@ -182,12 +185,13 @@ def test_field_and_response_fold_only_by_what_holds(name, monkeypatch):
     on_rx = tuple(mirror_axes(rx_grid, rx_grid.surface))
     symmetry = link_symmetry(tx_grid, rx_grid)
     assert symmetry.fold == tuple(m for m in expected if m in on_rx)
-    # the sectors need both receive mirrors on both grids, as flips of the
-    # transmit axes, and the swap as a swap of them
-    flips = {("u", "v"): (2, 3), ("v", "u"): (3, 2)}.get((expected.get("u"), expected.get("v")))
-    swap = expected.get("swap") == "swap" and "swap" in on_rx
-    assert symmetry.sectors == (flips + (swap,) if flips and {"u", "v"} <= set(on_rx) else None)
     assert (symmetry.pairing is None) == (name in UNPAIRED)
+    # the sectors need both receive mirrors on both grids and aligned frames;
+    # each mirror flips the transmit axis paired with its receive axis
+    pairing = symmetry.pairing
+    assert symmetry.sectors == ((2 + pairing[0], 2 + pairing[1], "swap" in symmetry.fold)
+                                if pairing is not None and {"u", "v"} <= set(symmetry.fold)
+                                else None)
     field = bandwidth_field(tx_grid, rx_grid, WAVE)
     direct = _direct_field(tx_grid, rx_grid)
     response = _response(tx_grid, rx_grid)
@@ -209,8 +213,12 @@ def test_field_and_response_fold_only_by_what_holds(name, monkeypatch):
         assert np.array_equal(response.H_values, half.H_values)
     else:
         assert response.diagnostics["evaluated_lags"] < (11 * 11 + 1) // 2
+        # the mirrors hold to rounding, but behind the receiver turned by
+        # 3e-12 rad only to SYMMETRY_RTOL: the fold moves H by 5.8e-12 of
+        # its peak there
+        bound = SYMMETRY_RTOL if name == "rx-turned-3e-12" else 1e-13
         np.testing.assert_allclose(response.H_values, half.H_values, rtol=0.0,
-                                   atol=1e-13 * half.H_values.max())
+                                   atol=bound * half.H_values.max())
 
 
 @st.composite
