@@ -340,6 +340,12 @@ def link_symmetry(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid) -> LinkSymme
     which on aligned frames exchanges the transmit axes: row (j, i) is then
     row (i, j) with the transmit axes exchanged, on the diagonal or the
     anti-diagonal.
+
+    The record names no point reflection.  The half turn about the receive
+    normal through the receive center, which Landau's two-mirror correlation
+    reads, is the u-mirror composed with the v-mirror, and ``mirror_axes``
+    already reports both; on a grid that holds both it reverses the flat
+    u-major node index.
     """
     tx, rx = tx_grid.surface, rx_grid.surface
     on_rx = mirror_axes(rx_grid, rx)

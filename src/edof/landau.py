@@ -29,7 +29,11 @@ with exact conjugates.  When the scene also holds the receive frame's u-
 and v-mirrors (geometry.mirror_axes), as on a coaxial link, g is even in
 both axes and therefore real, and one lag per mirror orbit is evaluated: a
 quarter of the lattice, or an eighth with the u <-> v swap, which the
-lattice holds when its two axes are equal.  Transmit nodes within 0.1
+lattice holds when its two axes are equal.  The two mirrors compose to the
+half turn about the receive normal through c, which pairs c + delta/2 with
+c - delta/2 and transmit node i with node N-1-i: the sine parts cancel in
+pairs, and g is a sum of 2 w_i cos(k0 (d+ - d-)) / (d+ d-) over half the
+transmit nodes (``_two_mirror_correlation``).  Transmit nodes within 0.1
 wavelengths of the lag box, the receive surface grown to hold every lag
 point, refuse the scene before any lag is placed, as svd and the cut-set do.
 """
@@ -129,27 +133,68 @@ def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     return out
 
 
+def _two_mirror_correlation(lags, reference, rx_surface, tx_grid, wave):
+    """Real g(delta) for (M, 2) lags, on a transmit grid that holds both
+    receive mirrors of ``mirror_axes``, about a ``reference`` on the receive
+    normal through the receive center.
+
+    The two mirrors compose to the half turn P about that normal.  P takes
+    c + delta/2 to c - delta/2 and transmit node i to node N-1-i, of equal
+    weight, so d-(delta, t_i) = d+(delta, t_(N-1-i)) and the sine parts of
+    nodes i and N-1-i cancel:
+
+        g(delta) = s^2 (2 sum_(i < N/2) w_i cos(k0 (d+ - d-)) / (d+ d-)
+                        + w_c / d+^2 for the center node c when N is odd),
+
+    s the kernel scale.  d- is d+ read backwards, so each lag takes N
+    distances and N/2 real cosines, where ``_autocorrelation_many`` takes 2N
+    distances and N complex exponentials and divisions.  The distances are
+    ``node_distances``, rounded as the general sum rounds them: k0 (d+ - d-)
+    keeps about k0 d eps of that rounding, so the cut-set's per-axis tables,
+    which round each distance their own way, put H up to 1.6e-13 of its peak
+    away from the general sum on rigidly moved links.
+    """
+    n, half = len(tx_grid), len(tx_grid) // 2
+    p_plus, _ = _lag_points(lags, reference, rx_surface)
+    pair_weights = 2.0 * tx_grid.weights[:half]
+    out = np.empty(len(lags))
+    for rows in row_blocks(len(lags), n):
+        d_plus = node_distances(p_plus[rows], tx_grid.points, wave)
+        near, far = d_plus[:, :half], d_plus[:, ::-1][:, :half]
+        terms = near - far
+        terms *= wave.k0
+        np.cos(terms, out=terms)
+        terms /= near * far
+        out[rows] = terms @ pair_weights
+        if n % 2:
+            out[rows] += tx_grid.weights[half] / d_plus[:, half] ** 2
+    return np.float64(kernel_scale(wave)) ** 2 * out
+
+
 def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave):
     """g on the odd, centered u-major lattice of two lag axes.
 
     Every scene has g(-delta) = conj(g(delta)), and -delta is the flat index
-    read backwards: the first half is evaluated, the rest is its conjugate.
-    When ``mirrors`` (from mirror_axes) holds the u- and the v-mirror, g is
-    also even in each axis, hence real: one lag per orbit of the mirrors, and
-    of the swap when the two axes are equal (equal counts and spacings), is
-    evaluated and its real part gathered.  Returns g, the mirrors folded by
-    and the lags evaluated.
+    read backwards: the first half is evaluated by ``_autocorrelation_many``,
+    the rest is its conjugate.  When ``mirrors`` (from mirror_axes, about the
+    receive center, where ``reference`` lies) holds the u- and the v-mirror,
+    g is also even in each axis, hence real: one lag per orbit of the
+    mirrors, and of the swap when the two axes are equal (equal counts and
+    spacings), is evaluated by ``_two_mirror_correlation``, a real cosine sum
+    over half the transmit nodes, and gathered.  Returns g, the mirrors
+    folded by and the lags evaluated.
     """
-    def at(flat):
+    def lattice(flat):
         iu, iv = np.divmod(flat, len(axes[1]))
-        return _autocorrelation_many(np.column_stack([axes[0][iu], axes[1][iv]]),
-                                     reference, rx_surface, tx_grid, wave)
+        return np.column_stack([axes[0][iu], axes[1][iv]])
 
     if {"u", "v"} <= set(mirrors):
         folded_by = tuple(m for m in mirrors if m != "swap" or np.array_equal(*axes))
         fold = lattice_orbits((len(axes[0]), len(axes[1])), folded_by)
-        return np.real(at(fold.nodes))[fold.gather], folded_by, len(fold.nodes)
-    half = at(np.arange((len(axes[0]) * len(axes[1]) + 1) // 2))
+        g = _two_mirror_correlation(lattice(fold.nodes), reference, rx_surface, tx_grid, wave)
+        return g[fold.gather], folded_by, len(fold.nodes)
+    half = _autocorrelation_many(lattice(np.arange((len(axes[0]) * len(axes[1]) + 1) // 2)),
+                                 reference, rx_surface, tx_grid, wave)
     return np.concatenate([half, np.conj(half[-2::-1])]), (), len(half)
 
 
@@ -216,9 +261,12 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     When the scene holds both receive mirrors of ``mirror_axes``, g is real
     and evaluated on one lag per orbit of the mirrors, plus the swap when
     the lattice has equal counts and spacings: 2,556 of the 19,881 lags of
-    a 141 x 141 lattice on a coaxial square link.  Otherwise the first half
-    of the lattice is evaluated, and conj(g(delta)) fills in -delta.  The
-    diagnostics record the mirrors used (``symmetry``) and ``evaluated_lags``.
+    a 141 x 141 lattice on a coaxial square link.  Each of those lags is the
+    real cosine sum over half the transmit nodes of
+    ``_two_mirror_correlation``, with its distances from ``node_distances``.
+    Otherwise the first half of the lattice is evaluated by the complex sum,
+    and conj(g(delta)) fills in -delta.  The diagnostics record the mirrors
+    used (``symmetry``) and ``evaluated_lags``.
     """
     coherence = _coherence_scales(rx_surface, tx_grid.surface, wave)
     extent_u, extent_v = _normalize_pair(

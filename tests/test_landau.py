@@ -13,6 +13,7 @@ from edof.kernel import WaveConfig, assemble_operator, green_kernel
 from edof.landau import (
     _autocorrelation_lattice,
     _autocorrelation_many,
+    _two_mirror_correlation,
     autocorrelation_kernel,
     landau_edof,
     polarization_study,
@@ -239,11 +240,15 @@ def test_lattice_evaluates_the_full_lattice_lags_of_its_fold(
     rx, tx_grid, lags = _response_scene(scene, anchor_surfaces, anchor_grids)
     evaluated = []
 
-    def many_spy(lags, *args):
-        evaluated.append(lags)
-        return _autocorrelation_many(lags, *args)
+    def spy(kernel):
+        def evaluate(lags, *args):
+            evaluated.append(lags)
+            return kernel(lags, *args)
+        return evaluate
 
-    monkeypatch.setattr(edof.landau, "_autocorrelation_many", many_spy)
+    # the two-mirror sum on the reference, the general sum on the tilted scene
+    for kernel in (_autocorrelation_many, _two_mirror_correlation):
+        monkeypatch.setattr(edof.landau, kernel.__name__, spy(kernel))
     resp = wavenumber_response(rx, tx_grid, wave, **lags)
     (got,) = evaluated
     assert tuple(resp.diagnostics["symmetry"]) == fold

@@ -23,7 +23,12 @@ from edof.geometry import (
     rotation_about,
 )
 from edof.kernel import WaveConfig
-from edof.landau import _autocorrelation_lattice, _autocorrelation_many, wavenumber_response
+from edof.landau import (
+    _autocorrelation_lattice,
+    _autocorrelation_many,
+    _two_mirror_correlation,
+    wavenumber_response,
+)
 
 WAVE = WaveConfig(wavelength=0.01)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -279,3 +284,81 @@ def test_folds_match_direct_evaluation(scene):
     g, _, _ = _autocorrelation_lattice(axes, mirrors, rx_grid.surface.center,
                                        rx_grid.surface, tx_grid, WAVE)
     assert np.array_equal(g[::-1], np.conj(g))
+
+
+def _half_turn_gaps(tx_grid, rx_surface):
+    """How far the half turn P about the receive normal through the receive
+    center, the u-mirror composed with the v-mirror, misses taking transmit
+    node i onto node N-1-i: the largest position gap relative to the largest
+    aperture side, and the largest relative weight gap."""
+    frame = np.array([rx_surface.tangent_u, rx_surface.tangent_v])
+    image = tx_grid.points - 2.0 * ((tx_grid.points - rx_surface.center) @ frame.T) @ frame
+    tx = tx_grid.surface
+    side = max(tx.length_u, tx.length_v, rx_surface.length_u, rx_surface.length_v)
+    weights = tx_grid.weights
+    return (np.max(np.abs(image - tx_grid.points[::-1])) / side,
+            np.max(np.abs(weights[::-1] - weights) / weights))
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, held) in MIRROR_CASES.items()
+                                        if {"u", "v"} <= set(held)) + ["lateral-1um-u"])
+def test_both_mirrors_reverse_the_transmit_index(name):
+    kwargs, held = MIRROR_CASES[name]
+    tx_grid, rx_grid = _scene(**kwargs)
+    position, weight = _half_turn_gaps(tx_grid, rx_grid.surface)
+    assert weight <= SYMMETRY_RTOL
+    assert (position <= SYMMETRY_RTOL) == ({"u", "v"} <= set(held))
+
+
+def _two_mirror_gap(kwargs, lag_counts, lag_extent):
+    """max |two-mirror sum - Re(general sum)| / max |Re(general sum)| over
+    every lag of a centered lattice."""
+    tx_grid, rx_grid = _scene(**kwargs)
+    rx = rx_grid.surface
+    assert {"u", "v"} <= set(mirror_axes(tx_grid, rx))
+    lags = _coords(_integer_lattice(*lag_counts,
+                                    spacing=[e / n for e, n in zip(lag_extent, lag_counts)]))
+    g = _two_mirror_correlation(lags, rx.center, rx, tx_grid, WAVE)
+    general = np.real(_autocorrelation_many(lags, rx.center, rx, tx_grid, WAVE))
+    return np.max(np.abs(g - general)) / np.max(np.abs(general))
+
+
+@st.composite
+def two_mirror_scenes(draw):
+    """Coaxial links under a random rigid motion whose transmit grid holds
+    both receive mirrors: the receiver turned by 0, 90, 180 or 270 degrees
+    in front of a square or rectangular aperture with odd, even, one-point
+    and unequal axes, or by 45 degrees in front of a square one; midpoint or
+    Gauss-Legendre rules; and a lag lattice of any counts and extents."""
+    eighths = draw(st.sampled_from([0, 2, 4, 6, 1]))
+    square = eighths == 1 or draw(st.booleans())
+    sizes, counts = st.floats(0.05, 0.6), st.integers(1, 9)
+
+    def pair(strategy, equal):
+        first = draw(strategy)
+        return (first, first) if equal else (first, draw(strategy))
+
+    polar, azimuth = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    axis = (np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+            np.cos(polar))
+    event(f"receiver turned {45 * eighths} degrees")
+    return dict(
+        tx_size=pair(sizes, square), tx_counts=pair(counts, square),
+        rx_size=pair(sizes, draw(st.booleans())),
+        distance=draw(st.floats(0.5, 5.0)),
+        rx_turn=rotation_about(Z_AXIS, 0.25 * np.pi * eighths),
+        motion=(rotation_about(axis, draw(st.floats(0.0, 2.0 * np.pi))),
+                np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))),
+        rule=draw(st.sampled_from(["midpoint", "gauss-legendre"])),
+    ), pair(st.integers(1, 9), False), pair(st.floats(0.01, 0.6), False)
+
+
+@given(two_mirror_scenes())
+def test_two_mirror_sum_matches_the_general_sum(scene):
+    assert _two_mirror_gap(*scene) <= 1e-12
+
+
+def test_two_mirror_sum_behind_a_receiver_turned_3e_12_rad():
+    # both mirrors hold only to SYMMETRY_RTOL there
+    kwargs, _ = MIRROR_CASES["rx-turned-3e-12"]
+    assert _two_mirror_gap(kwargs, (11, 11), (0.4, 0.4)) <= SYMMETRY_RTOL
