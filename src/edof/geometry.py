@@ -283,8 +283,6 @@ def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> tuple[str
     transmitter keeps all three.
     """
     tx = tx_grid.surface
-    tol = SYMMETRY_RTOL * max(tx.length_u, tx.length_v,
-                              rx_surface.length_u, rx_surface.length_v)
     tangents = np.column_stack([tx.tangent_u, tx.tangent_v])
     index = np.arange(len(tx_grid)).reshape(tx_grid.shape)
     offsets = tx_grid.points - rx_surface.center
@@ -295,12 +293,37 @@ def mirror_axes(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> tuple[str
         # the reflection in transmit local coordinates, about the tx center
         mapped = _signed_permutation(index, tangents.T @ (
             tangents - 2.0 * np.outer(e, e @ tangents)))
-        if mapped is not None \
-                and np.max(np.abs(image - tx_grid.points[mapped])) <= tol \
-                and np.all(np.abs(tx_grid.weights[mapped] - tx_grid.weights)
-                           <= SYMMETRY_RTOL * tx_grid.weights):
+        if mapped is not None and _lands_on(tx_grid, rx_surface, image, mapped):
             held.append(name)
     return tuple(held)
+
+
+def half_turn_reverses(tx_grid: QuadratureGrid, rx_surface: PlanarSurface) -> bool:
+    """Whether the half turn about the receive normal through the receive
+    center maps transmit node i onto node N-1-i of equal weight, to the
+    tolerance of ``mirror_axes``.
+
+    The half turn is the u-mirror composed with the v-mirror.  A transmit
+    grid that holds both mirrors on a plane parallel to the receive plane
+    reverses its flat u-major index under it.  On a transmit plane that
+    contains the receive normal the half turn is a reflection within that
+    plane, and a grid holds both mirrors without it.  Landau's two-mirror
+    correlation is the one reader, so ``LinkSymmetry`` does not carry it.
+    """
+    frame = np.array([rx_surface.tangent_u, rx_surface.tangent_v])
+    image = tx_grid.points - 2.0 * ((tx_grid.points - rx_surface.center) @ frame.T) @ frame
+    return _lands_on(tx_grid, rx_surface, image, np.arange(len(tx_grid))[::-1])
+
+
+def _lands_on(tx_grid, rx_surface, image, mapped):
+    """Whether each transmit node's ``image`` lies on node ``mapped`` of
+    equal weight, to SYMMETRY_RTOL of the largest aperture side."""
+    tx = tx_grid.surface
+    tol = SYMMETRY_RTOL * max(tx.length_u, tx.length_v,
+                              rx_surface.length_u, rx_surface.length_v)
+    return bool(np.max(np.abs(image - tx_grid.points[mapped])) <= tol
+                and np.all(np.abs(tx_grid.weights[mapped] - tx_grid.weights)
+                           <= SYMMETRY_RTOL * tx_grid.weights))
 
 
 @dataclass(frozen=True)
@@ -340,12 +363,6 @@ def link_symmetry(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid) -> LinkSymme
     which on aligned frames exchanges the transmit axes: row (j, i) is then
     row (i, j) with the transmit axes exchanged, on the diagonal or the
     anti-diagonal.
-
-    The record names no point reflection.  The half turn about the receive
-    normal through the receive center, which Landau's two-mirror correlation
-    reads, is the u-mirror composed with the v-mirror, and ``mirror_axes``
-    already reports both; on a grid that holds both it reverses the flat
-    u-major node index.
     """
     tx, rx = tx_grid.surface, rx_grid.surface
     on_rx = mirror_axes(rx_grid, rx)

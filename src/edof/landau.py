@@ -29,13 +29,13 @@ with exact conjugates.  When the scene also holds the receive frame's u-
 and v-mirrors (geometry.mirror_axes), as on a coaxial link, g is even in
 both axes and therefore real, and one lag per mirror orbit is evaluated: a
 quarter of the lattice, or an eighth with the u <-> v swap, which the
-lattice holds when its two axes are equal.  The two mirrors compose to the
-half turn about the receive normal through c, which pairs c + delta/2 with
-c - delta/2 and transmit node i with node N-1-i: the sine parts cancel in
-pairs, and g is a sum of 2 w_i cos(k0 (d+ - d-)) / (d+ d-) over half the
-transmit nodes (``_two_mirror_correlation``).  Transmit nodes within 0.1
-wavelengths of the lag box, the receive surface grown to hold every lag
-point, refuse the scene before any lag is placed, as svd and the cut-set do.
+lattice holds when its two axes are equal.  Where the half turn the two
+mirrors compose to also reverses the transmit index
+(geometry.half_turn_reverses), each folded lag is a real cosine sum over
+half the transmit nodes (``_two_mirror_correlation``).  Transmit nodes
+within 0.1 wavelengths of the lag box, the receive surface grown to hold
+every lag point, refuse the scene before any lag is placed, as svd and the
+cut-set do.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .geometry import (
     box_distances,
     corners,
     discretize,
+    half_turn_reverses,
     lattice_orbits,
     mirror_axes,
 )
@@ -134,25 +135,21 @@ def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
 
 
 def _two_mirror_correlation(lags, reference, rx_surface, tx_grid, wave):
-    """Real g(delta) for (M, 2) lags, on a transmit grid that holds both
-    receive mirrors of ``mirror_axes``, about a ``reference`` on the receive
-    normal through the receive center.
+    """Real g(delta) for (M, 2) lags about the receive center c, on a
+    transmit grid that ``half_turn_reverses``.
 
-    The two mirrors compose to the half turn P about that normal.  P takes
-    c + delta/2 to c - delta/2 and transmit node i to node N-1-i, of equal
-    weight, so d-(delta, t_i) = d+(delta, t_(N-1-i)) and the sine parts of
-    nodes i and N-1-i cancel:
+    The half turn P about the receive normal through c takes c + delta/2 to
+    c - delta/2 and there transmit node i to node N-1-i, of equal weight,
+    so d-(delta, t_i) = d+(delta, t_(N-1-i)) and the sine parts of nodes i
+    and N-1-i cancel:
 
         g(delta) = s^2 (2 sum_(i < N/2) w_i cos(k0 (d+ - d-)) / (d+ d-)
-                        + w_c / d+^2 for the center node c when N is odd),
+                        + w_m / d+^2 for the middle node m when N is odd),
 
     s the kernel scale.  d- is d+ read backwards, so each lag takes N
     distances and N/2 real cosines, where ``_autocorrelation_many`` takes 2N
     distances and N complex exponentials and divisions.  The distances are
-    ``node_distances``, rounded as the general sum rounds them: k0 (d+ - d-)
-    keeps about k0 d eps of that rounding, so the cut-set's per-axis tables,
-    which round each distance their own way, put H up to 1.6e-13 of its peak
-    away from the general sum on rigidly moved links.
+    ``node_distances``, rounded as the general sum rounds them.
     """
     n, half = len(tx_grid), len(tx_grid) // 2
     p_plus, _ = _lag_points(lags, reference, rx_surface)
@@ -180,9 +177,11 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave
     receive center, where ``reference`` lies) holds the u- and the v-mirror,
     g is also even in each axis, hence real: one lag per orbit of the
     mirrors, and of the swap when the two axes are equal (equal counts and
-    spacings), is evaluated by ``_two_mirror_correlation``, a real cosine sum
-    over half the transmit nodes, and gathered.  Returns g, the mirrors
-    folded by and the lags evaluated.
+    spacings), is evaluated and gathered.  The orbit lags are evaluated by
+    ``_two_mirror_correlation`` when the transmit grid
+    ``half_turn_reverses``, and as the real part of the general sum
+    otherwise: on a transmit plane that contains the receive normal.
+    Returns g, the mirrors folded by and the lags evaluated.
     """
     def lattice(flat):
         iu, iv = np.divmod(flat, len(axes[1]))
@@ -191,7 +190,11 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave
     if {"u", "v"} <= set(mirrors):
         folded_by = tuple(m for m in mirrors if m != "swap" or np.array_equal(*axes))
         fold = lattice_orbits((len(axes[0]), len(axes[1])), folded_by)
-        g = _two_mirror_correlation(lattice(fold.nodes), reference, rx_surface, tx_grid, wave)
+        lags = lattice(fold.nodes)
+        if half_turn_reverses(tx_grid, rx_surface):
+            g = _two_mirror_correlation(lags, reference, rx_surface, tx_grid, wave)
+        else:
+            g = np.real(_autocorrelation_many(lags, reference, rx_surface, tx_grid, wave))
         return g[fold.gather], folded_by, len(fold.nodes)
     half = _autocorrelation_many(lattice(np.arange((len(axes[0]) * len(axes[1]) + 1) // 2)),
                                  reference, rx_surface, tx_grid, wave)
@@ -261,12 +264,12 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
     When the scene holds both receive mirrors of ``mirror_axes``, g is real
     and evaluated on one lag per orbit of the mirrors, plus the swap when
     the lattice has equal counts and spacings: 2,556 of the 19,881 lags of
-    a 141 x 141 lattice on a coaxial square link.  Each of those lags is the
-    real cosine sum over half the transmit nodes of
-    ``_two_mirror_correlation``, with its distances from ``node_distances``.
-    Otherwise the first half of the lattice is evaluated by the complex sum,
-    and conj(g(delta)) fills in -delta.  The diagnostics record the mirrors
-    used (``symmetry``) and ``evaluated_lags``.
+    a 141 x 141 lattice on a coaxial square link, each by
+    ``_two_mirror_correlation`` where the transmit grid
+    ``half_turn_reverses``.  Otherwise the first half of the lattice is
+    evaluated by the complex sum, and conj(g(delta)) fills in -delta.  The
+    diagnostics record the mirrors used (``symmetry``) and
+    ``evaluated_lags``.
     """
     coherence = _coherence_scales(rx_surface, tx_grid.surface, wave)
     extent_u, extent_v = _normalize_pair(

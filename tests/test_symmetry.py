@@ -16,6 +16,7 @@ from edof.geometry import (
     SYMMETRY_RTOL,
     QuadratureGrid,
     discretize,
+    half_turn_reverses,
     lattice_orbits,
     link_symmetry,
     make_surface,
@@ -83,10 +84,21 @@ MIRROR_CASES = {
     # u-rows weigh 1.5 and 0.5 keep only v
     "rx-one-node": ({"rx_size": (0.5, 0.25), "rx_counts": (1, 1)}, COAXIAL),
     "rx-edge-weights": ({"rx_edge_weights": (1.5, 0.5)}, COAXIAL),
+    # the receiver 1 m along the transmit v-axis, facing back along it: the
+    # transmit plane contains the receive normal, the v-mirror fixes every
+    # transmit node and the half turn is a reflection within that plane.
+    # Even receive counts keep receive nodes out of the transmit plane, where
+    # the cut-set field is zero to rounding.
+    "edge-on": ({"rx_offset": (0.0, 1.0), "distance": 0.0, "rx_counts": (6, 6),
+                 "rx_turn": rotation_about((1.0, 0.0, 0.0), np.pi / 2)}, ("u", "v")),
 }
 # MIRROR_CASES whose planes are not parallel with aligned axes
 UNPAIRED = {"rx-turned-30", "rx-turned-45", "rx-turned-3e-12", "tilt-about-u", "tilt",
-            "tilt-offset"}
+            "tilt-offset", "edge-on"}
+# MIRROR_CASES that hold both receive mirrors, and those of them whose
+# transmit plane is parallel to the receive plane
+TWO_MIRROR = sorted(name for name, (_, held) in MIRROR_CASES.items() if {"u", "v"} <= set(held))
+PARALLEL_TWO_MIRROR = [name for name in TWO_MIRROR if name != "edge-on"]
 
 
 @pytest.mark.parametrize("name", sorted(MIRROR_CASES))
@@ -300,14 +312,32 @@ def _half_turn_gaps(tx_grid, rx_surface):
             np.max(np.abs(weights[::-1] - weights) / weights))
 
 
-@pytest.mark.parametrize("name", sorted(name for name, (_, held) in MIRROR_CASES.items()
-                                        if {"u", "v"} <= set(held)) + ["lateral-1um-u"])
+@pytest.mark.parametrize("name", TWO_MIRROR + ["lateral-1um-u"])
 def test_both_mirrors_reverse_the_transmit_index(name):
-    kwargs, held = MIRROR_CASES[name]
+    # on parallel planes only: edge-on, the half turn fixes the transmit v-axis
+    kwargs, _ = MIRROR_CASES[name]
     tx_grid, rx_grid = _scene(**kwargs)
     position, weight = _half_turn_gaps(tx_grid, rx_grid.surface)
+    reverses = name in PARALLEL_TWO_MIRROR
     assert weight <= SYMMETRY_RTOL
-    assert (position <= SYMMETRY_RTOL) == ({"u", "v"} <= set(held))
+    assert (position <= SYMMETRY_RTOL) == reverses
+    assert half_turn_reverses(tx_grid, rx_grid.surface) == reverses
+
+
+@pytest.mark.parametrize("name", TWO_MIRROR)
+def test_two_mirror_lattice_matches_the_general_sum(name):
+    # the folded lattice, by whichever kernel it picks, against the real
+    # part of the complex sum on every lag
+    kwargs, _ = MIRROR_CASES[name]
+    tx_grid, rx_grid = _scene(**kwargs)
+    rx = rx_grid.surface
+    axes = _integer_lattice(11, 11, spacing=(0.4 / 11, 0.4 / 11))
+    g, folded_by, _ = _autocorrelation_lattice(axes, mirror_axes(tx_grid, rx), rx.center,
+                                               rx, tx_grid, WAVE)
+    general = np.real(_autocorrelation_many(_coords(axes), rx.center, rx, tx_grid, WAVE))
+    assert {"u", "v"} <= set(folded_by)
+    bound = SYMMETRY_RTOL if name == "rx-turned-3e-12" else 1e-13
+    assert np.max(np.abs(g - general)) <= bound * np.max(np.abs(general))
 
 
 def _two_mirror_gap(kwargs, lag_counts, lag_extent):
@@ -315,7 +345,7 @@ def _two_mirror_gap(kwargs, lag_counts, lag_extent):
     every lag of a centered lattice."""
     tx_grid, rx_grid = _scene(**kwargs)
     rx = rx_grid.surface
-    assert {"u", "v"} <= set(mirror_axes(tx_grid, rx))
+    assert {"u", "v"} <= set(mirror_axes(tx_grid, rx)) and half_turn_reverses(tx_grid, rx)
     lags = _coords(_integer_lattice(*lag_counts,
                                     spacing=[e / n for e, n in zip(lag_extent, lag_counts)]))
     g = _two_mirror_correlation(lags, rx.center, rx, tx_grid, WAVE)
