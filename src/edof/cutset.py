@@ -37,7 +37,9 @@ from .geometry import (
     global_point,
     lattice_orbits,
     link_symmetry,
+    paired_overlap,
     quadrature_rule,
+    squared_offsets,
 )
 from .kernel import WaveConfig, check_separation, row_blocks
 from .spectrum import EdofReport
@@ -191,36 +193,6 @@ def set_measure_bandwidth(r_rx, tx_grid: QuadratureGrid,
     return float(occupied) * resolution ** 2
 
 
-def _offset_tables(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid, pairing):
-    """Squared pair offsets of a link with a ``link_symmetry`` pairing, one
-    table per transmit axis, and the Jacobian's constant factor; None when the
-    largest squared distance overflows.
-
-    Table m holds, at [i, j], the squared offset along receive axis
-    pairing[m] between receive coordinate i on that axis and transmit
-    coordinate j on axis m; the first table also holds H^2, so a pair's
-    squared distance is one entry of each.  The constant is
-    k0^2 |det G| H^2.  Offsets are taken about the receive center, as in
-    ``_jacobian_dets``.
-    """
-    tx, rx = tx_grid.surface, rx_grid.surface
-    rx_axes = (rx.tangent_u, rx.tangent_v)
-    rx_nodes = (rx_grid.rule_u[0], rx_grid.rule_v[0])
-    offset = tx.center - rx.center
-    tables, det_g = [], 1.0
-    for tangent, (nodes, _), k in zip((tx.tangent_u, tx.tangent_v),
-                                      (tx_grid.rule_u, tx_grid.rule_v), pairing):
-        g = rx_axes[k] @ tangent
-        x = rx_nodes[k][:, None] - (offset @ rx_axes[k] + g * nodes[None, :])
-        tables.append(x * x)
-        det_g *= g
-    h2 = (offset @ rx.normal) ** 2
-    tables[0] += h2
-    if not np.isfinite(tables[0].max() + tables[1].max()):
-        return None
-    return tables, abs(det_g) * h2
-
-
 def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
                     wave: WaveConfig) -> LocalBandwidthField:
     """Local bandwidth at every receive node, by the Jacobian integral.
@@ -235,10 +207,10 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     k0^2 |det G| H^2 / (|X|^2 + H^2)^2 with H constant.  When the axes are
     also aligned (the ``link_symmetry`` pairing), each in-plane offset
     depends on one receive and one transmit coordinate, so a block of
-    squared distances is the outer sum of two rows of ``_offset_tables``,
-    contracted with the transmit weights.  Offsets that overflow take the general path, which
-    reads NaN there.  Other scenes run ``_jacobian_dets`` on every pair of
-    the folded rows.
+    squared distances is the outer sum of two rows of the
+    ``squared_offsets`` tables, contracted with the transmit weights.
+    Offsets that overflow take the general path, which reads NaN there.
+    Other scenes run ``_jacobian_dets`` on every pair of the folded rows.
     """
     rx_surface = rx_grid.surface
     symmetry = link_symmetry(tx_grid, rx_grid)
@@ -246,7 +218,8 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     folded = np.empty(len(fold.nodes))
     blocks = row_blocks(len(fold.nodes), len(tx_grid))
     pairing = symmetry.pairing
-    tables = None if pairing is None else _offset_tables(tx_grid, rx_grid, pairing)
+    tables = None if pairing is None else squared_offsets(
+        tx_grid, rx_surface, (rx_grid.rule_u[0], rx_grid.rule_v[0]), pairing)
     if tables is None:
         points = rx_grid.points[fold.nodes]
         for rows in blocks:
@@ -254,7 +227,8 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
                                   tx_grid.surface, rx_surface, wave)
             folded[rows] = dets @ tx_grid.weights
     else:
-        (a2, b2), scale = tables
+        a2, b2, h2 = tables
+        g_a, g_b = paired_overlap(tx_grid.surface, rx_surface, pairing)
         # the sum of the minima is the nearest pair, exactly
         check_separation(np.sqrt(a2.min() + b2.min()), wave)
         rx_index = np.divmod(fold.nodes, rx_grid.shape[1])
@@ -264,7 +238,7 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
             inv *= inv
             np.reciprocal(inv, out=inv)
             folded[rows] = inv.reshape(len(inv), -1) @ tx_grid.weights
-        folded *= np.float64(wave.k0) ** 2 * scale
+        folded *= np.float64(wave.k0) ** 2 * (abs(g_a * g_b) * h2)
     return LocalBandwidthField(rx_grid=rx_grid, values=folded[fold.gather],
                                symmetry=symmetry.fold, evaluated_nodes=len(fold.nodes))
 

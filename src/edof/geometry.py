@@ -16,13 +16,16 @@ Every rectangle is a surface, the Landau lag box included.
 
 A link's symmetry is decided here, in one place, for all three estimators.
 ``mirror_axes`` names the reflections of the receive frame that map a grid
-onto itself, and ``link_symmetry`` keeps what the estimators read of a
-(transmit grid, receive grid) pair in one record: the reflections both
-grids hold (the cut-set field's fold), the pairing of the axes of
-parallel, aligned planes (the cut-set field's per-axis tables), and the
-parity-sector axes and the u <-> v swap that the fold and the pairing give
-together (operator assembly and the spectrum).  ``lattice_orbits`` folds a
-u-major lattice by the reflections its caller says hold.
+onto itself, and ``axis_pairing`` pairs the axes of parallel, aligned
+planes.  ``link_symmetry`` keeps what the estimators read of a (transmit
+grid, receive grid) pair in one record: the reflections both grids hold
+(the cut-set field's fold), the pairing, and the parity-sector axes and the
+u <-> v swap that the fold and the pairing give together (operator assembly
+and the spectrum).  On a paired link ``paired_offsets`` gives the in-plane
+offsets of receive points from transmit nodes as one small table per axis,
+and ``squared_offsets`` their squares, which the cut-set field and Landau's
+two-mirror correlation read.  ``lattice_orbits`` folds a u-major lattice by
+the reflections its caller says hold.
 """
 
 from __future__ import annotations
@@ -326,6 +329,68 @@ def _lands_on(tx_grid, rx_surface, image, mapped):
                            <= SYMMETRY_RTOL * tx_grid.weights))
 
 
+def axis_pairing(tx_surface: PlanarSurface, rx_surface: PlanarSurface, tol: float = FRAME_TOL):
+    """The receive axis along transmit u and the one along transmit v (0 for
+    u, 1 for v), or None.
+
+    Not None exactly when the planes are parallel and the frame overlap
+    G = [[ru.tu, ru.tv], [rv.tu, rv.tv]] is a signed permutation, both to
+    ``tol``: frames aligned, or the receiver turned by a multiple of 90
+    degrees.  Then each in-plane offset of a point pair along a receive axis
+    depends on one receive and one transmit coordinate only.  The pairing is
+    its own inverse, so pairing[0] is also the transmit axis along receive u.
+    """
+    overlap = np.array([rx_surface.tangent_u, rx_surface.tangent_v, rx_surface.normal]) \
+        @ np.column_stack([tx_surface.tangent_u, tx_surface.tangent_v])
+    signs = np.rint(overlap)
+    if np.max(np.abs(overlap - signs)) > tol or signs[2].any():
+        return None
+    return tuple(int(np.flatnonzero(c)[0]) for c in signs.T)
+
+
+def paired_overlap(tx_surface: PlanarSurface, rx_surface: PlanarSurface, pairing):
+    """(g_0, g_1), g_m the overlap of transmit axis m with its paired receive
+    axis pairing[m]: the entries of G that the pairing rounds to +1 or -1."""
+    rx_axes = (rx_surface.tangent_u, rx_surface.tangent_v)
+    return tuple(rx_axes[k] @ t for t, k in zip((tx_surface.tangent_u, tx_surface.tangent_v),
+                                                 pairing))
+
+
+def paired_offsets(tx_grid: QuadratureGrid, rx_surface: PlanarSurface, rx_coords, pairing):
+    """In-plane offsets of receive points from transmit nodes on a link with
+    an ``axis_pairing``, one table per transmit axis, and the height of the
+    transmit center over the receive plane.
+
+    ``rx_coords`` holds receive coordinates per receive axis, about the
+    receive center.  Table m holds, at [i, j], the offset along receive axis
+    k = pairing[m] from transmit coordinate j on axis m to receive
+    coordinate rx_coords[k][i], so the squared distance of a pair is the sum
+    of one squared entry of each table and the squared height.  Offsets are
+    taken about the receive center, so rounding does not grow with the
+    scene's distance from the origin.
+    """
+    tx = tx_grid.surface
+    rx_axes = (rx_surface.tangent_u, rx_surface.tangent_v)
+    offset = tx.center - rx_surface.center
+    tables = tuple(rx_coords[k][:, None] - (offset @ rx_axes[k] + g * nodes[None, :])
+                   for g, (nodes, _), k in zip(paired_overlap(tx, rx_surface, pairing),
+                                               (tx_grid.rule_u, tx_grid.rule_v), pairing))
+    return tables, offset @ rx_surface.normal
+
+
+def squared_offsets(tx_grid: QuadratureGrid, rx_surface: PlanarSurface, rx_coords, pairing):
+    """The ``paired_offsets`` tables squared, the first also holding H^2 so
+    that the squared distance of a pair is one entry of each, and H^2; None
+    when the largest squared distance overflows."""
+    (a, b), height = paired_offsets(tx_grid, rx_surface, rx_coords, pairing)
+    h2 = height ** 2
+    a2, b2 = a * a, b * b
+    a2 += h2
+    if not np.isfinite(a2.max() + b2.max()):
+        return None
+    return a2, b2, h2
+
+
 @dataclass(frozen=True)
 class LinkSymmetry:
     """What the estimators read of a link's symmetry; see ``link_symmetry``."""
@@ -346,32 +411,23 @@ def link_symmetry(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid) -> LinkSymme
     folds by ``fold`` too, reads only the receive nodes, so a receive grid
     with mirrored nodes but uneven weights merely folds by less.
 
-    ``pairing`` (0 for u, 1 for v) is not None exactly when the planes are
-    parallel and the frame overlap G = [[ru.tu, ru.tv], [rv.tu, rv.tv]] is a
-    signed permutation, both to FRAME_TOL: frames aligned, or the receiver
-    turned by a multiple of 90 degrees.  Then each in-plane offset of a node
-    pair along a receive axis depends on one receive and one transmit
-    coordinate only.  The pairing is its own inverse, so pairing[0] is also
-    the transmit axis along receive u.
+    ``pairing`` is the ``axis_pairing`` of the two surfaces.
 
     ``sectors`` is not None exactly when the fold holds both mirrors and the
     pairing is not None.  It names the axes of the (rx_u, rx_v, tx_u, tx_v)
     coupling array that the u- and the v-mirror flip, 2 + pairing[0] and
     2 + pairing[1]: row (n_u-1-i, j) is row (i, j) with the transmit axis
     along receive u reversed, and likewise along v, so the first ceil(n/2)
-    receive rows per axis determine the rest.  Its swap is True when the fold also holds the swap,
-    which on aligned frames exchanges the transmit axes: row (j, i) is then
-    row (i, j) with the transmit axes exchanged, on the diagonal or the
-    anti-diagonal.
+    receive rows per axis determine the rest.  Its swap is True when the
+    fold also holds the swap, which on aligned frames exchanges the transmit
+    axes: row (j, i) is then row (i, j) with the transmit axes exchanged, on
+    the diagonal when the two ``paired_overlap`` signs agree and on the
+    anti-diagonal when they differ.
     """
-    tx, rx = tx_grid.surface, rx_grid.surface
+    rx = rx_grid.surface
     on_rx = mirror_axes(rx_grid, rx)
     fold = tuple(name for name in mirror_axes(tx_grid, rx) if name in on_rx)
-    overlap = np.array([rx.tangent_u, rx.tangent_v, rx.normal]) \
-        @ np.column_stack([tx.tangent_u, tx.tangent_v])
-    signs = np.rint(overlap)
-    aligned = np.max(np.abs(overlap - signs)) <= FRAME_TOL and not signs[2].any()
-    pairing = tuple(int(np.flatnonzero(c)[0]) for c in signs.T) if aligned else None
+    pairing = axis_pairing(tx_grid.surface, rx)
     return LinkSymmetry(
         fold=fold,
         sectors=(2 + pairing[0], 2 + pairing[1], "swap" in fold)

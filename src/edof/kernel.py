@@ -16,8 +16,9 @@ vectors equal the discrete weighted L2 inner products of the fields.
 
 On a mirror-symmetric link (the ``sectors`` of geometry.link_symmetry: two
 coaxial parallel apertures) the receive u- and v-mirrors keep every node
-distance, so the kernel is evaluated on about a quarter of the receive rows
-and the rest are copied from their mirror images.
+distance, so the kernel is evaluated on about a quarter of the receive rows,
+or an eighth where the u <-> v swap holds too, and the rest are copied from
+their images.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, GeometryError, SingularKernelError
-from .geometry import LinkSymmetry, QuadratureGrid, link_symmetry, surfaces_intersect
+from .geometry import (
+    LinkSymmetry,
+    QuadratureGrid,
+    link_symmetry,
+    paired_overlap,
+    surfaces_intersect,
+)
 
 # Wave impedance of free space, ohms.
 VACUUM_IMPEDANCE_OHM = 376.730313668
@@ -150,10 +157,14 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     When the link has ``link_symmetry`` sectors, the kernel is evaluated
     only on the fundamental receive rows, the first ceil(n/2) per receive
     axis, which are the rows the parity sectors of ``coupling_spectrum``
-    read; the other rows are their mirror images with the mirror's transmit
-    axis reversed.
-    The mirrors keep every node distance, so the separation check on the
-    fundamental rows covers all of them.  Elsewhere every row is evaluated.
+    read; where the sectors also hold the swap, only on the rows (i, j) of
+    those with i <= j, h(h+1)/2 of h^2.  Row (j, i) is then row (i, j) with
+    the transmit axes exchanged, on the diagonal or the anti-diagonal as
+    ``link_symmetry`` says, and the other rows are the mirror images of the
+    fundamental ones with the mirror's transmit axis reversed.  The
+    evaluated rows are the direct kernel bit for bit.  The reflections keep
+    every node distance, so the separation check on the evaluated rows
+    covers all of them.  Elsewhere every row is evaluated.
     """
     if surfaces_intersect(tx_grid.surface, rx_grid.surface):
         raise GeometryError("transmit and receive surfaces intersect")
@@ -161,25 +172,37 @@ def assemble_operator(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     axes = symmetry.sectors
     n_u, n_v = rx_grid.shape
     h_u, h_v = (n_u, n_v) if axes is None else (n_u - n_u // 2, n_v - n_v // 2)
-    evaluated = np.arange(len(rx_grid)).reshape(n_u, n_v)[:h_u, :h_v].ravel()
+    quarter = np.arange(len(rx_grid)).reshape(n_u, n_v)[:h_u, :h_v]
+    swap = axes is not None and axes[2]
+    evaluated = quarter[np.triu_indices(h_u)] if swap else quarter.ravel()
     sq_w_rx = np.sqrt(rx_grid.weights)
     sq_w_tx = np.sqrt(tx_grid.weights)
     matrix = np.empty((len(rx_grid), len(tx_grid)), dtype=complex)
     for block in row_blocks(evaluated.size, len(tx_grid)):
         rows = evaluated[block]
         # No block temporary outlives the loop: one left alive would keep
-        # the allocator from returning the others while the mirror copies
-        # below fill the rest of the matrix.
+        # the allocator from returning the others while the copies below
+        # fill the rest of the matrix.
         d = node_distances(rx_grid.points[rows], tx_grid.points, wave)
         matrix[rows] = (sq_w_rx[rows, None] * _kernel_of_distance(d, wave)
                         * sq_w_tx[None, :])
         del d
     if axes is not None:
+        a4 = matrix.reshape(rx_grid.shape + tx_grid.shape)
+        if swap:
+            # Row (j, i) is row (i, j) seen through the swap: node (a, b)
+            # goes to (b, a), or to (n-1-b, n-1-a) when the paired overlaps
+            # differ in sign.  One row per copy: rows are disjoint, so numpy
+            # needs no temporary, where a slab of rows would take one.
+            g_a, g_b = paired_overlap(tx_grid.surface, rx_grid.surface, symmetry.pairing)
+            flip = slice(None, None, -1 if g_a * g_b < 0.0 else 1)
+            for i in range(h_u - 1):
+                for j in range(i + 1, h_u):
+                    a4[j, i] = a4[i, j, flip, flip].T
         # Row (n_u-1-i, j) is row (i, j) seen through the u-mirror, and row
         # (i, n_v-1-j) is row (i, j) seen through the v-mirror.  Each copy
         # reads rows that lie wholly before the rows it writes, so numpy
         # needs no temporary for it.
-        a4 = matrix.reshape(rx_grid.shape + tx_grid.shape)
         for i in range(n_u // 2):
             a4[n_u - 1 - i, :h_v] = np.flip(a4[i, :h_v], axes[0] - 1)
         for i in range(n_u):

@@ -32,10 +32,12 @@ quarter of the lattice, or an eighth with the u <-> v swap, which the
 lattice holds when its two axes are equal.  Where the half turn the two
 mirrors compose to also reverses the transmit index
 (geometry.half_turn_reverses), each folded lag is a real cosine sum over
-half the transmit nodes (``_two_mirror_correlation``).  Transmit nodes
-within 0.1 wavelengths of the lag box, the receive surface grown to hold
-every lag point, refuse the scene before any lag is placed, as svd and the
-cut-set do.
+half the transmit nodes (``_two_mirror_correlation``), with its distances
+from per-axis tables where the frames are aligned.  Every sum takes the
+phase k0 (d+ - d-) in a form that does not cancel (``_autocorrelation_many``).
+Transmit nodes within 0.1 wavelengths of the lag box, the receive surface
+grown to hold every lag point, refuse the scene before any lag is placed,
+as svd and the cut-set do.
 """
 
 from __future__ import annotations
@@ -50,12 +52,15 @@ from .errors import GeometryError, NumericalError, ResourceError
 from .geometry import (
     PlanarSurface,
     QuadratureGrid,
+    axis_pairing,
     box_distances,
     corners,
     discretize,
     half_turn_reverses,
     lattice_orbits,
     mirror_axes,
+    paired_offsets,
+    squared_offsets,
 )
 from .kernel import (
     WaveConfig,
@@ -79,6 +84,13 @@ DEFAULT_EXTENT_COHERENCE_UNITS = 8.0
 # (4 pi / extent each); the default lag spacing samples the padded band
 # twice as finely as Nyquist, which is a quarter wavelength at grazing.
 BAND_PAD_LOBES = 2.0
+
+# Largest miss of the frame overlap (geometry.axis_pairing) at which the
+# two-mirror sum reads per-axis tables.  The tables drop the overlap's
+# off-pair entries, which moves each phase by about the miss times the
+# largest phase: a few eps, the rounding of a rigidly moved frame, keeps
+# that within the rounding of the phase itself, where FRAME_TOL would not.
+TABLE_FRAME_TOL = 8.0 * np.finfo(float).eps
 
 DEFAULT_STUDY_GAMMAS = (0.01, 0.5, 0.99)
 DEFAULT_POINTS_PER_WAVELENGTH = 2.5
@@ -120,21 +132,76 @@ def _lag_points(lags, reference, rx_surface):
     return reference + offset, reference - offset
 
 
+def _frame_coords(points, rx_surface):
+    """(..., 2) receive-frame coordinates of (..., 3) points about the receive center."""
+    return (points - rx_surface.center) @ np.array([rx_surface.tangent_u,
+                                                    rx_surface.tangent_v]).T
+
+
 def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
-    """g(delta) for many lags at once; symmetric centering around reference."""
+    """g(delta) for many lags at once; symmetric centering around reference.
+
+    The kernel product collapses to exp(-j k0 (d+ - d-)) / (d+ d-), and
+    the phase is taken as 2 k0 delta.(c - t) / (d+ + d-), from
+    d+^2 - d-^2 = 2 delta.(c - t): the difference of two distances near the
+    link length would keep about k0 d eps of rounding.
+    """
     p_plus, p_minus = _lag_points(lags, reference, rx_surface)
+    # delta.(c - t) = delta.(c - c0) - delta.(t - c0), c0 the receive center
+    toward = np.sum(lags * _frame_coords(reference, rx_surface), axis=-1)
+    nodes = _frame_coords(tx_grid.points, rx_surface).T
     scale = np.float64(kernel_scale(wave)) ** 2   # inf, not OverflowError, at tiny lambda
     out = np.empty(lags.shape[0], dtype=complex)
     for rows in row_blocks(lags.shape[0], len(tx_grid)):
         d_plus = node_distances(p_plus[rows], tx_grid.points, wave)
         d_minus = node_distances(p_minus[rows], tx_grid.points, wave)
-        # one exp per pair: the kernel product collapses to exp(-jk(d+ - d-))
-        phase = np.exp(-1j * wave.k0 * (d_plus - d_minus))
+        along = toward[rows, None] - lags[rows] @ nodes
+        phase = np.exp(-2j * wave.k0 * along / (d_plus + d_minus))
         out[rows] = scale * ((phase / (d_plus * d_minus)) @ tx_grid.weights)
     return out
 
 
-def _two_mirror_correlation(lags, reference, rx_surface, tx_grid, wave):
+def _two_mirror_blocks(lags, rx_surface, tx_grid, wave):
+    """(rows, d+, delta.(c - t) on the first half of the nodes) per block of
+    (M, 2) lags about the receive center c.
+
+    On a link whose frames pair to TABLE_FRAME_TOL (``axis_pairing``) and
+    whose tables do not overflow, d+^2 is the outer sum of the
+    ``squared_offsets`` tables taken at the lag coordinates halved, and
+    delta.(c - t) the outer sum of each lag coordinate times the
+    ``paired_offsets`` table at the receive center; only the half of it
+    that the sum reads is gathered.  Elsewhere d+ is ``node_distances`` and
+    delta.(c - t) is read from the receive-frame coordinates of the nodes.
+    """
+    n, half = len(tx_grid), len(tx_grid) // 2
+    pairing = axis_pairing(tx_grid.surface, rx_surface, TABLE_FRAME_TOL)
+    coords, index = zip(*(np.unique(lags[:, k], return_inverse=True) for k in range(2)))
+    tables = None if pairing is None else squared_offsets(
+        tx_grid, rx_surface, [0.5 * c for c in coords], pairing)
+    if tables is None:
+        p_plus, _ = _lag_points(lags, rx_surface.center, rx_surface)
+        nodes = _frame_coords(tx_grid.points[:half], rx_surface).T
+        for rows in row_blocks(len(lags), n):
+            yield rows, node_distances(p_plus[rows], tx_grid.points, wave), -(lags[rows] @ nodes)
+        return
+    a2, b2, _ = tables
+    # the sum of the minima is the nearest pair, exactly
+    check_separation(np.sqrt(a2.min() + b2.min()), wave)
+    zero = np.zeros(1)
+    (to_a, to_b), _ = paired_offsets(tx_grid, rx_surface, (zero, zero), pairing)
+    lag_a, lag_b = (coords[k][:, None] for k in pairing)
+    along_a, along_b = lag_a * to_a, lag_b * to_b
+    a_rows, b_rows = index[pairing[0]], index[pairing[1]]
+    # the transmit u-rows that hold the first half of the flat index
+    half_rows = -(-half // tx_grid.shape[1])
+    for rows in row_blocks(len(lags), n):
+        d_plus = a2[a_rows[rows], :, None] + b2[b_rows[rows], None, :]
+        np.sqrt(d_plus, out=d_plus)
+        along = along_a[a_rows[rows], :half_rows, None] + along_b[b_rows[rows], None, :]
+        yield rows, d_plus.reshape(len(d_plus), n), along.reshape(len(along), -1)[:, :half]
+
+
+def _two_mirror_correlation(lags, rx_surface, tx_grid, wave):
     """Real g(delta) for (M, 2) lags about the receive center c, on a
     transmit grid that ``half_turn_reverses``.
 
@@ -146,20 +213,18 @@ def _two_mirror_correlation(lags, reference, rx_surface, tx_grid, wave):
         g(delta) = s^2 (2 sum_(i < N/2) w_i cos(k0 (d+ - d-)) / (d+ d-)
                         + w_m / d+^2 for the middle node m when N is odd),
 
-    s the kernel scale.  d- is d+ read backwards, so each lag takes N
-    distances and N/2 real cosines, where ``_autocorrelation_many`` takes 2N
-    distances and N complex exponentials and divisions.  The distances are
-    ``node_distances``, rounded as the general sum rounds them.
+    s the kernel scale, with the phase taken as 2 k0 delta.(c - t) / (d+ + d-)
+    as in ``_autocorrelation_many``.  d- is d+ read backwards, so each lag
+    takes N distances and N/2 real cosines, from per-axis tables where
+    ``_two_mirror_blocks`` finds a pairing.
     """
     n, half = len(tx_grid), len(tx_grid) // 2
-    p_plus, _ = _lag_points(lags, reference, rx_surface)
     pair_weights = 2.0 * tx_grid.weights[:half]
     out = np.empty(len(lags))
-    for rows in row_blocks(len(lags), n):
-        d_plus = node_distances(p_plus[rows], tx_grid.points, wave)
+    for rows, d_plus, along in _two_mirror_blocks(lags, rx_surface, tx_grid, wave):
         near, far = d_plus[:, :half], d_plus[:, ::-1][:, :half]
-        terms = near - far
-        terms *= wave.k0
+        terms = along * (2.0 * wave.k0)
+        terms /= near + far
         np.cos(terms, out=terms)
         terms /= near * far
         out[rows] = terms @ pair_weights
@@ -192,7 +257,7 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave
         fold = lattice_orbits((len(axes[0]), len(axes[1])), folded_by)
         lags = lattice(fold.nodes)
         if half_turn_reverses(tx_grid, rx_surface):
-            g = _two_mirror_correlation(lags, reference, rx_surface, tx_grid, wave)
+            g = _two_mirror_correlation(lags, rx_surface, tx_grid, wave)
         else:
             g = np.real(_autocorrelation_many(lags, reference, rx_surface, tx_grid, wave))
         return g[fold.gather], folded_by, len(fold.nodes)

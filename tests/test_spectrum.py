@@ -13,9 +13,17 @@ from edof.geometry import (
     discretize,
     link_symmetry,
     make_surface,
+    paired_overlap,
     rotation_about,
 )
-from edof.kernel import WaveConfig, assemble_operator, green_kernel, hilbert_schmidt_norm
+import edof.kernel
+from edof.kernel import (
+    WaveConfig,
+    assemble_operator,
+    green_kernel,
+    hilbert_schmidt_norm,
+    node_distances,
+)
 from edof.landau import polarization_study
 from edof.spectrum import (
     CouplingSpectrum,
@@ -343,22 +351,63 @@ def test_sector_spectrum_keeps_parseval(name):
 
 @pytest.mark.parametrize("name", sorted(SECTOR_SCENES))
 def test_folded_assembly_matches_the_direct_build(name):
-    """The fundamental receive rows are the direct kernel bit for bit; every
-    mirrored entry lies within the README's tau of it, relative to it."""
+    """The evaluated receive rows, (i, j) of the fundamental quarter and
+    with i <= j where the swap holds, are the direct kernel bit for bit;
+    every copied entry lies within the README's tau of it, relative to it."""
     op = _coaxial_operator(**SECTOR_SCENES[name])
     direct = _direct_matrix(op)
     (n_u, n_v), n_tx = op.rx_grid.shape, len(op.tx_grid)
     h_u, h_v = n_u - n_u // 2, n_v - n_v // 2
+    i, j = np.meshgrid(np.arange(h_u), np.arange(h_v), indexing="ij")
+    evaluated = (i <= j) if op.symmetry.sectors[2] else np.ones((h_u, h_v), dtype=bool)
     got, want = op.matrix.reshape(n_u, n_v, n_tx), direct.reshape(n_u, n_v, n_tx)
-    assert np.array_equal(got[:h_u, :h_v], want[:h_u, :h_v])
+    assert np.array_equal(got[:h_u, :h_v][evaluated], want[:h_u, :h_v][evaluated])
+    assert np.all(np.abs(op.matrix - direct) <= _tau(op) * np.abs(direct))
 
+
+def _tau(op):
+    """The README's tau: how far a copied entry may lie from the direct
+    kernel, relative to it."""
     surfaces = (op.tx_grid.surface, op.rx_grid.surface)
     side = max(max(s.length_u, s.length_v) for s in surfaces)
     d_min = np.linalg.norm(op.rx_grid.points[:, None, :]
                            - op.tx_grid.points[None, :, :], axis=-1).min()
     k0 = WaveConfig(wavelength=0.01).k0
-    tau = SYMMETRY_RTOL * (1.0 + 4.0 * (k0 + 1.0 / d_min) * side)
-    assert np.all(np.abs(op.matrix - direct) <= tau * np.abs(direct))
+    return SYMMETRY_RTOL * (1.0 + 4.0 * (k0 + 1.0 / d_min) * side)
+
+
+@pytest.mark.parametrize("name", sorted(SECTOR_SCENES))
+def test_assembly_evaluates_only_the_fundamental_rows(name, monkeypatch):
+    """h(h+1)/2 receive rows reach node_distances on square links that hold
+    the swap, and h_u h_v on the other sector links."""
+    rows = []
+
+    def spy(points, nodes, wave):
+        rows.append(len(points))
+        return node_distances(points, nodes, wave)
+
+    monkeypatch.setattr(edof.kernel, "node_distances", spy)
+    op = _coaxial_operator(**SECTOR_SCENES[name])
+    (n_u, n_v), swap = op.rx_grid.shape, name.startswith("swap-")
+    h_u, h_v = n_u - n_u // 2, n_v - n_v // 2
+    assert op.symmetry.sectors[2] == swap
+    assert sum(rows) == (h_u * (h_u + 1) // 2 if swap else h_u * h_v)
+
+
+@pytest.mark.parametrize("name, anti", [
+    ("swap-even-counts", False), ("swap-rx-turned-90", True),
+    ("swap-rx-turned-180", False), ("swap-rx-turned-270", True)])
+def test_swap_exchanges_the_transmit_axes_on_the_diagonal_or_the_anti_diagonal(name, anti):
+    # read from the direct build: row (j, i) is row (i, j) with node (a, b)
+    # at (b, a), or at (n-1-b, n-1-a) when the paired overlaps differ in sign
+    op = _coaxial_operator(**SECTOR_SCENES[name])
+    g_a, g_b = paired_overlap(op.tx_grid.surface, op.rx_grid.surface, op.symmetry.pairing)
+    assert (g_a * g_b < 0.0) == anti
+    direct = _direct_matrix(op).reshape(op.rx_grid.shape + op.tx_grid.shape)
+    exchanged = direct.transpose(1, 0, 3, 2)
+    for flip, holds in ((slice(None), not anti), (slice(None, None, -1), anti)):
+        image = exchanged[:, :, flip, flip]
+        assert np.all(np.abs(image - direct) <= _tau(op) * np.abs(direct)) == holds
 
 
 @pytest.mark.parametrize("breaker", [

@@ -15,16 +15,20 @@ from edof.cutset import _jacobian_dets, bandwidth_field
 from edof.geometry import (
     SYMMETRY_RTOL,
     QuadratureGrid,
+    axis_pairing,
+    corners,
     discretize,
     half_turn_reverses,
     lattice_orbits,
     link_symmetry,
     make_surface,
     mirror_axes,
+    paired_offsets,
     rotation_about,
 )
-from edof.kernel import WaveConfig
+from edof.kernel import WaveConfig, kernel_scale
 from edof.landau import (
+    TABLE_FRAME_TOL,
     _autocorrelation_lattice,
     _autocorrelation_many,
     _two_mirror_correlation,
@@ -281,10 +285,9 @@ def test_folds_match_direct_evaluation(scene):
         full = _response(tx_grid, rx_grid, lag_grid)
     assert full.diagnostics["evaluated_lags"] == np.prod(lag_grid)
     assert {"u", "v"} <= set(folded.diagnostics["symmetry"])
-    # The direct evaluation rounds each phase k0 (d+ - d-) to about k0 d eps,
-    # so its own mirror images differ by up to a few 1e-13 of max H on few
-    # transmit nodes, while the folded response is exactly symmetric: the
-    # fold can come no closer to it than that.
+    # The direct evaluation rounds each lag's phases on their own, so its
+    # own mirror images differ in their last bits, while the folded response
+    # is exactly symmetric: the fold can come no closer to it than that.
     h = full.H_values.reshape(lag_grid)
     images = [h[::-1], h[:, ::-1]] + ([h.T] if h.shape[0] == h.shape[1] else [])
     own_asymmetry = max(np.abs(h - image).max() for image in images)
@@ -340,7 +343,16 @@ def test_two_mirror_lattice_matches_the_general_sum(name):
     assert np.max(np.abs(g - general)) <= bound * np.max(np.abs(general))
 
 
-def _two_mirror_gap(kwargs, lag_counts, lag_extent):
+def _two_mirror(lags, rx, tx_grid, tables):
+    """The two-mirror sum from the per-axis tables, where the frames pair,
+    or with ``tables`` False from ``node_distances`` on every scene."""
+    if tables:
+        return _two_mirror_correlation(lags, rx, tx_grid, WAVE)
+    with mock.patch.object(edof.landau, "axis_pairing", lambda *surfaces: None):
+        return _two_mirror_correlation(lags, rx, tx_grid, WAVE)
+
+
+def _two_mirror_gap(kwargs, lag_counts, lag_extent, tables=True):
     """max |two-mirror sum - Re(general sum)| / max |Re(general sum)| over
     every lag of a centered lattice."""
     tx_grid, rx_grid = _scene(**kwargs)
@@ -348,7 +360,7 @@ def _two_mirror_gap(kwargs, lag_counts, lag_extent):
     assert {"u", "v"} <= set(mirror_axes(tx_grid, rx)) and half_turn_reverses(tx_grid, rx)
     lags = _coords(_integer_lattice(*lag_counts,
                                     spacing=[e / n for e, n in zip(lag_extent, lag_counts)]))
-    g = _two_mirror_correlation(lags, rx.center, rx, tx_grid, WAVE)
+    g = _two_mirror(lags, rx, tx_grid, tables)
     general = np.real(_autocorrelation_many(lags, rx.center, rx, tx_grid, WAVE))
     return np.max(np.abs(g - general)) / np.max(np.abs(general))
 
@@ -385,10 +397,122 @@ def two_mirror_scenes(draw):
 
 @given(two_mirror_scenes())
 def test_two_mirror_sum_matches_the_general_sum(scene):
-    assert _two_mirror_gap(*scene) <= 1e-12
+    # from the per-axis tables where the frames pair, and from node_distances
+    surfaces = (grid.surface for grid in _scene(**scene[0]))
+    event(f"frames pair: {axis_pairing(*surfaces, TABLE_FRAME_TOL) is not None}")
+    for tables in (True, False):
+        assert _two_mirror_gap(*scene, tables=tables) <= 1e-12
+
+
+@pytest.mark.parametrize("name", TWO_MIRROR)
+def test_two_mirror_tables_run_where_the_half_turn_reverses_and_the_frames_pair(
+        name, monkeypatch):
+    kwargs, _ = MIRROR_CASES[name]
+    tx_grid, rx_grid = _scene(**kwargs)
+    rx = rx_grid.surface
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return paired_offsets(*args)
+
+    monkeypatch.setattr(edof.landau, "paired_offsets", spy)
+    response = _response(tx_grid, rx_grid)
+    assert {"u", "v"} <= set(response.diagnostics["symmetry"])
+    takes_tables = half_turn_reverses(tx_grid, rx) \
+        and axis_pairing(tx_grid.surface, rx, TABLE_FRAME_TOL) is not None
+    assert bool(calls) == takes_tables
+    # the receiver turned 45 degrees has no pairing, and edge-on no reversal
+    assert takes_tables == (name in PARALLEL_TWO_MIRROR and name not in UNPAIRED)
 
 
 def test_two_mirror_sum_behind_a_receiver_turned_3e_12_rad():
     # both mirrors hold only to SYMMETRY_RTOL there
     kwargs, _ = MIRROR_CASES["rx-turned-3e-12"]
-    assert _two_mirror_gap(kwargs, (11, 11), (0.4, 0.4)) <= SYMMETRY_RTOL
+    assert _two_mirror_gap(kwargs, (11, 11), (0.4, 0.4), tables=False) <= SYMMETRY_RTOL
+
+
+def _long_double_correlation(lags, reference, rx_surface, tx_grid):
+    """g(delta) summed in np.longdouble over the same float64 nodes, lags,
+    frame and k0, with the phase k0 (d+ - d-) as it is defined; and the
+    largest |phase|."""
+    ld = np.longdouble
+    frame = np.array([rx_surface.tangent_u, rx_surface.tangent_v], dtype=ld)
+    offset = 0.5 * lags.astype(ld) @ frame
+    center = np.asarray(reference, dtype=ld)
+    nodes = tx_grid.points.astype(ld)[None, :, :]
+    d_plus, d_minus = (np.sqrt(np.sum(((center + sign * offset)[:, None, :] - nodes) ** 2,
+                                      axis=-1)) for sign in (1, -1))
+    phase = ld(WAVE.k0) * (d_plus - d_minus)
+    weights = tx_grid.weights.astype(ld) / (d_plus * d_minus)
+    real, imag = (np.sum(part * weights, axis=1) for part in (np.cos(phase), -np.sin(phase)))
+    g = np.float64(kernel_scale(WAVE)) ** 2 * (real.astype(float) + 1j * imag.astype(float))
+    return g, float(np.max(np.abs(phase)))
+
+
+def _long_double_gap(g, exact):
+    """max |g - exact| over max |exact|, and the bound it is held to:
+    1e-14, plus 2 eps per radian of the largest phase, since float64 holds a
+    phase of p rad only to p eps / 2."""
+    exact, phase = exact
+    return (np.max(np.abs(g - exact)) / np.max(np.abs(exact)),
+            1e-14 + 2.0 * np.finfo(float).eps * phase)
+
+
+@st.composite
+def long_double_scenes(draw):
+    """A transmitter at the origin and a receiver over it, laterally offset
+    or not and turned by a multiple of 45 degrees or by any angle, on
+    midpoint or Gauss-Legendre rules, with an odd, centered lag lattice of
+    any counts and extents, as Landau builds."""
+    sizes, counts = st.floats(0.05, 0.6), st.integers(1, 9)
+    offset = draw(st.sampled_from([(0.0, 0.0), None]))
+    turn = draw(st.sampled_from([0.0, 0.25 * np.pi, 0.5 * np.pi, np.pi, 1.5 * np.pi, None]))
+    return dict(
+        tx_size=(draw(sizes), draw(sizes)), tx_counts=(draw(counts), draw(counts)),
+        rx_size=(draw(sizes), draw(sizes)), distance=draw(st.floats(0.5, 5.0)),
+        rx_offset=offset or draw(st.tuples(*[st.floats(-0.5, 0.5)] * 2)),
+        rx_turn=rotation_about(Z_AXIS, draw(st.floats(0.0, 2.0 * np.pi)) if turn is None else turn),
+        rule=draw(st.sampled_from(["midpoint", "gauss-legendre"])),
+    ), [2 * draw(st.integers(0, 4)) + 1 for _ in range(2)], [draw(st.floats(0.01, 0.6))
+                                                            for _ in range(2)]
+
+
+@given(long_double_scenes())
+def test_correlation_sums_match_a_long_double_sum(scene):
+    # Each sum takes the phase as 2 k0 delta.(c - t) / (d+ + d-); the float64
+    # difference k0 (d+ - d-) would keep about k0 d eps of rounding.
+    kwargs, lag_counts, lag_extent = scene
+    tx_grid, rx_grid = _scene(**kwargs)
+    rx = rx_grid.surface
+    lags = _coords(_integer_lattice(*lag_counts,
+                                    spacing=[e / n for e, n in zip(lag_extent, lag_counts)]))
+    # about the receive center, and about its corners as stationarity_check
+    # takes them
+    around = np.repeat(corners(rx), len(lags), axis=0)
+    for reference, at in ((rx.center, lags), (around, np.tile(lags, (4, 1)))):
+        gap, bound = _long_double_gap(_autocorrelation_many(at, reference, rx, tx_grid, WAVE),
+                                      _long_double_correlation(at, reference, rx, tx_grid))
+        assert gap <= bound
+    reverses = {"u", "v"} <= set(mirror_axes(tx_grid, rx)) and half_turn_reverses(tx_grid, rx)
+    event(f"two-mirror sums: {reverses}")
+    if reverses:
+        exact, phase = _long_double_correlation(lags, rx.center, rx, tx_grid)
+        for tables in (True, False):
+            gap, bound = _long_double_gap(_two_mirror(lags, rx, tx_grid, tables),
+                                          (exact.real, phase))
+            assert gap <= bound
+
+
+def test_two_mirror_sum_behind_a_receiver_turned_5e_13_rad():
+    # The frames pair to FRAME_TOL but not to TABLE_FRAME_TOL.  Tables would
+    # drop the 5e-13 off-pair overlap from every phase; node_distances keeps it.
+    tx_grid, rx_grid = _scene(distance=1.0, rx_turn=rotation_about(Z_AXIS, 5e-13))
+    rx = rx_grid.surface
+    assert link_symmetry(tx_grid, rx_grid).pairing is not None
+    assert axis_pairing(tx_grid.surface, rx, TABLE_FRAME_TOL) is None
+    lags = _coords(_integer_lattice(11, 11, spacing=(0.06, 0.06)))
+    exact, phase = _long_double_correlation(lags, rx.center, rx, tx_grid)
+    gap, bound = _long_double_gap(_two_mirror_correlation(lags, rx, tx_grid, WAVE),
+                                  (exact.real, phase))
+    assert gap <= bound
