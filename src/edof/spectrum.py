@@ -16,14 +16,17 @@ fields generated by unit-power transmit currents.
 
 When the ``sectors`` of the geometry.link_symmetry record, which assembly
 builds and the operator carries, hold the receive u- and v-mirrors (two
-coaxial parallel apertures, the canonical holographic-MIMO link), each splits the matrix into an even and an odd half, so the spectrum
-is the merged spectra of four parity-sector blocks of about N/4 x N/4 each,
-about 1/16 of a full SVD's flops.  When they also hold the u <-> v swap on
-both grids (square apertures with square grids, the group D4 of the
-square), the swap maps the even-odd sector onto the odd-even one, whose
-values are then equal, and splits the even-even and odd-odd sectors into a
-symmetric and an antisymmetric half each: one block of N/4 and four of
-about N/8, about 3/128 of a full SVD.  Any other scene takes one full SVD.
+coaxial parallel apertures, the canonical holographic-MIMO link), each
+splits the matrix into an even and an odd half, so the spectrum is the
+merged spectra of four parity-sector blocks of about N/4 x N/4 each, about
+1/16 of a full SVD's flops.  When they also hold the u <-> v swap on both
+grids (square apertures with square grids, the group D4 of the square), the
+swap maps the even-odd sector onto the odd-even one, whose values are then
+equal, and splits the even-even and odd-odd sectors into a symmetric and an
+antisymmetric half each: one block of N/4 and four of about N/8, about
+3/128 of a full SVD.  The blocks are folded from the fundamental receive
+rows the operator stores, and each block's squared singular values are the
+eigenvalues of its smaller Gram matrix.  Any other scene takes one full SVD.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError
 from .geometry import QuadratureGrid
-from .kernel import DiscreteOperator
+from .kernel import DiscreteOperator, row_blocks
 
 GAMMA_MODES = ("absolute", "relative")
 
@@ -91,17 +94,25 @@ class EdofReport:
     gamma_value: float | None = None
 
 
-def _fold(x: np.ndarray, axis: int, odd: bool) -> np.ndarray:
-    """(lo +/- mirrored) / sqrt(2) along one tx axis, as a new array.
+def _width(n: int, odd: bool) -> int:
+    """Length of the even sector (ceil(n/2)) or the odd one (floor(n/2))
+    along an axis of n nodes."""
+    return n // 2 if odd else n - n // 2
+
+
+def _fold(x: np.ndarray, axis: int, odd: bool, out=None) -> np.ndarray:
+    """(lo +/- mirrored) / sqrt(2) along one tx axis, into ``out`` or a new
+    array.
 
     The even sector keeps the centre line of an odd count unchanged; the
     odd sector has none.
     """
     n = x.shape[axis]
     half = n // 2
-    width = half if odd else n - half
+    width = _width(n, odd)
     lead = (slice(None),) * axis
-    out = np.empty(x.shape[:axis] + (width,) + x.shape[axis + 1:], dtype=x.dtype)
+    if out is None:
+        out = np.empty(x.shape[:axis] + (width,) + x.shape[axis + 1:], dtype=x.dtype)
     lo = x[lead + (slice(0, half),)]
     hi = np.flip(x, axis)[lead + (slice(0, half),)]
     paired = out[lead + (slice(0, half),)]
@@ -109,6 +120,20 @@ def _fold(x: np.ndarray, axis: int, odd: bool) -> np.ndarray:
     paired *= np.sqrt(0.5)
     if width > half:
         out[lead + (slice(half, None),)] = x[lead + (slice(half, half + 1),)]
+    return out
+
+
+def _fold_tx(x: np.ndarray, odd_u: bool, odd_v: bool) -> np.ndarray:
+    """``_fold`` along both tx axes of a (rx_u, rx_v, tx_u, tx_v) slice, as a
+    new array.
+
+    One rx u-row at a time: bit for bit the two folds in turn, without
+    their half-folded copy of the whole slice.
+    """
+    out = np.empty(x.shape[:2] + (_width(x.shape[2], odd_u), _width(x.shape[3], odd_v)),
+                   dtype=x.dtype)
+    for row, folded in zip(x, out):
+        _fold(_fold(row, 1, odd_u), 2, odd_v, out=folded)
     return out
 
 
@@ -129,27 +154,49 @@ def _swap_half(x: np.ndarray, axis: int, odd: bool) -> np.ndarray:
     return half
 
 
-def _sector_values(a4: np.ndarray, swap: bool) -> np.ndarray:
-    """Singular values of the parity-sector blocks, merged descending.
+def _gram(block: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of a 2-D block, B^H B, or B^T conj(B) (the
+    conjugate of B B^H, with the same eigenvalues) when B is wide.
 
-    A sector block takes the rx rows of the fundamental domain (the first
-    ceil(n/2) per axis for even parity, floor(n/2) for odd), folds its tx
-    axes with ``_fold`` and scales each paired rx row by sqrt(2).  With
-    ``swap`` the odd-even block is the even-odd one with its rows and
-    columns permuted (and, behind an anti-diagonal swap, negated), so the
-    even-odd values count twice; the even-even and odd-odd blocks split by
-    ``_swap_half`` on the rx and the tx side into a symmetric and an
-    antisymmetric half, which the swap does not couple.
+    Built one slab of its rows at a time (``row_blocks``), so no conjugate
+    copy of the whole block is made.  Its eigenvalues are the block's
+    squared singular values, each off by about eps * s_0^2, where an SVD's
+    squares would be off by about eps * s_0 * s_n; the counts read values
+    near gamma * s_0^2.
     """
-    n_u, n_v = a4.shape[:2]
+    tall = block if block.shape[0] >= block.shape[1] else block.T
+    gram = np.empty((tall.shape[1],) * 2, dtype=tall.dtype)
+    for rows in row_blocks(len(gram), len(tall)):
+        np.matmul(tall[:, rows].conj().T, tall, out=gram[rows])
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError("spectrum values must be finite")
+    return gram
+
+
+def _sector_values(quarter: np.ndarray, rx_shape: tuple[int, int],
+                   swap: bool) -> np.ndarray:
+    """Squared singular values of the parity-sector blocks, merged descending.
+
+    ``quarter`` holds the fundamental receive rows, as (rx_u, rx_v, tx_u,
+    tx_v) with each tx axis the one its rx mirror flips.  A sector block
+    takes the rx rows of the fundamental domain (the first ceil(n/2) per
+    axis for even parity, floor(n/2) for odd), folds its tx axes with
+    ``_fold_tx`` and scales each paired rx row by sqrt(2).  With ``swap`` the
+    odd-even block is the even-odd one with its rows and columns permuted
+    (and, behind an anti-diagonal swap, negated), so the even-odd values
+    count twice; the even-even and odd-odd blocks split by ``_swap_half`` on
+    the rx and the tx side into a symmetric and an antisymmetric half,
+    which the swap does not couple.  Each block or half gives its values
+    through ``_gram``.
+    """
+    n_u, n_v = rx_shape
     values = []
     for odd_u in (False, True):
         for odd_v in (False, True):
             if swap and (odd_u, odd_v) == (True, False):
                 continue
-            rows_u = n_u // 2 if odd_u else n_u - n_u // 2
-            rows_v = n_v // 2 if odd_v else n_v - n_v // 2
-            block = _fold(_fold(a4[:rows_u, :rows_v], 2, odd_u), 3, odd_v)
+            rows_u, rows_v = _width(n_u, odd_u), _width(n_v, odd_v)
+            block = _fold_tx(quarter[:rows_u, :rows_v], odd_u, odd_v)
             block[:n_u // 2] *= np.sqrt(2.0)
             block[:, :n_v // 2] *= np.sqrt(2.0)
             if not block.size:
@@ -159,14 +206,13 @@ def _sector_values(a4: np.ndarray, swap: bool) -> np.ndarray:
                           for odd in (False, True)]
             else:
                 halves = [block.reshape(rows_u * rows_v, -1)]
-            # one sector block and its halves alive at a time: the next
-            # sector is folded only after these are freed
-            del block
-            for half in halves:
-                if half.size:
-                    s = np.linalg.svd(half, compute_uv=False)
-                    values.extend([s, s] if swap and odd_u != odd_v else [s])
-            del halves, half
+            grams = [_gram(half) for half in halves if half.size]
+            # the block and its halves are freed before eigvalsh copies each
+            # Gram, and each Gram before the next sector is folded
+            del block, halves
+            while grams:
+                s2 = np.maximum(np.linalg.eigvalsh(grams.pop()), 0.0)
+                values.extend([s2, s2] if swap and odd_u != odd_v else [s2])
     return np.sort(np.concatenate(values))[::-1]
 
 
@@ -176,35 +222,40 @@ def coupling_spectrum(operator: DiscreteOperator) -> CouplingSpectrum:
     ``operator`` must be what ``assemble_operator`` built: the solver is
     chosen from the ``link_symmetry`` record it carries.  When the record
     has sectors (both grids hold the receive u- and v-mirrors, on paired
-    frames), the values come from the four parity-sector blocks, which read
-    only the fundamental receive rows that assembly evaluated, padded with
-    zeros to min(N_rx, N_tx); otherwise from one full SVD.  When they also
-    hold the swap (the receive u <-> v swap exchanges both grids' axes),
-    the even-odd block's values count twice, for the odd-even block, and
-    the even-even and odd-odd blocks each split into a symmetric and an
-    antisymmetric half: about 3/128 of a full SVD's flops instead of 1/16.
+    frames), the values come from the four parity-sector blocks, folded
+    from the fundamental receive rows the operator stores, without building
+    its full matrix; each block's values are the eigenvalues of its smaller
+    Gram matrix, and the merged values are padded with zeros to
+    min(N_rx, N_tx).  Otherwise they are the squares of one full SVD of the
+    stored matrix.  When the sectors also hold the swap (the receive u <-> v
+    swap exchanges both grids' axes), the even-odd block's values count
+    twice, for the odd-even block, and the even-even and odd-odd blocks each
+    split into a symmetric and an antisymmetric half: about 3/128 of a full
+    SVD's flops instead of 1/16.
 
     Error bound: every node then lies within about SYMMETRY_RTOL * L of its
     image under each reflection used (L the largest aperture side) and
     weights match to SYMMETRY_RTOL, so each s_n lies within 2 tau ||A||_F of
     the full SVD's (Weyl), with tau = SYMMETRY_RTOL * (1 + 4 (k0 + 1/d_min) L)
-    and d_min the nearest node distance.  The swap adds no other tolerance.
+    and d_min the nearest node distance.  The swap adds no other tolerance;
+    the Gram adds about eps * s_0^2 to each squared value.
     """
-    a = operator.matrix
+    a = operator.rows
     tx_grid, rx_grid = operator.tx_grid, operator.rx_grid
     axes = operator.symmetry.sectors
     try:
         if axes is None:
             s = np.linalg.svd(a, compute_uv=False)
+            values = s * s
         else:
-            a4 = a.reshape(rx_grid.shape + tx_grid.shape).transpose(0, 1, *axes[:2])
-            s = np.zeros(min(a.shape))
-            merged = _sector_values(a4, axes[2])
-            s[:merged.size] = merged
+            quarter = a.reshape(a.shape[:2] + tx_grid.shape).transpose(0, 1, *axes[:2])
+            values = np.zeros(min(len(rx_grid), len(tx_grid)))
+            merged = _sector_values(quarter, rx_grid.shape, axes[2])
+            values[:merged.size] = merged
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed to converge: {exc}") from exc
+        raise NumericalError(f"spectrum solver failed to converge: {exc}") from exc
     symmetry = () if axes is None else ("u", "v", "swap") if axes[2] else ("u", "v")
-    return CouplingSpectrum(values=s * s, symmetry=symmetry)
+    return CouplingSpectrum(values=values, symmetry=symmetry)
 
 
 def resolve_threshold(gamma: float, mode: str, peak: float) -> float:

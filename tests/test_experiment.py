@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import edof.experiment
+import edof.kernel
 import edof.landau
 from edof.config import config_from_mapping
 from edof.errors import ConfigError, ResourceError
@@ -546,3 +547,23 @@ def test_sweep_validates_axis_and_values():
         run_sweep(cfg, "frequency", [1.0], write=False)
     with pytest.raises(ConfigError, match="at least one"):
         run_sweep(cfg, "distance", [], write=False)
+
+
+def test_svd_estimate_never_builds_a_full_matrix(monkeypatch):
+    """The run's operators, the estimate's and the convergence rerun's,
+    reach the spectrum with only their fundamental rows stored."""
+    operators = []
+
+    def spy(*args):
+        operators.append(edof.kernel.assemble_operator(*args))
+        return operators[-1]
+
+    monkeypatch.setattr(edof.experiment, "assemble_operator", spy)
+    report = run_experiment(config_from_mapping(_scene_mapping(methods=["svd"])),
+                            write=False)
+    assert report.status == "complete"
+    assert report.diagnostics["convergence"]["flag"] in ("converged", "drifting")
+    assert len(operators) == 2
+    for op in operators:
+        assert op.symmetry.sectors is not None
+        assert "matrix" not in vars(op)
