@@ -17,8 +17,9 @@ W(r) is computed two ways: integrating the |Jacobian| of the map t -> kvec
 over the transmit aperture (exact for injective maps), and rasterizing the
 mapped point set onto an occupancy grid (an outer measure, robust to folds).
 The Jacobian has a general closed form for any pair of planes; on parallel
-planes with aligned axes it is k0^2 |det G| H^2 / d^4 with d^2 a sum of two
-per-axis squared offsets, which the field reads from two small tables.
+planes with aligned axes it is k0^2 |det G| H^2 / d^4, with d^2 from
+kernel.plane_distances: a sum of two per-axis squared offsets, read from
+two small tables, where the frames pair to TABLE_FRAME_TOL.
 The forward Fourier convention is exp(-j k . r); filtering a sampled field
 to a wavenumber support set uses that convention on the FFT dual grid.
 """
@@ -34,14 +35,14 @@ from .errors import DiagnosticWarning, DimensionError, GeometryError, SingularKe
 from .geometry import (
     PlanarSurface,
     QuadratureGrid,
+    frame_coords,
     global_point,
     lattice_orbits,
     link_symmetry,
     paired_overlap,
     quadrature_rule,
-    squared_offsets,
 )
-from .kernel import WaveConfig, check_separation, row_blocks
+from .kernel import WaveConfig, check_separation, plane_distances, row_blocks
 from .spectrum import EdofReport
 
 # Step (m) of jacobian_det's central differences along each transmit axis.
@@ -204,40 +205,33 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
 
     On parallel planes every transmit tangent lies in the receive plane, so
     X . Z = det(G) |X|^2 and the Jacobian is exactly
-    k0^2 |det G| H^2 / (|X|^2 + H^2)^2 with H constant.  When the axes are
-    also aligned (the ``link_symmetry`` pairing), each in-plane offset
-    depends on one receive and one transmit coordinate, so a block of
-    squared distances is the outer sum of two rows of the
-    ``squared_offsets`` tables, contracted with the transmit weights.
-    Offsets that overflow take the general path, which reads NaN there.
-    Other scenes run ``_jacobian_dets`` on every pair of the folded rows.
+    k0^2 |det G| H^2 / d^4 with H constant.  Where the axes are also aligned
+    (the ``link_symmetry`` pairing), the squared distances d^2 come from
+    ``kernel.plane_distances``, as outer sums of two rows of its per-axis
+    tables where the frames pair to TABLE_FRAME_TOL, and are contracted
+    with the transmit weights; tables that overflow read NaN.  Other scenes
+    run ``_jacobian_dets`` on every pair of the folded rows.
     """
     rx_surface = rx_grid.surface
     symmetry = link_symmetry(tx_grid, rx_grid)
     fold = lattice_orbits(rx_grid.shape, symmetry.fold)
     folded = np.empty(len(fold.nodes))
-    blocks = row_blocks(len(fold.nodes), len(tx_grid))
-    pairing = symmetry.pairing
-    tables = None if pairing is None else squared_offsets(
-        tx_grid, rx_surface, (rx_grid.rule_u[0], rx_grid.rule_v[0]), pairing)
-    if tables is None:
+    if symmetry.pairing is None:
         points = rx_grid.points[fold.nodes]
-        for rows in blocks:
+        for rows in row_blocks(len(fold.nodes), len(tx_grid)):
             dets = _jacobian_dets(points[rows], tx_grid.points,
                                   tx_grid.surface, rx_surface, wave)
             folded[rows] = dets @ tx_grid.weights
     else:
-        a2, b2, h2 = tables
-        g_a, g_b = paired_overlap(tx_grid.surface, rx_surface, pairing)
-        # the sum of the minima is the nearest pair, exactly
-        check_separation(np.sqrt(a2.min() + b2.min()), wave)
-        rx_index = np.divmod(fold.nodes, rx_grid.shape[1])
-        a_rows, b_rows = rx_index[pairing[0]], rx_index[pairing[1]]
-        for rows in blocks:
-            inv = a2[a_rows[rows], :, None] + b2[b_rows[rows], None, :]
+        g_a, g_b = paired_overlap(tx_grid.surface, rx_surface, symmetry.pairing)
+        iu, iv = np.divmod(fold.nodes, rx_grid.shape[1])
+        points = np.column_stack([rx_grid.rule_u[0][iu], rx_grid.rule_v[0][iv],
+                                  np.zeros(len(fold.nodes))])
+        for rows, inv in plane_distances(points, tx_grid, rx_surface, wave):
             inv *= inv
             np.reciprocal(inv, out=inv)
-            folded[rows] = inv.reshape(len(inv), -1) @ tx_grid.weights
+            folded[rows] = inv @ tx_grid.weights
+        h2 = frame_coords(tx_grid.surface.center, rx_surface)[2] ** 2
         folded *= np.float64(wave.k0) ** 2 * (abs(g_a * g_b) * h2)
     return LocalBandwidthField(rx_grid=rx_grid, values=folded[fold.gather],
                                symmetry=symmetry.fold, evaluated_nodes=len(fold.nodes))

@@ -21,11 +21,12 @@ planes.  ``link_symmetry`` keeps what the estimators read of a (transmit
 grid, receive grid) pair in one record: the reflections both grids hold
 (the cut-set field's fold), the pairing, and the parity-sector axes and the
 u <-> v swap that the fold and the pairing give together (operator assembly
-and the spectrum).  On a paired link ``paired_offsets`` gives the in-plane
-offsets of receive points from transmit nodes as one small table per axis,
-and ``squared_offsets`` their squares, which the cut-set field and Landau's
-two-mirror correlation read.  ``lattice_orbits`` folds a u-major lattice by
-the reflections its caller says hold.
+and the spectrum).  ``frame_coords`` projects points into a surface frame,
+and on a paired link ``squared_offsets`` gives the squared offsets of
+receive points from transmit nodes as one small table per axis, which
+kernel.plane_distances reads for the cut-set field and every Landau sum.
+``lattice_orbits`` folds a u-major lattice by the reflections its caller
+says hold.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ from .errors import GeometryError
 
 # Frame vectors must satisfy orthonormality to this absolute tolerance.
 FRAME_TOL = 1e-12
+# Largest miss of the frame overlap (axis_pairing) at which distances are
+# read from the per-axis ``squared_offsets`` tables.  The tables drop the
+# overlap's off-pair entries, which moves each offset by about the miss times
+# the aperture size: a few eps, the rounding of a rigidly moved frame, keeps
+# that within the rounding of the offsets themselves.
+TABLE_FRAME_TOL = 8.0 * np.finfo(float).eps
 # Rotation matrices supplied by callers may be slightly off; they are
 # re-orthonormalized, but rejected beyond this tolerance.
 ROTATION_TOL = 1e-10
@@ -232,10 +239,16 @@ def corners(surface: PlanarSurface) -> np.ndarray:
                      for su in (-1.0, 1.0) for sv in (-1.0, 1.0)])
 
 
+def frame_coords(points, surface: PlanarSurface) -> np.ndarray:
+    """(..., 3) coordinates of (..., 3) points along tangent_u, tangent_v and
+    the normal of a surface, about its center."""
+    return (points - surface.center) @ np.array(
+        [surface.tangent_u, surface.tangent_v, surface.normal]).T
+
+
 def box_distances(surface: PlanarSurface, points) -> np.ndarray:
     """Distances from (N, 3) points to the rectangle of a surface."""
-    frame = np.array([surface.tangent_u, surface.tangent_v, surface.normal])
-    gaps = np.abs((points - surface.center) @ frame.T) \
+    gaps = np.abs(frame_coords(points, surface)) \
         - (0.5 * surface.length_u, 0.5 * surface.length_v, 0.0)
     return np.linalg.norm(np.maximum(gaps, 0.0), axis=1)
 
@@ -356,39 +369,33 @@ def paired_overlap(tx_surface: PlanarSurface, rx_surface: PlanarSurface, pairing
                                                  pairing))
 
 
-def paired_offsets(tx_grid: QuadratureGrid, rx_surface: PlanarSurface, rx_coords, pairing):
-    """In-plane offsets of receive points from transmit nodes on a link with
-    an ``axis_pairing``, one table per transmit axis, and the height of the
-    transmit center over the receive plane.
+def squared_offsets(tx_grid: QuadratureGrid, rx_surface: PlanarSurface, rx_coords, pairing):
+    """Squared in-plane offsets of receive points from transmit nodes on a
+    link with an ``axis_pairing``, one table per transmit axis, the first
+    also holding the squared height H^2 of the transmit center over the
+    receive plane.
 
     ``rx_coords`` holds receive coordinates per receive axis, about the
-    receive center.  Table m holds, at [i, j], the offset along receive axis
-    k = pairing[m] from transmit coordinate j on axis m to receive
-    coordinate rx_coords[k][i], so the squared distance of a pair is the sum
-    of one squared entry of each table and the squared height.  Offsets are
+    receive center.  Table m holds, at [i, j], the squared offset along
+    receive axis k = pairing[m] from transmit coordinate j on axis m to
+    receive coordinate rx_coords[k][i], so the squared distance of a pair is
+    the sum of one entry of each table, (x^2 + H^2) + y^2.  Offsets are
     taken about the receive center, so rounding does not grow with the
-    scene's distance from the origin.
+    scene's distance from the origin.  Both tables read NaN when the largest
+    squared distance overflows.
     """
     tx = tx_grid.surface
-    rx_axes = (rx_surface.tangent_u, rx_surface.tangent_v)
-    offset = tx.center - rx_surface.center
-    tables = tuple(rx_coords[k][:, None] - (offset @ rx_axes[k] + g * nodes[None, :])
-                   for g, (nodes, _), k in zip(paired_overlap(tx, rx_surface, pairing),
-                                               (tx_grid.rule_u, tx_grid.rule_v), pairing))
-    return tables, offset @ rx_surface.normal
-
-
-def squared_offsets(tx_grid: QuadratureGrid, rx_surface: PlanarSurface, rx_coords, pairing):
-    """The ``paired_offsets`` tables squared, the first also holding H^2 so
-    that the squared distance of a pair is one entry of each, and H^2; None
-    when the largest squared distance overflows."""
-    (a, b), height = paired_offsets(tx_grid, rx_surface, rx_coords, pairing)
-    h2 = height ** 2
-    a2, b2 = a * a, b * b
-    a2 += h2
-    if not np.isfinite(a2.max() + b2.max()):
-        return None
-    return a2, b2, h2
+    offset = frame_coords(tx.center, rx_surface)
+    a, b = (rx_coords[k][:, None] - (offset[k] + g * nodes[None, :])
+            for g, (nodes, _), k in zip(paired_overlap(tx, rx_surface, pairing),
+                                        (tx_grid.rule_u, tx_grid.rule_v), pairing))
+    a *= a
+    a += offset[2] ** 2
+    b *= b
+    if not np.isfinite(a.max() + b.max()):
+        a.fill(np.nan)
+        b.fill(np.nan)
+    return a, b
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ distance, so the operator stores only the fundamental quarter of the receive
 rows, the rows its spectrum reads, and the kernel is evaluated on that
 quarter, or on half of it where the u <-> v swap holds too.  The full matrix
 is built from the quarter's mirror images only when it is first read.
+
+Assembly takes its distances on global points (``node_distances``), so its
+rows are the direct kernel bit for bit.  The cut-set field and every Landau
+sum take theirs from ``plane_distances``, over receive-frame coordinates.
 """
 
 from __future__ import annotations
@@ -31,10 +35,15 @@ import numpy as np
 
 from .errors import DimensionError, GeometryError, SingularKernelError
 from .geometry import (
+    TABLE_FRAME_TOL,
     LinkSymmetry,
+    PlanarSurface,
     QuadratureGrid,
+    axis_pairing,
+    frame_coords,
     link_symmetry,
     paired_overlap,
+    squared_offsets,
     surfaces_intersect,
 )
 
@@ -149,6 +158,40 @@ def node_distances(points, nodes, wave: WaveConfig) -> np.ndarray:
     d = _distance(points[:, None, :], nodes[None, :, :])
     check_separation(d.min(), wave)
     return d
+
+
+def plane_distances(points, tx_grid: QuadratureGrid, rx_surface: PlanarSurface,
+                    wave: WaveConfig):
+    """Squared distances from (M, 3) points, in receive-frame coordinates
+    (``frame_coords`` of the receive surface), to every transmit node: one
+    (rows, d2) pair per ``row_blocks`` block of the points, d2 of shape
+    (rows, N_tx); raises as ``check_separation`` does.
+
+    Where the frames pair to TABLE_FRAME_TOL (``axis_pairing``) and every
+    point lies on the receive plane, d2 is the outer sum of the
+    ``squared_offsets`` tables over the points' distinct coordinates per
+    axis, and NaN where those overflow.  Elsewhere it is summed per node
+    from the nodes' receive-frame coordinates, in the tables' order
+    (x^2 + h^2) + y^2.
+    """
+    n = len(tx_grid)
+    pairing = axis_pairing(tx_grid.surface, rx_surface, TABLE_FRAME_TOL)
+    if pairing is None or points[:, 2].any():
+        nodes = frame_coords(tx_grid.points, rx_surface).T.copy()
+        for rows in row_blocks(len(points), n):
+            x, y, h = (points[rows, k, None] - nodes[k] for k in range(3))
+            d2 = (x * x + h * h) + y * y
+            check_separation(np.sqrt(d2.min()), wave)
+            yield rows, d2
+        return
+    coords, index = zip(*(np.unique(points[:, k], return_inverse=True) for k in range(2)))
+    a2, b2 = squared_offsets(tx_grid, rx_surface, coords, pairing)
+    # the sum of the minima is the nearest pair, exactly
+    check_separation(np.sqrt(a2.min() + b2.min()), wave)
+    a_rows, b_rows = index[pairing[0]], index[pairing[1]]
+    for rows in row_blocks(len(points), n):
+        d2 = a2[a_rows[rows], :, None] + b2[b_rows[rows], None, :]
+        yield rows, d2.reshape(len(d2), n)
 
 
 def kernel_scale(wave: WaveConfig) -> float:

@@ -32,9 +32,10 @@ quarter of the lattice, or an eighth with the u <-> v swap, which the
 lattice holds when its two axes are equal.  Where the half turn the two
 mirrors compose to also reverses the transmit index
 (geometry.half_turn_reverses), each folded lag is a real cosine sum over
-half the transmit nodes (``_two_mirror_correlation``), with its distances
-from per-axis tables where the frames are aligned.  Every sum takes the
-phase k0 (d+ - d-) in a form that does not cancel (``_autocorrelation_many``).
+half the transmit nodes (``_two_mirror_correlation``).  Every sum reads its
+distances from kernel.plane_distances, per-axis tables where the frames
+pair, and takes the phase k0 (d+ - d-) in a form that does not cancel
+(``_autocorrelation_many``).
 Transmit nodes within 0.1 wavelengths of the lag box, the receive surface
 grown to hold every lag point, refuse the scene before any lag is placed,
 as svd and the cut-set do.
@@ -52,23 +53,20 @@ from .errors import GeometryError, NumericalError, ResourceError
 from .geometry import (
     PlanarSurface,
     QuadratureGrid,
-    axis_pairing,
     box_distances,
     corners,
     discretize,
+    frame_coords,
     half_turn_reverses,
     lattice_orbits,
     mirror_axes,
-    paired_offsets,
-    squared_offsets,
 )
 from .kernel import (
     WaveConfig,
     assemble_operator,
     check_separation,
     kernel_scale,
-    node_distances,
-    row_blocks,
+    plane_distances,
 )
 from .spectrum import (
     CouplingSpectrum,
@@ -84,13 +82,6 @@ DEFAULT_EXTENT_COHERENCE_UNITS = 8.0
 # (4 pi / extent each); the default lag spacing samples the padded band
 # twice as finely as Nyquist, which is a quarter wavelength at grazing.
 BAND_PAD_LOBES = 2.0
-
-# Largest miss of the frame overlap (geometry.axis_pairing) at which the
-# two-mirror sum reads per-axis tables.  The tables drop the overlap's
-# off-pair entries, which moves each phase by about the miss times the
-# largest phase: a few eps, the rounding of a rigidly moved frame, keeps
-# that within the rounding of the phase itself, where FRAME_TOL would not.
-TABLE_FRAME_TOL = 8.0 * np.finfo(float).eps
 
 DEFAULT_STUDY_GAMMAS = (0.01, 0.5, 0.99)
 DEFAULT_POINTS_PER_WAVELENGTH = 2.5
@@ -126,79 +117,32 @@ def _coherence_scales(rx_surface, tx_surface, wave):
     return tuple(wave.wavelength * d / side for side in (tx_surface.length_u, tx_surface.length_v))
 
 
-def _lag_points(lags, reference, rx_surface):
-    """Global points c +/- delta/2 for (M, 2) tangent-frame lags; c is one point or (M, 3)."""
-    offset = 0.5 * (lags[:, :1] * rx_surface.tangent_u + lags[:, 1:] * rx_surface.tangent_v)
-    return reference + offset, reference - offset
-
-
-def _frame_coords(points, rx_surface):
-    """(..., 2) receive-frame coordinates of (..., 3) points about the receive center."""
-    return (points - rx_surface.center) @ np.array([rx_surface.tangent_u,
-                                                    rx_surface.tangent_v]).T
-
-
 def _autocorrelation_many(lags, reference, rx_surface, tx_grid, wave):
     """g(delta) for many lags at once; symmetric centering around reference.
 
     The kernel product collapses to exp(-j k0 (d+ - d-)) / (d+ d-), and
     the phase is taken as 2 k0 delta.(c - t) / (d+ + d-), from
     d+^2 - d-^2 = 2 delta.(c - t): the difference of two distances near the
-    link length would keep about k0 d eps of rounding.
+    link length would keep about k0 d eps of rounding.  Every quantity is in
+    receive-frame coordinates, and d+ and d- come from
+    ``kernel.plane_distances``.
     """
-    p_plus, p_minus = _lag_points(lags, reference, rx_surface)
+    center = frame_coords(reference, rx_surface)
+    half = np.column_stack([0.5 * lags, np.zeros(len(lags))])
     # delta.(c - t) = delta.(c - c0) - delta.(t - c0), c0 the receive center
-    toward = np.sum(lags * _frame_coords(reference, rx_surface), axis=-1)
-    nodes = _frame_coords(tx_grid.points, rx_surface).T
+    toward = np.sum(lags * center[..., :2], axis=-1)
+    nodes = frame_coords(tx_grid.points, rx_surface)[:, :2].T
     scale = np.float64(kernel_scale(wave)) ** 2   # inf, not OverflowError, at tiny lambda
     out = np.empty(lags.shape[0], dtype=complex)
-    for rows in row_blocks(lags.shape[0], len(tx_grid)):
-        d_plus = node_distances(p_plus[rows], tx_grid.points, wave)
-        d_minus = node_distances(p_minus[rows], tx_grid.points, wave)
+    for (rows, d_plus), (_, d_minus) in zip(
+            plane_distances(center + half, tx_grid, rx_surface, wave),
+            plane_distances(center - half, tx_grid, rx_surface, wave)):
+        np.sqrt(d_plus, out=d_plus)
+        np.sqrt(d_minus, out=d_minus)
         along = toward[rows, None] - lags[rows] @ nodes
         phase = np.exp(-2j * wave.k0 * along / (d_plus + d_minus))
         out[rows] = scale * ((phase / (d_plus * d_minus)) @ tx_grid.weights)
     return out
-
-
-def _two_mirror_blocks(lags, rx_surface, tx_grid, wave):
-    """(rows, d+, delta.(c - t) on the first half of the nodes) per block of
-    (M, 2) lags about the receive center c.
-
-    On a link whose frames pair to TABLE_FRAME_TOL (``axis_pairing``) and
-    whose tables do not overflow, d+^2 is the outer sum of the
-    ``squared_offsets`` tables taken at the lag coordinates halved, and
-    delta.(c - t) the outer sum of each lag coordinate times the
-    ``paired_offsets`` table at the receive center; only the half of it
-    that the sum reads is gathered.  Elsewhere d+ is ``node_distances`` and
-    delta.(c - t) is read from the receive-frame coordinates of the nodes.
-    """
-    n, half = len(tx_grid), len(tx_grid) // 2
-    pairing = axis_pairing(tx_grid.surface, rx_surface, TABLE_FRAME_TOL)
-    coords, index = zip(*(np.unique(lags[:, k], return_inverse=True) for k in range(2)))
-    tables = None if pairing is None else squared_offsets(
-        tx_grid, rx_surface, [0.5 * c for c in coords], pairing)
-    if tables is None:
-        p_plus, _ = _lag_points(lags, rx_surface.center, rx_surface)
-        nodes = _frame_coords(tx_grid.points[:half], rx_surface).T
-        for rows in row_blocks(len(lags), n):
-            yield rows, node_distances(p_plus[rows], tx_grid.points, wave), -(lags[rows] @ nodes)
-        return
-    a2, b2, _ = tables
-    # the sum of the minima is the nearest pair, exactly
-    check_separation(np.sqrt(a2.min() + b2.min()), wave)
-    zero = np.zeros(1)
-    (to_a, to_b), _ = paired_offsets(tx_grid, rx_surface, (zero, zero), pairing)
-    lag_a, lag_b = (coords[k][:, None] for k in pairing)
-    along_a, along_b = lag_a * to_a, lag_b * to_b
-    a_rows, b_rows = index[pairing[0]], index[pairing[1]]
-    # the transmit u-rows that hold the first half of the flat index
-    half_rows = -(-half // tx_grid.shape[1])
-    for rows in row_blocks(len(lags), n):
-        d_plus = a2[a_rows[rows], :, None] + b2[b_rows[rows], None, :]
-        np.sqrt(d_plus, out=d_plus)
-        along = along_a[a_rows[rows], :half_rows, None] + along_b[b_rows[rows], None, :]
-        yield rows, d_plus.reshape(len(d_plus), n), along.reshape(len(along), -1)[:, :half]
 
 
 def _two_mirror_correlation(lags, rx_surface, tx_grid, wave):
@@ -215,15 +159,21 @@ def _two_mirror_correlation(lags, rx_surface, tx_grid, wave):
 
     s the kernel scale, with the phase taken as 2 k0 delta.(c - t) / (d+ + d-)
     as in ``_autocorrelation_many``.  d- is d+ read backwards, so each lag
-    takes N distances and N/2 real cosines, from per-axis tables where
-    ``_two_mirror_blocks`` finds a pairing.
+    takes N distances from ``kernel.plane_distances``, per-axis tables where
+    the frames pair, and N/2 real cosines.
     """
     n, half = len(tx_grid), len(tx_grid) // 2
     pair_weights = 2.0 * tx_grid.weights[:half]
+    # delta.(c - t) = -delta.(t - c) on the first half of the nodes
+    nodes = -frame_coords(tx_grid.points[:half], rx_surface)[:, :2].T
+    # c + delta/2 in the receive frame, whose origin is c
+    points = np.column_stack([0.5 * lags, np.zeros(len(lags))])
     out = np.empty(len(lags))
-    for rows, d_plus, along in _two_mirror_blocks(lags, rx_surface, tx_grid, wave):
+    for rows, d_plus in plane_distances(points, tx_grid, rx_surface, wave):
+        np.sqrt(d_plus, out=d_plus)
         near, far = d_plus[:, :half], d_plus[:, ::-1][:, :half]
-        terms = along * (2.0 * wave.k0)
+        terms = lags[rows] @ nodes
+        terms *= 2.0 * wave.k0
         terms /= near + far
         np.cos(terms, out=terms)
         terms /= near * far

@@ -298,10 +298,11 @@ def extract_modes(operator: DiscreteOperator, n_modes: int) -> ModeBasis:
     """Leading ``n_modes`` singular triplets as physical mode samples."""
     n_rx, n_tx = operator.matrix.shape
     rank = min(n_rx, n_tx)
-    if n_modes < 1 or n_modes > rank:
+    if not 1 <= n_modes <= rank or int(n_modes) != n_modes:
         raise DimensionError(
-            f"n_modes must be in [1, {rank}] for a {n_rx} x {n_tx} operator, "
-            f"got {n_modes}")
+            f"n_modes must be an integer in [1, {rank}] for a {n_rx} x {n_tx} "
+            f"operator, got {n_modes}")
+    n_modes = int(n_modes)
     try:
         u, s, vh = np.linalg.svd(operator.matrix, full_matrices=False)
     except np.linalg.LinAlgError as exc:

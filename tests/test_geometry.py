@@ -17,6 +17,7 @@ from edof.geometry import (
     make_surface,
     quadrature_rule,
     rotation_about,
+    squared_offsets,
     surfaces_intersect,
 )
 
@@ -424,3 +425,18 @@ def test_separable_axes_pairs_the_axes_of_aligned_parallel_planes(rotation, pair
     tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.5, 0.4)
     rx = make_surface((0.3, -0.2, 2.0), rotation, 0.3, 0.2)
     assert link_symmetry(discretize(tx, 5, 4), discretize(rx, 3, 2)).pairing == pairing
+
+
+def test_squared_offsets_read_nan_when_the_largest_distance_overflows():
+    tx = make_surface((0.0, 0.0, 0.0), np.eye(3), 0.5, 0.5)
+    rx = make_surface((0.0, 0.0, 2.0), np.eye(3), 0.5, 0.5)
+    tx_grid = discretize(tx, 3, 3)
+    # each squared offset is finite, but their sum is not
+    far = np.array([0.0, 1.2e154])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        a2, b2 = squared_offsets(tx_grid, rx, (far, far), (0, 1))
+    assert np.isnan(a2).all() and np.isnan(b2).all()
+    near = np.array([0.0, 1e150])
+    assert np.isfinite(np.concatenate(
+        [t.ravel() for t in squared_offsets(tx_grid, rx, (near, near), (0, 1))])).all()
+

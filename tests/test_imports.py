@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-helper is named outside its own definition."""
+"""Every module of the package uses each name it imports, every private
+helper is named outside its own definition, and every public function and
+class is named somewhere outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -33,11 +34,15 @@ def test_module_uses_every_name_it_imports(module):
     assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def _dead_private_helpers(sources):
-    """(module, name) of each module-level private function or class that no
-    module names outside the statement defining it, in source order."""
-    trees = {module: ast.parse(source) for module, source in sources.items()}
-    named = []   # (module, top-level statement index, names read in it)
+ROOT = PACKAGE.parents[1]
+# where a public name may be read; the package's __init__.py only re-exports
+READER_DIRS = ("src", "tests", "demos", "perfbench")
+
+
+def _statement_names(trees):
+    """(module, top-level statement index, names the statement reads) of
+    every top-level statement of every tree."""
+    named = []
     for module, tree in trees.items():
         for index, stmt in enumerate(tree.body):
             names = set()
@@ -49,15 +54,31 @@ def _dead_private_helpers(sources):
                 elif isinstance(node, ast.alias):
                     names.add(node.name)
             named.append((module, index, names))
+    return named
+
+
+def _dead_definitions(sources, readers, private):
+    """(module, name) of each module-level private (or public) function or
+    class of ``sources`` that no statement of ``sources`` or ``readers``
+    names outside the statement defining it, in source order."""
+    trees = {module: ast.parse(source) for module, source in {**readers, **sources}.items()}
+    named = _statement_names(trees)
     dead = []
-    for module, tree in trees.items():
-        for index, stmt in enumerate(tree.body):
+    for module in sources:
+        for index, stmt in enumerate(trees[module].body):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                    and stmt.name.startswith("_") and not stmt.name.startswith("__") \
+                    and stmt.name.startswith("_") == private \
+                    and not stmt.name.startswith("__") \
                     and not any(stmt.name in names for m, i, names in named
                                 if (m, i) != (module, index)):
                 dead.append((module, stmt.name))
     return dead
+
+
+def _dead_private_helpers(sources):
+    """(module, name) of each module-level private function or class that no
+    module names outside the statement defining it, in source order."""
+    return _dead_definitions(sources, {}, private=True)
 
 
 def test_the_check_sees_a_dead_helper():
@@ -70,3 +91,25 @@ def test_the_check_sees_a_dead_helper():
 def test_every_private_helper_is_named_outside_its_definition():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert _dead_private_helpers(sources) == []
+
+
+def test_the_check_sees_a_dead_public_function():
+    # the function's own body does not count as a reader
+    sources = {"a.py": "def used():\n    return 1\n\n\ndef left_behind(x):\n"
+                       "    return left_behind(x - 1) if x else used()\n\n\n"
+                       "class Record:\n    pass\n"}
+    readers = {"tests/test_a.py": "from a import Record\n\n\ndef test_record():\n"
+                                  "    assert Record()\n"}
+    assert _dead_definitions(sources, readers, private=False) == [("a.py", "left_behind")]
+
+
+def test_every_public_name_has_a_reader():
+    """Each module-level public function and class of the package is named in
+    src/, tests/, demos/ or perfbench/ outside its own definition; the
+    package's re-exports in __init__.py do not count."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
+               if p.name != "__init__.py"}
+    readers = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for d in READER_DIRS for p in sorted((ROOT / d).rglob("*.py"))
+               if p.parent != PACKAGE}
+    assert _dead_definitions(sources, readers, private=False) == []

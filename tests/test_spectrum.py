@@ -223,6 +223,14 @@ def test_extract_modes_rejects_out_of_range_requests(small_operator):
         extract_modes(small_operator, 0)
     with pytest.raises(DimensionError):
         extract_modes(small_operator, rank + 1)
+    for n_modes in (1.5, float("nan")):
+        with pytest.raises(DimensionError):
+            extract_modes(small_operator, n_modes)
+
+
+def test_extract_modes_accepts_integral_floats(small_operator):
+    basis = extract_modes(small_operator, 2.0)
+    assert np.array_equal(basis.couplings, extract_modes(small_operator, 2).couplings)
 
 
 def test_single_point_mode_pair():

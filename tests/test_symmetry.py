@@ -10,10 +10,12 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
+import edof.kernel
 import edof.landau
 from edof.cutset import _jacobian_dets, bandwidth_field
 from edof.geometry import (
     SYMMETRY_RTOL,
+    TABLE_FRAME_TOL,
     QuadratureGrid,
     axis_pairing,
     corners,
@@ -23,15 +25,15 @@ from edof.geometry import (
     link_symmetry,
     make_surface,
     mirror_axes,
-    paired_offsets,
     rotation_about,
+    squared_offsets,
 )
-from edof.kernel import WaveConfig, kernel_scale
+from edof.kernel import WaveConfig, kernel_scale, plane_distances
 from edof.landau import (
-    TABLE_FRAME_TOL,
     _autocorrelation_lattice,
     _autocorrelation_many,
     _two_mirror_correlation,
+    stationarity_check,
     wavenumber_response,
 )
 
@@ -345,10 +347,11 @@ def test_two_mirror_lattice_matches_the_general_sum(name):
 
 def _two_mirror(lags, rx, tx_grid, tables):
     """The two-mirror sum from the per-axis tables, where the frames pair,
-    or with ``tables`` False from ``node_distances`` on every scene."""
+    or with ``tables`` False from the per-node branch of
+    ``plane_distances`` on every scene."""
     if tables:
         return _two_mirror_correlation(lags, rx, tx_grid, WAVE)
-    with mock.patch.object(edof.landau, "axis_pairing", lambda *surfaces: None):
+    with mock.patch.object(edof.kernel, "axis_pairing", lambda *surfaces: None):
         return _two_mirror_correlation(lags, rx, tx_grid, WAVE)
 
 
@@ -403,7 +406,8 @@ def two_mirror_scenes(draw):
 
 @given(two_mirror_scenes())
 def test_two_mirror_sum_matches_the_general_sum(scene):
-    # from the per-axis tables where the frames pair, and from node_distances
+    # from the per-axis tables where the frames pair, and from the per-node
+    # branch of plane_distances
     surfaces = (grid.surface for grid in _scene(**scene[0]))
     event(f"frames pair: {axis_pairing(*surfaces, TABLE_FRAME_TOL) is not None}")
     for tables in (True, False):
@@ -430,9 +434,9 @@ def test_two_mirror_tables_run_where_the_half_turn_reverses_and_the_frames_pair(
 
     def spy(*args):
         calls.append(args)
-        return paired_offsets(*args)
+        return squared_offsets(*args)
 
-    monkeypatch.setattr(edof.landau, "paired_offsets", spy)
+    monkeypatch.setattr(edof.kernel, "squared_offsets", spy)
     response = _response(tx_grid, rx_grid)
     assert {"u", "v"} <= set(response.diagnostics["symmetry"])
     takes_tables = half_turn_reverses(tx_grid, rx) \
@@ -477,18 +481,24 @@ def _long_double_gap(g, exact):
 
 @st.composite
 def long_double_scenes(draw):
-    """A transmitter at the origin and a receiver over it, laterally offset
-    or not and turned by a multiple of 45 degrees or by any angle, on
-    midpoint or Gauss-Legendre rules, with an odd, centered lag lattice of
-    any counts and extents, as Landau builds."""
+    """A transmitter and a receiver over it, laterally offset or not and
+    turned by a multiple of 45 degrees or by any angle, both under a random
+    rigid motion as ``two_mirror_scenes`` draws it, on midpoint or
+    Gauss-Legendre rules, with an odd, centered lag lattice of any counts
+    and extents, as Landau builds."""
     sizes, counts = st.floats(0.05, 0.6), st.integers(1, 9)
     offset = draw(st.sampled_from([(0.0, 0.0), None]))
     turn = draw(st.sampled_from([0.0, 0.25 * np.pi, 0.5 * np.pi, np.pi, 1.5 * np.pi, None]))
+    polar, azimuth = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    axis = (np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+            np.cos(polar))
     return dict(
         tx_size=(draw(sizes), draw(sizes)), tx_counts=(draw(counts), draw(counts)),
         rx_size=(draw(sizes), draw(sizes)), distance=draw(st.floats(0.5, 5.0)),
         rx_offset=offset or draw(st.tuples(*[st.floats(-0.5, 0.5)] * 2)),
         rx_turn=rotation_about(Z_AXIS, draw(st.floats(0.0, 2.0 * np.pi)) if turn is None else turn),
+        motion=(rotation_about(axis, draw(st.floats(0.0, 2.0 * np.pi))),
+                np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))),
         rule=draw(st.sampled_from(["midpoint", "gauss-legendre"])),
     ), [2 * draw(st.integers(0, 4)) + 1 for _ in range(2)], [draw(st.floats(0.01, 0.6))
                                                             for _ in range(2)]
@@ -522,7 +532,8 @@ def test_correlation_sums_match_a_long_double_sum(scene):
 
 def test_two_mirror_sum_behind_a_receiver_turned_5e_13_rad():
     # The frames pair to FRAME_TOL but not to TABLE_FRAME_TOL.  Tables would
-    # drop the 5e-13 off-pair overlap from every phase; node_distances keeps it.
+    # drop the 5e-13 off-pair overlap from every distance; the per-node branch
+    # of plane_distances keeps it.
     tx_grid, rx_grid = _scene(distance=1.0, rx_turn=rotation_about(Z_AXIS, 5e-13))
     rx = rx_grid.surface
     assert link_symmetry(tx_grid, rx_grid).pairing is not None
@@ -532,3 +543,113 @@ def test_two_mirror_sum_behind_a_receiver_turned_5e_13_rad():
     gap, bound = _long_double_gap(_two_mirror_correlation(lags, rx, tx_grid, WAVE),
                                   (exact.real, phase))
     assert gap <= bound
+
+
+def _receive_nodes(rx_grid):
+    """(N, 3) receive-frame coordinates of the nodes of a receive grid."""
+    iu, iv = np.divmod(np.arange(len(rx_grid)), rx_grid.shape[1])
+    return np.column_stack([rx_grid.rule_u[0][iu], rx_grid.rule_v[0][iv],
+                            np.zeros(len(rx_grid))])
+
+
+def _plane_distance_branches(points, tx_grid, rx):
+    """plane_distances as it runs, and from its per-node branch."""
+    def run():
+        return np.concatenate([d2 for _, d2 in plane_distances(points, tx_grid, rx, WAVE)])
+
+    taken = run()
+    with mock.patch.object(edof.kernel, "axis_pairing", lambda *surfaces: None):
+        return taken, run()
+
+
+@st.composite
+def paired_scenes(draw):
+    """Parallel links whose frames pair: the receiver laterally offset or
+    not and turned by 0, 90, 180 or 270 degrees, under a random rigid
+    motion, on midpoint or Gauss-Legendre rules."""
+    sizes, counts = st.floats(0.05, 0.6), st.integers(1, 9)
+    polar, azimuth = draw(st.floats(0.0, np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    axis = (np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+            np.cos(polar))
+    return dict(
+        tx_size=(draw(sizes), draw(sizes)), tx_counts=(draw(counts), draw(counts)),
+        rx_size=(draw(sizes), draw(sizes)), rx_counts=(draw(counts), draw(counts)),
+        distance=draw(st.floats(0.5, 5.0)),
+        rx_offset=draw(st.tuples(*[st.floats(-0.5, 0.5)] * 2)),
+        rx_turn=rotation_about(Z_AXIS, 0.5 * np.pi * draw(st.integers(0, 3))),
+        motion=(rotation_about(axis, draw(st.floats(0.0, 2.0 * np.pi))),
+                np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))),
+        rule=draw(st.sampled_from(["midpoint", "gauss-legendre"])),
+    )
+
+
+@given(paired_scenes())
+def test_plane_distance_branches_agree_on_paired_scenes(kwargs):
+    # The tables take the offsets per axis about the receive center, the
+    # per-node branch from the nodes' projections into the receive frame;
+    # each rounds the rigidly moved coordinates its own way.
+    tx_grid, rx_grid = _scene(**kwargs)
+    rx = rx_grid.surface
+    pairs = axis_pairing(tx_grid.surface, rx, TABLE_FRAME_TOL) is not None
+    event(f"frames pair: {pairs}")
+    taken, per_node = _plane_distance_branches(_receive_nodes(rx_grid), tx_grid, rx)
+    assert np.max(np.abs(taken - per_node) / per_node) <= 8 * np.finfo(float).eps
+    assert pairs or np.array_equal(taken, per_node)
+
+
+@pytest.mark.parametrize("rule", ["midpoint", "gauss-legendre"])
+@pytest.mark.parametrize("rx_offset", [(0.0, 0.0), (0.3, -0.2)])
+def test_plane_distance_branches_agree_bit_for_bit_on_axis_aligned_scenes(rule, rx_offset):
+    # transmitter at the origin, both frames the global axes: every
+    # projection is exact, and both branches sum (x^2 + h^2) + y^2
+    tx_grid, rx_grid = _scene(tx_counts=(9, 8), rx_counts=(7, 6), rx_offset=rx_offset,
+                              rule=rule)
+    taken, per_node = _plane_distance_branches(_receive_nodes(rx_grid), tx_grid,
+                                               rx_grid.surface)
+    assert np.array_equal(taken, per_node)
+
+
+def _squared_offsets_calls(monkeypatch):
+    """The argument tuples of every squared_offsets call plane_distances makes."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return squared_offsets(*args)
+
+    monkeypatch.setattr(edof.kernel, "squared_offsets", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kwargs, symmetry, takes_tables", [
+    # the Hermitian half on paired frames
+    ({"rx_offset": (0.3, -0.2)}, [], True),
+    # the Hermitian half, frames unpaired
+    ({"rx_turn": rotation_about(Z_AXIS, np.pi / 6)}, [], False),
+    # the two-mirror sum, frames unpaired
+    ({"rx_turn": rotation_about(Z_AXIS, np.pi / 4)}, list(COAXIAL), False),
+])
+def test_landau_sums_take_the_tables_where_the_frames_pair(kwargs, symmetry, takes_tables,
+                                                           monkeypatch):
+    tx_grid, rx_grid = _scene(**kwargs)
+    calls = _squared_offsets_calls(monkeypatch)
+    assert _response(tx_grid, rx_grid).diagnostics["symmetry"] == symmetry
+    assert bool(calls) == takes_tables
+    calls.clear()
+    stationarity_check(rx_grid.surface, tx_grid, WAVE)
+    assert bool(calls) == takes_tables
+
+
+def test_cutset_field_behind_a_receiver_turned_5e_13_rad(monkeypatch):
+    # The frames pair to FRAME_TOL, so the field takes the parallel-plane
+    # Jacobian, but not to TABLE_FRAME_TOL, so its distances are per node.
+    tx_grid, rx_grid = _scene(distance=1.0, rx_turn=rotation_about(Z_AXIS, 5e-13))
+    rx = rx_grid.surface
+    assert link_symmetry(tx_grid, rx_grid).pairing is not None
+    assert axis_pairing(tx_grid.surface, rx, TABLE_FRAME_TOL) is None
+    calls = _squared_offsets_calls(monkeypatch)
+    field = bandwidth_field(tx_grid, rx_grid, WAVE).values
+    assert not calls
+    direct = _jacobian_dets(rx_grid.points, tx_grid.points, tx_grid.surface, rx,
+                            WAVE) @ tx_grid.weights
+    assert np.max(np.abs(field - direct) / direct) <= 1e-14
