@@ -16,10 +16,10 @@ the receive aperture:
 W(r) is computed two ways: integrating the |Jacobian| of the map t -> kvec
 over the transmit aperture (exact for injective maps), and rasterizing the
 mapped point set onto an occupancy grid (an outer measure, robust to folds).
-The Jacobian has a general closed form for any pair of planes; on parallel
-planes with aligned axes it is k0^2 |det G| H^2 / d^4, with d^2 from
-kernel.plane_distances: a sum of two per-axis squared offsets, read from
-two small tables, where the frames pair to TABLE_FRAME_TOL.
+The Jacobian has a general closed form for any pair of planes; where the
+frames pair (parallel planes, axes aligned or turned by a multiple of 90
+degrees) it is k0^2 |det G| H^2 / d^4, with d^2 from kernel.plane_distances:
+a sum of two per-axis squared offsets, read from two small tables.
 The forward Fourier convention is exp(-j k . r); filtering a sampled field
 to a wavenumber support set uses that convention on the FFT dual grid.
 """
@@ -208,9 +208,9 @@ def bandwidth_field(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid,
     k0^2 |det G| H^2 / d^4 with H constant.  Where the axes are also aligned
     (the ``link_symmetry`` pairing), the squared distances d^2 come from
     ``kernel.plane_distances``, as outer sums of two rows of its per-axis
-    tables where the frames pair to TABLE_FRAME_TOL, and are contracted
-    with the transmit weights; tables that overflow read NaN.  Other scenes
-    run ``_jacobian_dets`` on every pair of the folded rows.
+    tables, and are contracted with the transmit weights; tables that
+    overflow read NaN.  Other scenes run ``_jacobian_dets`` on every pair of
+    the folded rows.
     """
     rx_surface = rx_grid.surface
     symmetry = link_symmetry(tx_grid, rx_grid)

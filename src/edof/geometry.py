@@ -17,20 +17,21 @@ Every rectangle is a surface, the Landau lag box included.
 A link's symmetry is decided here, in one place, for all three estimators.
 ``mirror_axes`` names the reflections of the receive frame that map a grid
 onto itself, and ``axis_pairing`` pairs the axes of parallel, aligned
-planes.  ``link_symmetry`` keeps what the estimators read of a (transmit
-grid, receive grid) pair in one record: the reflections both grids hold
-(the cut-set field's fold), the pairing, and the parity-sector axes and the
-u <-> v swap that the fold and the pairing give together (operator assembly
-and the spectrum).  ``frame_coords`` projects points into a surface frame,
-and on a paired link ``squared_offsets`` gives the squared offsets of
-receive points from transmit nodes as one small table per axis, which
-kernel.plane_distances reads for the cut-set field and every Landau sum.
-``lattice_orbits`` folds a u-major lattice by the reflections its caller
-says hold.
+planes, to the one tolerance PAIRING_TOL.  ``link_symmetry`` keeps what the
+estimators read of a (transmit grid, receive grid) pair in one record: the
+reflections both grids hold (the cut-set field's fold), the pairing, and
+the parity-sector axes and the u <-> v swap that the fold and the pairing
+give together (operator assembly and the spectrum).  ``frame_coords``
+projects points into a surface frame, and on a paired link
+``squared_offsets`` gives the squared offsets of receive points from
+transmit nodes as one small table per axis, which kernel.plane_distances
+reads for the cut-set field and every Landau sum.  ``lattice_orbits`` folds
+a u-major lattice by the reflections its caller says hold.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +40,12 @@ from .errors import GeometryError
 
 # Frame vectors must satisfy orthonormality to this absolute tolerance.
 FRAME_TOL = 1e-12
-# Largest miss of the frame overlap (axis_pairing) at which distances are
-# read from the per-axis ``squared_offsets`` tables.  The tables drop the
-# overlap's off-pair entries, which moves each offset by about the miss times
-# the aperture size: a few eps, the rounding of a rigidly moved frame, keeps
-# that within the rounding of the offsets themselves.
-TABLE_FRAME_TOL = 8.0 * np.finfo(float).eps
+# Largest miss of the frame overlap at which two frames pair (axis_pairing).
+# The ``squared_offsets`` tables drop the overlap's off-pair entries, moving
+# each offset by about the miss times the aperture size.  8 eps keeps that
+# within the offsets' rounding and pairs every rigid motion (under 4 eps in
+# 20,000); at FRAME_TOL, Landau sums on a 0.2 m link miss their bound 3x.
+PAIRING_TOL = 8.0 * np.finfo(float).eps
 # Rotation matrices supplied by callers may be slightly off; they are
 # re-orthonormalized, but rejected beyond this tolerance.
 ROTATION_TOL = 1e-10
@@ -75,7 +76,7 @@ def _as_unit(vec, name):
     if v.shape != (3,):
         raise GeometryError(f"{name} must be a 3-vector, got shape {v.shape}")
     n = np.linalg.norm(v)
-    if abs(n - 1.0) > FRAME_TOL:
+    if not abs(n - 1.0) <= FRAME_TOL:   # NaN fails
         raise GeometryError(f"{name} is not unit length (|v| = {float(n)!r})")
     return v
 
@@ -93,15 +94,17 @@ class PlanarSurface:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.center.shape != (3,):
-            raise GeometryError("center must be a 3-vector")
+        if self.center.shape != (3,) or not np.isfinite(self.center).all():
+            raise GeometryError(f"center must be a 3-vector of finite coordinates, "
+                                f"got {self.center}")
         for name in ("tangent_u", "tangent_v"):
             object.__setattr__(self, name, _as_unit(getattr(self, name), name))
         if abs(self.tangent_u @ self.tangent_v) > FRAME_TOL:
             raise GeometryError("tangent_u and tangent_v are not orthogonal")
         object.__setattr__(self, "normal", np.cross(self.tangent_u, self.tangent_v))
-        if not (self.length_u > 0.0 and self.length_v > 0.0):
-            raise GeometryError("side lengths must be positive")
+        if not (0.0 < self.length_u < np.inf and 0.0 < self.length_v < np.inf):
+            raise GeometryError(f"side lengths must be positive and finite, got "
+                                f"({self.length_u}, {self.length_v})")
 
     @property
     def area(self) -> float:
@@ -119,7 +122,8 @@ def make_surface(center, rotation, length_u, length_v) -> PlanarSurface:
     r = np.asarray(rotation, dtype=float)
     if r.shape != (3, 3):
         raise GeometryError(f"rotation must be 3x3, got shape {r.shape}")
-    if np.max(np.abs(r.T @ r - np.eye(3))) > ROTATION_TOL:
+    # finiteness first: a NaN matrix is not orthonormal, and det would warn
+    if not (np.isfinite(r).all() and np.max(np.abs(r.T @ r - np.eye(3))) <= ROTATION_TOL):
         raise GeometryError("rotation matrix is not orthonormal")
     if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
         raise GeometryError("rotation matrix must have determinant +1 (no reflections)")
@@ -212,7 +216,8 @@ def discretize(surface: PlanarSurface, n_u: int, n_v: int,
 
     Node ordering is u-major: index = iu * n_v + iv.
     """
-    if int(n_u) != n_u or int(n_v) != n_v or n_u < 1 or n_v < 1:
+    if not all(isinstance(n, numbers.Real) and 1 <= n < np.inf and int(n) == n
+               for n in (n_u, n_v)):
         raise GeometryError(f"grid counts must be positive integers, got ({n_u}, {n_v})")
     return QuadratureGrid(surface, quadrature_rule(surface.length_u, int(n_u), rule),
                           quadrature_rule(surface.length_v, int(n_v), rule))
@@ -342,13 +347,13 @@ def _lands_on(tx_grid, rx_surface, image, mapped):
                            <= SYMMETRY_RTOL * tx_grid.weights))
 
 
-def axis_pairing(tx_surface: PlanarSurface, rx_surface: PlanarSurface, tol: float = FRAME_TOL):
+def axis_pairing(tx_surface: PlanarSurface, rx_surface: PlanarSurface):
     """The receive axis along transmit u and the one along transmit v (0 for
     u, 1 for v), or None.
 
     Not None exactly when the planes are parallel and the frame overlap
     G = [[ru.tu, ru.tv], [rv.tu, rv.tv]] is a signed permutation, both to
-    ``tol``: frames aligned, or the receiver turned by a multiple of 90
+    PAIRING_TOL: frames aligned, or the receiver turned by a multiple of 90
     degrees.  Then each in-plane offset of a point pair along a receive axis
     depends on one receive and one transmit coordinate only.  The pairing is
     its own inverse, so pairing[0] is also the transmit axis along receive u.
@@ -356,7 +361,7 @@ def axis_pairing(tx_surface: PlanarSurface, rx_surface: PlanarSurface, tol: floa
     overlap = np.array([rx_surface.tangent_u, rx_surface.tangent_v, rx_surface.normal]) \
         @ np.column_stack([tx_surface.tangent_u, tx_surface.tangent_v])
     signs = np.rint(overlap)
-    if np.max(np.abs(overlap - signs)) > tol or signs[2].any():
+    if np.max(np.abs(overlap - signs)) > PAIRING_TOL or signs[2].any():
         return None
     return tuple(int(np.flatnonzero(c)[0]) for c in signs.T)
 
@@ -404,7 +409,7 @@ class LinkSymmetry:
 
     fold: tuple[str, ...]                  # receive reflections both grids hold
     sectors: tuple[int, int, bool] | None  # (u-mirror's tx axis, v-mirror's, swap)
-    pairing: tuple[int, int] | None        # receive axis along tx u, along tx v
+    pairing: tuple[int, int] | None        # axis_pairing: rx axis along tx u, along tx v
 
 
 def link_symmetry(tx_grid: QuadratureGrid, rx_grid: QuadratureGrid) -> LinkSymmetry:

@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import DimensionError, GeometryError, SingularKernelError
 from .geometry import (
-    TABLE_FRAME_TOL,
     LinkSymmetry,
     PlanarSurface,
     QuadratureGrid,
@@ -72,8 +71,8 @@ class WaveConfig:
     wavelength: float
 
     def __post_init__(self):
-        if not self.wavelength > 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not 0.0 < self.wavelength < np.inf:
+            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength}")
 
     @property
     def k0(self) -> float:
@@ -167,15 +166,15 @@ def plane_distances(points, tx_grid: QuadratureGrid, rx_surface: PlanarSurface,
     (rows, d2) pair per ``row_blocks`` block of the points, d2 of shape
     (rows, N_tx); raises as ``check_separation`` does.
 
-    Where the frames pair to TABLE_FRAME_TOL (``axis_pairing``) and every
-    point lies on the receive plane, d2 is the outer sum of the
-    ``squared_offsets`` tables over the points' distinct coordinates per
-    axis, and NaN where those overflow.  Elsewhere it is summed per node
-    from the nodes' receive-frame coordinates, in the tables' order
+    Where the frames pair (``axis_pairing``) and every point lies on the
+    receive plane, d2 is the outer sum of the ``squared_offsets`` tables
+    over the points' distinct coordinates per axis, and NaN where those
+    overflow.  Elsewhere, off-plane points and unpaired frames, it is summed
+    per node from the nodes' receive-frame coordinates, in the tables' order
     (x^2 + h^2) + y^2.
     """
     n = len(tx_grid)
-    pairing = axis_pairing(tx_grid.surface, rx_surface, TABLE_FRAME_TOL)
+    pairing = axis_pairing(tx_grid.surface, rx_surface)
     if pairing is None or points[:, 2].any():
         nodes = frame_coords(tx_grid.points, rx_surface).T.copy()
         for rows in row_blocks(len(points), n):

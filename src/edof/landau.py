@@ -183,14 +183,15 @@ def _two_mirror_correlation(lags, rx_surface, tx_grid, wave):
     return np.float64(kernel_scale(wave)) ** 2 * out
 
 
-def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave):
-    """g on the odd, centered u-major lattice of two lag axes.
+def _autocorrelation_lattice(axes, rx_surface, tx_grid, wave):
+    """g about the receive center on the odd, centered u-major lattice of
+    two lag axes.
 
     Every scene has g(-delta) = conj(g(delta)), and -delta is the flat index
     read backwards: the first half is evaluated by ``_autocorrelation_many``,
-    the rest is its conjugate.  When ``mirrors`` (from mirror_axes, about the
-    receive center, where ``reference`` lies) holds the u- and the v-mirror,
-    g is also even in each axis, hence real: one lag per orbit of the
+    the rest is its conjugate.  When the transmit grid holds the receive
+    frame's u- and v-mirror (``mirror_axes``, about the receive center), g
+    is also even in each axis, hence real: one lag per orbit of the
     mirrors, and of the swap when the two axes are equal (equal counts and
     spacings), is evaluated and gathered.  The orbit lags are evaluated by
     ``_two_mirror_correlation`` when the transmit grid
@@ -202,6 +203,7 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave
         iu, iv = np.divmod(flat, len(axes[1]))
         return np.column_stack([axes[0][iu], axes[1][iv]])
 
+    mirrors = mirror_axes(tx_grid, rx_surface)
     if {"u", "v"} <= set(mirrors):
         folded_by = tuple(m for m in mirrors if m != "swap" or np.array_equal(*axes))
         fold = lattice_orbits((len(axes[0]), len(axes[1])), folded_by)
@@ -209,10 +211,11 @@ def _autocorrelation_lattice(axes, mirrors, reference, rx_surface, tx_grid, wave
         if half_turn_reverses(tx_grid, rx_surface):
             g = _two_mirror_correlation(lags, rx_surface, tx_grid, wave)
         else:
-            g = np.real(_autocorrelation_many(lags, reference, rx_surface, tx_grid, wave))
+            g = np.real(_autocorrelation_many(lags, rx_surface.center, rx_surface, tx_grid,
+                                              wave))
         return g[fold.gather], folded_by, len(fold.nodes)
     half = _autocorrelation_many(lattice(np.arange((len(axes[0]) * len(axes[1]) + 1) // 2)),
-                                 reference, rx_surface, tx_grid, wave)
+                                 rx_surface.center, rx_surface, tx_grid, wave)
     return np.concatenate([half, np.conj(half[-2::-1])]), (), len(half)
 
 
@@ -320,9 +323,8 @@ def wavenumber_response(rx_surface: PlanarSurface, tx_grid: QuadratureGrid,
 
     iu = np.arange(n_u) - (n_u - 1) / 2.0
     iv = np.arange(n_v) - (n_v - 1) / 2.0
-    g, folded_by, evaluated = _autocorrelation_lattice(
-        (iu * du, iv * dv), mirror_axes(tx_grid, rx_surface), rx_surface.center,
-        rx_surface, tx_grid, wave)
+    g, folded_by, evaluated = _autocorrelation_lattice((iu * du, iv * dv), rx_surface,
+                                                       tx_grid, wave)
     g = g.reshape(n_u, n_v)
 
     # Bartlett taper: Fejer smoothing keeps the estimate nonnegative.

@@ -287,7 +287,7 @@ def count_edof(spectrum: CouplingSpectrum, gamma: float,
 
 def kolmogorov_width(spectrum: CouplingSpectrum, n: int) -> float:
     """N-width d_n = s_n (0-based); zero past the resolved spectrum."""
-    if n < 0 or int(n) != n:
+    if not (0 <= n < np.inf and int(n) == n):
         raise ValueError(f"mode index must be a nonnegative integer, got {n}")
     if n >= len(spectrum):
         return 0.0

@@ -90,6 +90,13 @@ def test_non_positive_grid_counts_rejected(n_u, n_v):
         discretize(s, n_u, n_v)
 
 
+@pytest.mark.parametrize("n_u", [float("inf"), float("nan"), "3"])
+def test_grid_counts_that_are_not_finite_numbers_rejected(n_u):
+    s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
+    with pytest.raises(GeometryError, match=r"grid counts must be positive integers"):
+        discretize(s, n_u, 3)
+
+
 def test_unknown_rule_rejected():
     s = make_surface((0.0, 0.0, 0.0), np.eye(3), 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -154,6 +161,17 @@ BAD_GEOMETRY = {
     "global-point-shape": (lambda: global_point(make_surface(ORIGIN, np.eye(3), 1.0, 1.0),
                                                 ORIGIN),
                            "local coordinates must be a 2-vector"),
+    "nan-tangent": (lambda: PlanarSurface(ORIGIN, (np.nan, 0.0, 0.0), Y, 1.0, 1.0),
+                    r"tangent_u is not unit length \(\|v\| = nan\)$"),
+    "nan-center": (lambda: PlanarSurface((0.0, np.nan, 0.0), X, Y, 1.0, 1.0),
+                   "center must be a 3-vector of finite coordinates"),
+    "inf-center": (lambda: PlanarSurface((np.inf, 0.0, 0.0), X, Y, 1.0, 1.0),
+                   "center must be a 3-vector of finite coordinates"),
+    "inf-side": (lambda: PlanarSurface(ORIGIN, X, Y, 1.0, np.inf),
+                 r"side lengths must be positive and finite, got \(1\.0, inf\)$"),
+    # np.linalg.det of a NaN matrix would warn before any check
+    "nan-rotation": (lambda: make_surface(ORIGIN, np.full((3, 3), np.nan), 1.0, 1.0),
+                     "rotation matrix is not orthonormal"),
 }
 
 

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-helper is named outside its own definition, and every public function and
-class is named somewhere outside its own definition."""
+helper or constant is named outside its own definition, and every public
+function, class and constant is named somewhere outside its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -57,27 +58,39 @@ def _statement_names(trees):
     return named
 
 
+def _defined_names(stmt):
+    """Names a top-level statement defines: a function, a class, or the
+    plain names a NAME = ... assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
 def _dead_definitions(sources, readers, private):
-    """(module, name) of each module-level private (or public) function or
-    class of ``sources`` that no statement of ``sources`` or ``readers``
-    names outside the statement defining it, in source order."""
+    """(module, name) of each module-level private (or public) function,
+    class or constant of ``sources``, dunders aside, that no statement of
+    ``sources`` or ``readers`` names outside the statement defining it, in
+    source order."""
     trees = {module: ast.parse(source) for module, source in {**readers, **sources}.items()}
     named = _statement_names(trees)
     dead = []
     for module in sources:
         for index, stmt in enumerate(trees[module].body):
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                    and stmt.name.startswith("_") == private \
-                    and not stmt.name.startswith("__") \
-                    and not any(stmt.name in names for m, i, names in named
-                                if (m, i) != (module, index)):
-                dead.append((module, stmt.name))
+            dead += [(module, name) for name in _defined_names(stmt)
+                     if name.startswith("_") == private and not name.startswith("__")
+                     and not any(name in names for m, i, names in named
+                                 if (m, i) != (module, index))]
     return dead
 
 
 def _dead_private_helpers(sources):
-    """(module, name) of each module-level private function or class that no
-    module names outside the statement defining it, in source order."""
+    """(module, name) of each module-level private function, class or
+    constant that no module names outside the statement defining it, in
+    source order."""
     return _dead_definitions(sources, {}, private=True)
 
 
@@ -103,10 +116,21 @@ def test_the_check_sees_a_dead_public_function():
     assert _dead_definitions(sources, readers, private=False) == [("a.py", "left_behind")]
 
 
+def test_the_check_sees_a_dead_constant():
+    # a constant read only by its own assignment is dead; dunders are not
+    sources = {"a.py": "__all__ = ['run']\nLIMIT = 2\nSTALE_TOL = 1e-12\n"
+                       "_SCALE = 3\n_OLD = _OLD_TOO = 4\n\n\n"
+                       "def run(x):\n    return x < LIMIT * _SCALE\n"}
+    readers = {"tests/test_a.py": "from a import run\n\n\ndef test_run():\n"
+                                  "    assert run(1)\n"}
+    assert _dead_definitions(sources, readers, private=False) == [("a.py", "STALE_TOL")]
+    assert _dead_private_helpers(sources) == [("a.py", "_OLD"), ("a.py", "_OLD_TOO")]
+
+
 def test_every_public_name_has_a_reader():
-    """Each module-level public function and class of the package is named in
-    src/, tests/, demos/ or perfbench/ outside its own definition; the
-    package's re-exports in __init__.py do not count."""
+    """Each module-level public function, class and constant of the package
+    is named in src/, tests/, demos/ or perfbench/ outside its own
+    definition; the package's re-exports in __init__.py do not count."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))
                if p.name != "__init__.py"}
     readers = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")

@@ -34,6 +34,11 @@ def test_wave_config_rejects_non_positive_parameters(wavelength):
         WaveConfig(wavelength=wavelength)
 
 
+def test_wave_config_rejects_an_infinite_wavelength():
+    with pytest.raises(ValueError, match="wavelength must be positive and finite, got inf"):
+        WaveConfig(wavelength=np.inf)
+
+
 def test_kernel_modulus_at_unit_distance():
     w = WaveConfig(wavelength=0.01)
     value = green_kernel((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), w)

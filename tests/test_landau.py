@@ -295,12 +295,12 @@ def rotated_scene(wave):
     return rx, discretize(tx, 13, 11)
 
 
-def _every_lag(axes, mirrors, reference, rx_surface, tx_grid, wave):
+def _every_lag(axes, rx_surface, tx_grid, wave):
     """Stand-in for _autocorrelation_lattice that folds nothing: every lag is
     evaluated."""
     lag_u, lag_v = np.meshgrid(*axes, indexing="ij")
     g = _autocorrelation_many(np.column_stack([lag_u.ravel(), lag_v.ravel()]),
-                              reference, rx_surface, tx_grid, wave)
+                              rx_surface.center, rx_surface, tx_grid, wave)
     return g, (), len(g)
 
 
@@ -338,8 +338,7 @@ def test_half_lattice_mirrors_exact_conjugates(rotated_scene, wave, monkeypatch)
         return _autocorrelation_many(lags, *args)
 
     monkeypatch.setattr(edof.landau, "_autocorrelation_many", spy)
-    g, folded_by, n_evaluated = _autocorrelation_lattice(
-        axes, mirror_axes(tx_grid, rx), rx.center, rx, tx_grid, wave)
+    g, folded_by, n_evaluated = _autocorrelation_lattice(axes, rx, tx_grid, wave)
     monkeypatch.undo()
     assert folded_by == ()
     assert evaluated == [n_evaluated] == [(len(lags) + 1) // 2]

@@ -82,6 +82,12 @@ def test_kolmogorov_width_reads_the_spectrum():
         kolmogorov_width(spec, -1)
 
 
+@pytest.mark.parametrize("n", [float("inf"), float("nan")])
+def test_kolmogorov_width_rejects_a_non_finite_index(n):
+    with pytest.raises(ValueError, match=f"mode index must be a nonnegative integer, got {n}"):
+        kolmogorov_width(_synthetic([4.0, 3.0]), n)
+
+
 def test_spectrum_container_enforces_order_and_sign():
     with pytest.raises(NumericalError):
         CouplingSpectrum(values=np.array([1.0, 2.0]))
@@ -476,7 +482,7 @@ def test_swap_exchanges_the_transmit_axes_on_the_diagonal_or_the_anti_diagonal(n
     # mirrored nodes, but the first and last receive rows weigh 1.5 and 0.5
     dict(rx_edge_weights=(1.5, 0.5)),
     # both grids hold u, v and swap to SYMMETRY_RTOL, but the frame overlap
-    # misses FRAME_TOL, so there is no pairing
+    # misses PAIRING_TOL, so there is no pairing
     dict(rx_turn=rotation_about((0.0, 0.0, 1.0), 3e-12)),
 ], ids=["lateral-1um", "tilt", "turn-45", "rx-edge-weights", "turn-3e-12"])
 def test_asymmetric_scene_takes_the_full_svd(breaker):

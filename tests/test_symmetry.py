@@ -15,7 +15,6 @@ import edof.landau
 from edof.cutset import _jacobian_dets, bandwidth_field
 from edof.geometry import (
     SYMMETRY_RTOL,
-    TABLE_FRAME_TOL,
     QuadratureGrid,
     axis_pairing,
     corners,
@@ -28,7 +27,7 @@ from edof.geometry import (
     rotation_about,
     squared_offsets,
 )
-from edof.kernel import WaveConfig, kernel_scale, plane_distances
+from edof.kernel import WaveConfig, assemble_operator, kernel_scale, plane_distances
 from edof.landau import (
     _autocorrelation_lattice,
     _autocorrelation_many,
@@ -36,6 +35,7 @@ from edof.landau import (
     stationarity_check,
     wavenumber_response,
 )
+from edof.spectrum import coupling_spectrum
 
 WAVE = WaveConfig(wavelength=0.01)
 Z_AXIS = (0.0, 0.0, 1.0)
@@ -72,7 +72,7 @@ MIRROR_CASES = {
     "rx-turned-45": ({"rx_turn": rotation_about(Z_AXIS, np.pi / 4)}, COAXIAL),
     "rx-turned-30": ({"rx_turn": rotation_about(Z_AXIS, np.pi / 6)}, ()),
     # every node moves by under SYMMETRY_RTOL, but the frame overlap is off
-    # by more than FRAME_TOL: the reflections hold, the pairing does not
+    # by more than PAIRING_TOL: the reflections hold, the pairing does not
     "rx-turned-3e-12": ({"rx_turn": rotation_about(Z_AXIS, 3e-12)}, COAXIAL),
     "rectangular": ({"tx_size": (0.5, 0.3)}, ("u", "v")),
     "unequal-counts": ({"tx_counts": (9, 8)}, ("u", "v")),
@@ -180,18 +180,18 @@ def _direct_field(tx_grid, rx_grid):
                           rx_grid.surface, WAVE) @ tx_grid.weights
 
 
-def _every_lag(axes, mirrors, reference, rx_surface, tx_grid, wave):
+def _every_lag(axes, rx_surface, tx_grid, wave):
     """Stand-in for _autocorrelation_lattice that folds nothing: every lag is
     evaluated."""
-    g = _autocorrelation_many(_coords(axes), reference, rx_surface, tx_grid, wave)
+    g = _autocorrelation_many(_coords(axes), rx_surface.center, rx_surface, tx_grid, wave)
     return g, (), len(g)
 
 
-def _hermitian_half(axes, mirrors, reference, rx_surface, tx_grid, wave):
+def _hermitian_half(axes, rx_surface, tx_grid, wave):
     """g as a scene without both mirrors gets it: the first half of the lag
     list, and exact conjugates for the rest."""
     lags = _coords(axes)
-    half = _autocorrelation_many(lags[:(len(lags) + 1) // 2], reference,
+    half = _autocorrelation_many(lags[:(len(lags) + 1) // 2], rx_surface.center,
                                  rx_surface, tx_grid, wave)
     return np.concatenate([half, np.conj(half[-2::-1])]), (), len(half)
 
@@ -298,8 +298,7 @@ def test_folds_match_direct_evaluation(scene):
 
     # the folded correlation keeps g(-delta) = conj(g(delta)) exactly
     axes = _integer_lattice(*lag_grid, spacing=[0.4 / n for n in lag_grid])
-    g, _, _ = _autocorrelation_lattice(axes, mirrors, rx_grid.surface.center,
-                                       rx_grid.surface, tx_grid, WAVE)
+    g, _, _ = _autocorrelation_lattice(axes, rx_grid.surface, tx_grid, WAVE)
     assert np.array_equal(g[::-1], np.conj(g))
 
 
@@ -337,8 +336,7 @@ def test_two_mirror_lattice_matches_the_general_sum(name):
     tx_grid, rx_grid = _scene(**kwargs)
     rx = rx_grid.surface
     axes = _integer_lattice(11, 11, spacing=(0.4 / 11, 0.4 / 11))
-    g, folded_by, _ = _autocorrelation_lattice(axes, mirror_axes(tx_grid, rx), rx.center,
-                                               rx, tx_grid, WAVE)
+    g, folded_by, _ = _autocorrelation_lattice(axes, rx, tx_grid, WAVE)
     general = np.real(_autocorrelation_many(_coords(axes), rx.center, rx, tx_grid, WAVE))
     assert {"u", "v"} <= set(folded_by)
     bound = SYMMETRY_RTOL if name == "rx-turned-3e-12" else 1e-13
@@ -409,7 +407,7 @@ def test_two_mirror_sum_matches_the_general_sum(scene):
     # from the per-axis tables where the frames pair, and from the per-node
     # branch of plane_distances
     surfaces = (grid.surface for grid in _scene(**scene[0]))
-    event(f"frames pair: {axis_pairing(*surfaces, TABLE_FRAME_TOL) is not None}")
+    event(f"frames pair: {axis_pairing(*surfaces) is not None}")
     for tables in (True, False):
         assert _two_mirror_gap(*scene, tables=tables) <= 1e-12
 
@@ -440,7 +438,7 @@ def test_two_mirror_tables_run_where_the_half_turn_reverses_and_the_frames_pair(
     response = _response(tx_grid, rx_grid)
     assert {"u", "v"} <= set(response.diagnostics["symmetry"])
     takes_tables = half_turn_reverses(tx_grid, rx) \
-        and axis_pairing(tx_grid.surface, rx, TABLE_FRAME_TOL) is not None
+        and axis_pairing(tx_grid.surface, rx) is not None
     assert bool(calls) == takes_tables
     # the receiver turned 45 degrees has no pairing, and edge-on no reversal
     assert takes_tables == (name in PARALLEL_TWO_MIRROR and name not in UNPAIRED)
@@ -477,6 +475,39 @@ def _long_double_gap(g, exact):
     exact, phase = exact
     return (np.max(np.abs(g - exact)) / np.max(np.abs(exact)),
             1e-14 + 2.0 * np.finfo(float).eps * phase)
+
+
+def _half_turn_room(tx_grid, rx_surface, lags):
+    """How far, relative to g(0), the two-mirror sum may sit from the sum
+    over every node because node N-1-i misses the half-turn image P t_i of
+    node i by e = m L, m the position gap of ``_half_turn_gaps`` and L the
+    largest side: e (k0 |delta| + 2) R^2 / rho^3, with |delta| the longest
+    lag, R the farthest node from the receive center c and rho the nearest
+    distance from a lag point c +/- delta/2 to a node.  Zero where the half
+    turn is exact.
+
+    With f(t) = cos(k0 (d+ - d-)) / (d+ d-), which P leaves unchanged, the
+    sum counts 2 w_i f(t_i), d- read as d+(t_(N-1-i)), for w_i f(t_i) +
+    w_(N-1-i) f(t_(N-1-i)); both rules' weights reverse exactly.  Reading d-
+    off by at most e moves 2 k0 delta.(c - t) / (d+ + d-) by k0 |delta| e /
+    (2 rho) and 1 / (d+ d-) by e / rho^3, so 2 w_i f by 2 w_i (k0 |delta| /
+    2 + 1) e / rho^3.  Node N-1-i lies within e of P t_i, where
+    |grad f| <= (k0 |u+ - u-| + 1/d+ + 1/d-) / (d+ d-) <= (k0 |delta| + 2) /
+    rho^3, u+ and u- the unit vectors from t to c + delta/2 and c - delta/2,
+    |u+ - u-| <= |delta| / sqrt(d+ d-).  Each pair of weight 2 w_i is thus
+    off by at most 2 w_i (k0 |delta| + 2) e / rho^3, and the middle node of
+    an odd grid by less.  The weights sum to W, and g(0) >= W / R^2.
+    """
+    position, weight = _half_turn_gaps(tx_grid, rx_surface)
+    assert weight == 0.0
+    tx = tx_grid.surface
+    side = max(tx.length_u, tx.length_v, rx_surface.length_u, rx_surface.length_v)
+    frame = np.array([rx_surface.tangent_u, rx_surface.tangent_v])
+    points = rx_surface.center + 0.5 * lags @ frame
+    rho = np.min(np.linalg.norm(points[:, None, :] - tx_grid.points[None, :, :], axis=-1))
+    reach = np.max(np.linalg.norm(tx_grid.points - rx_surface.center, axis=-1))
+    longest = np.max(np.linalg.norm(lags, axis=-1))
+    return position * side * (WAVE.k0 * longest + 2.0) * reach ** 2 / rho ** 3
 
 
 @st.composite
@@ -524,20 +555,23 @@ def test_correlation_sums_match_a_long_double_sum(scene):
     event(f"two-mirror sums: {reverses}")
     if reverses:
         exact, phase = _long_double_correlation(lags, rx.center, rx, tx_grid)
+        # half_turn_reverses accepts node N-1-i as the image of node i only
+        # to SYMMETRY_RTOL, and the cosine sum reads it as that image
+        room = _half_turn_room(tx_grid, rx, lags)
         for tables in (True, False):
             gap, bound = _long_double_gap(_two_mirror(lags, rx, tx_grid, tables),
                                           (exact.real, phase))
-            assert gap <= bound
+            assert gap <= bound + room
 
 
 def test_two_mirror_sum_behind_a_receiver_turned_5e_13_rad():
-    # The frames pair to FRAME_TOL but not to TABLE_FRAME_TOL.  Tables would
-    # drop the 5e-13 off-pair overlap from every distance; the per-node branch
-    # of plane_distances keeps it.
+    # The frame overlap misses PAIRING_TOL, so the frames do not pair.
+    # Tables would drop the 5e-13 off-pair overlap from every distance; the
+    # per-node branch of plane_distances keeps it.
     tx_grid, rx_grid = _scene(distance=1.0, rx_turn=rotation_about(Z_AXIS, 5e-13))
     rx = rx_grid.surface
-    assert link_symmetry(tx_grid, rx_grid).pairing is not None
-    assert axis_pairing(tx_grid.surface, rx, TABLE_FRAME_TOL) is None
+    assert link_symmetry(tx_grid, rx_grid).pairing is None
+    assert axis_pairing(tx_grid.surface, rx) is None
     lags = _coords(_integer_lattice(11, 11, spacing=(0.06, 0.06)))
     exact, phase = _long_double_correlation(lags, rx.center, rx, tx_grid)
     gap, bound = _long_double_gap(_two_mirror_correlation(lags, rx, tx_grid, WAVE),
@@ -590,7 +624,7 @@ def test_plane_distance_branches_agree_on_paired_scenes(kwargs):
     # each rounds the rigidly moved coordinates its own way.
     tx_grid, rx_grid = _scene(**kwargs)
     rx = rx_grid.surface
-    pairs = axis_pairing(tx_grid.surface, rx, TABLE_FRAME_TOL) is not None
+    pairs = axis_pairing(tx_grid.surface, rx) is not None
     event(f"frames pair: {pairs}")
     taken, per_node = _plane_distance_branches(_receive_nodes(rx_grid), tx_grid, rx)
     assert np.max(np.abs(taken - per_node) / per_node) <= 8 * np.finfo(float).eps
@@ -641,15 +675,43 @@ def test_landau_sums_take_the_tables_where_the_frames_pair(kwargs, symmetry, tak
 
 
 def test_cutset_field_behind_a_receiver_turned_5e_13_rad(monkeypatch):
-    # The frames pair to FRAME_TOL, so the field takes the parallel-plane
-    # Jacobian, but not to TABLE_FRAME_TOL, so its distances are per node.
+    # The frame overlap misses PAIRING_TOL, so the frames do not pair and
+    # the field takes the general Jacobian, with no tables.
     tx_grid, rx_grid = _scene(distance=1.0, rx_turn=rotation_about(Z_AXIS, 5e-13))
     rx = rx_grid.surface
-    assert link_symmetry(tx_grid, rx_grid).pairing is not None
-    assert axis_pairing(tx_grid.surface, rx, TABLE_FRAME_TOL) is None
+    assert link_symmetry(tx_grid, rx_grid).pairing is None
+    assert axis_pairing(tx_grid.surface, rx) is None
     calls = _squared_offsets_calls(monkeypatch)
     field = bandwidth_field(tx_grid, rx_grid, WAVE).values
     assert not calls
     direct = _jacobian_dets(rx_grid.points, tx_grid.points, tx_grid.surface, rx,
                             WAVE) @ tx_grid.weights
     assert np.max(np.abs(field - direct) / direct) <= 1e-14
+
+
+@pytest.mark.parametrize("angle", [5e-13, 9e-13])
+def test_frames_that_miss_the_pairing_tolerance_take_the_general_paths(angle, monkeypatch):
+    # A 0.2 m link with the receiver turned by more than PAIRING_TOL but less
+    # than FRAME_TOL.  Paired there, the tables would put both Landau sums
+    # 1.7 to 3 times their long-double bound off; no estimator pairs.
+    tx_grid, rx_grid = _scene(distance=0.2, rx_turn=rotation_about(Z_AXIS, angle))
+    rx = rx_grid.surface
+    symmetry = link_symmetry(tx_grid, rx_grid)
+    assert symmetry.pairing is None
+    assert coupling_spectrum(assemble_operator(tx_grid, rx_grid, WAVE)).symmetry == ()
+    calls = _squared_offsets_calls(monkeypatch)
+    field = bandwidth_field(tx_grid, rx_grid, WAVE).values
+    assert not calls
+    # _jacobian_dets runs at one receive node per orbit of the fold, and the
+    # rest are mirror images, which hold to SYMMETRY_RTOL
+    direct = _direct_field(tx_grid, rx_grid)
+    gaps = np.abs(field - direct) / direct
+    assert np.max(gaps[lattice_orbits(rx_grid.shape, symmetry.fold).nodes]) <= 1e-14
+    assert np.max(gaps) <= 1e-12
+    lags = _coords(_integer_lattice(11, 11, spacing=(0.06, 0.06)))
+    exact, phase = _long_double_correlation(lags, rx.center, rx, tx_grid)
+    for g, reference in ((_two_mirror_correlation(lags, rx, tx_grid, WAVE), exact.real),
+                         (_autocorrelation_many(lags, rx.center, rx, tx_grid, WAVE), exact)):
+        gap, bound = _long_double_gap(g, (reference, phase))
+        assert gap <= bound
+    assert not calls
